@@ -9,9 +9,10 @@ Subcommands:
 * ``verify-trace``: check the trace identity orbit-side against a spectrum.
 * ``experiment``: run a full preset study into a directory of CSV + SVG.
 
-Exit codes: 0 success, 1 a certified bound was violated at runtime, 2 bad
-input. All randomness is seeded and all files are written with fixed number
-formats, so identical invocations produce byte-identical outputs.
+Exit codes: 0 success, 1 a certified bound or an exact eigenvalue count was
+violated at runtime, 2 bad input. All randomness is seeded and all files are
+written with fixed number formats, so identical invocations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -558,7 +559,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (GraphError, PlanError, SpectrumCountError, ValueError, OSError) as exc:
+    except SpectrumCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND_VIOLATION
+    except (GraphError, PlanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -2,19 +2,22 @@
 
 Two independent numerical methods plus closed-form oracles:
 
-* ``secular_spectrum``: works on any graph. Restricted to an edge of length
-  l, an eigenfunction is a_e cos(kx) + b_e sin(kx); continuity and derivative
-  balance at every vertex give a square linear system A(k), and the
-  eigenfrequencies are the k where A(k) is singular. Roots are located by
-  scanning the smallest singular value on a grid, refining local minima by
-  golden-section search, and reading multiplicities off the nullity.
+* ``secular_spectrum``: works on any graph. The vertex conditions are
+  encoded once, in the bond scattering matrix S (Kottos and Smilansky, Ann.
+  Phys. 274, 1999; Berkolaiko and Kuchment, Introduction to Quantum Graphs,
+  2013, ch. 2). The eigenphases of U(k) = S diag(e^{i k l_b}) turn
+  counterclockwise in k and give the exact count N(k) of eigenfrequencies
+  in (0, k]. Roots are bracketed by N on a grid, refined by Newton on the
+  eigenphases and accepted only where N steps, so the listing is complete.
 * ``von_below_spectrum``: equilateral graphs only. Eigenvalues mu of the
   degree-normalized adjacency matrix of the discrete graph are lifted through
-  cos(ka) = mu; the lattice points k = n pi / a need the secular nullity for
-  their multiplicities and are certified against the general method.
+  cos(ka) = mu; the lattice points k = n pi / a take their multiplicities
+  from the nullity of the vertex-condition matrix A(k) (``secular_matrix``),
+  an encoding of the same conditions independent of S.
 * ``analytic_spectrum``: textbook spectra for intervals, loops, and
   equilateral stars, used as oracles in tests.
 
+``validate_spectrum`` checks a listing from any source against N.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
 numerically) and repeats eigenfrequencies by multiplicity.
 """
@@ -52,15 +55,16 @@ METHODS = ("von-below", "secular", "analytic", "external")
 # matrix vanishes, so a purely relative threshold would report nullity 0.
 RANK_TOL = 1e-7
 
-# Golden-section refinement stops when the bracket is narrower than this.
-REFINE_TOL = 1e-12
+# Roots are isolated to within ROOT_TOL: distinct eigenfrequencies closer
+# than this are listed as one value with their combined multiplicity.
+ROOT_TOL = 1e-11
 
-# Refined roots closer than this are the same eigenvalue found twice.
-MERGE_TOL = 1e-9
+# Batches of U(k) hold at most this many complex entries (4 MiB).
+_BATCH_ENTRIES = 1 << 18
 
 
 class SpectrumCountError(RuntimeError):
-    """Eigenvalue counting failed a Weyl-window cross-check after rescue scans."""
+    """A computed listing disagrees with the exact eigenvalue count."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,9 @@ class Spectrum:
             if v < prev:
                 raise ValueError("eigenfrequencies must be nondecreasing")
             prev = v
-        if self.tol < 0.0:
-            raise ValueError("tol must be nonnegative")
+        for name, x in (("tol", self.tol), ("k_max_covered", self.k_max_covered)):
+            if not (math.isfinite(x) and x >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -100,23 +105,24 @@ class ValidationReport:
 
     weyl_lower_ok: k_j >= (j - M) pi / L for every j (a proved estimate).
     zero_mode_ok: k_1 = 0 and, the graph being connected, k_2 > 0.
-    weyl_window_ok: eigenvalue counts stay within +-M of k L / pi at every
-    sampled k; the upper half of the window is a heuristic, so its failure
-    is reported but kept separate from ok.
+    count_ok: the number of listed values in (0, k_max_covered] equals the
+    exact eigenvalue count N(k_max_covered) of the graph, read with the
+    spectrum's tol on both sides of k_max_covered. A missed or an extra
+    value fails it.
     """
 
     weyl_lower_ok: bool
     zero_mode_ok: bool
-    weyl_window_ok: bool
+    count_ok: bool
     messages: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.weyl_lower_ok and self.zero_mode_ok
+        return self.weyl_lower_ok and self.zero_mode_ok and self.count_ok
 
 
 # ---------------------------------------------------------------------------
-# Secular method
+# The vertex-condition matrix: an oracle for lattice multiplicities and tests
 
 
 def _edge_ends(g: MetricGraph) -> dict[str, list[tuple[int, int]]]:
@@ -178,150 +184,125 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
     return A if np.ndim(k) else A[0]
 
 
-def _singular_values(g: MetricGraph, k: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Singular values of A(k) for each k, shape (len(k), 2N), descending."""
-    karr = np.asarray(k, dtype=float)
-    out = []
-    for start in range(0, karr.shape[0], chunk):
-        block = secular_matrix(g, karr[start : start + chunk])
-        out.append(np.linalg.svd(block, compute_uv=False))
-    return np.concatenate(out, axis=0)
-
-
 def _nullity(g: MetricGraph, k: float) -> int:
     sigma = np.linalg.svd(secular_matrix(g, np.array([k]))[0], compute_uv=False)
     threshold = RANK_TOL * max(float(sigma[0]), 1.0)
     return int(np.sum(sigma < threshold))
 
 
-def _golden_refine(fn, lo: float, hi: float) -> float:
-    """Golden-section minimum of a unimodal fn on [lo, hi] to width REFINE_TOL."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > REFINE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+# ---------------------------------------------------------------------------
+# Bond scattering and the exact eigenvalue count
 
 
-def _local_minima(values: np.ndarray) -> np.ndarray:
-    """Interior indices i with values[i] <= both neighbors (plateaus: left edge)."""
-    v = values
-    idx = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
-    # A flat plateau would report every index; keep only the first of a run.
-    if idx.size > 1:
-        keep = np.concatenate(([True], np.diff(idx) > 1))
-        idx = idx[keep]
-    return idx
+class _Bonds:
+    """The bond scattering matrix S of the standard vertex conditions of g.
 
-
-def _scan_for_roots(
-    g: MetricGraph, grid: np.ndarray, order: int
-) -> list[tuple[float, int]]:
-    """Scan objective minima on the grid and refine them to roots.
-
-    order selects the objective: 1 minimizes the smallest singular value,
-    2 the product of the two smallest (which stays V-shaped when a slowly
-    varying singular-value floor of weakly coupled subsystems masks sigma_min;
-    used by rescue passes). Returns (k, nullity) pairs with nullity >= 1.
+    Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
+    bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
+    b reversed. S is real orthogonal, so its eigenphases in [0, 2 pi) pair up
+    to 2 pi except at -1 (pi) and 1 (0); 1 has multiplicity beta_1 + 1
+    (constants plus the Kirchhoff currents on cycles), so the phases sum to
+    2 pi offset with offset = (2N - beta_1 - 1) / 2 = (N + M - 2) / 2.
     """
-    sig = _singular_values(g, grid)
-    if order == 1:
-        objective = sig[:, -1]
-    else:
-        objective = sig[:, -1] * sig[:, -2]
 
-    def fn(k: float) -> float:
-        s = np.linalg.svd(secular_matrix(g, np.array([k]))[0], compute_uv=False)
-        return float(s[-1]) if order == 1 else float(s[-1] * s[-2])
+    def __init__(self, g: MetricGraph) -> None:
+        n = 2 * len(g.edges)
+        start = [v for e in g.edges for v in (e.u, e.v)]
+        end = [v for e in g.edges for v in (e.v, e.u)]
+        self.S = np.zeros((n, n))
+        for b in range(n):
+            out = [c for c in range(n) if start[c] == end[b]]
+            self.S[out, b] = 2.0 / len(out)
+            self.S[b ^ 1, b] -= 1.0
+        self.lengths = np.repeat([e.length for e in g.edges], 2)
+        self.total_length = g.total_length()
+        self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
 
-    k_low = 0.5 * math.pi / g.total_length()
-    roots: list[tuple[float, int]] = []
-    for i in _local_minima(objective):
-        k_star = _golden_refine(fn, float(grid[i - 1]), float(grid[i + 1]))
-        if k_star < k_low:
-            continue
-        nullity = _nullity(g, k_star)
-        if nullity >= 1:
-            roots.append((k_star, nullity))
-    return roots
+    def phases(self, k: np.ndarray, slopes: bool = False):
+        """Eigenphases in (-pi, pi] of U(k) per k and, if asked, their k-slopes
+        v* diag(l_b) v > 0 (Hellmann-Feynman), in batches that bound memory."""
+        n = self.lengths.shape[0]
+        phase = np.empty((k.shape[0], n))
+        slope = np.empty((k.shape[0], n)) if slopes else None
+        batch = max(1, _BATCH_ENTRIES // (n * n))
+        for lo in range(0, k.shape[0], batch):
+            U = self.S * np.exp(1j * k[lo : lo + batch, None, None] * self.lengths)
+            if slopes:
+                w, V = np.linalg.eig(U)
+                slope[lo : lo + batch] = np.einsum("b,kbj->kj", self.lengths, np.abs(V) ** 2)
+            else:
+                w = np.linalg.eigvals(U)
+            phase[lo : lo + batch] = np.angle(w)
+        return phase, slope
 
+    def count(self, k, phase: np.ndarray | None = None) -> np.ndarray:
+        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0.
 
-def _merge_roots(roots: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Collapse refined roots closer than MERGE_TOL, keeping the larger nullity."""
-    merged: list[tuple[float, int]] = []
-    for k, nullity in sorted(roots):
-        if merged and k - merged[-1][0] < MERGE_TOL:
-            prev_k, prev_n = merged[-1]
-            merged[-1] = (prev_k, max(prev_n, nullity))
-        else:
-            merged.append((k, nullity))
-    return merged
-
-
-def _weyl_window_violations(
-    values: list[float], k_max: float, total_length: float, M: int
-) -> list[float]:
-    """Sample points where the eigenvalue count leaves [kL/pi - M, kL/pi + M]."""
-    arr = np.array(values)
-    bad = []
-    # Refined roots carry ~1e-12 jitter, which matters when the count sits
-    # exactly on the window edge (every lattice eigenvalue of an equilateral
-    # graph does). A real miss moves the count by a whole unit, so a 1e-6
-    # slack cannot mask one.
-    slack = 1e-6
-    for k in sorted(set(values)) + [k_max]:
-        if k <= 0.0:
-            continue
-        count = int(np.sum(arr <= k + MERGE_TOL))
-        center = k * total_length / math.pi
-        if not (center - M - slack <= count <= center + M + slack):
-            bad.append(k)
-    return bad
+        Each phase rises in k and passes 0 mod 2 pi once per eigenfrequency, so
+        2 pi N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the
+        wrapped one. A fractional part above 1e-6 means the eigensolver failed.
+        """
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        if phase is None:
+            phase, _ = self.phases(k)
+        wrapped = np.mod(phase, 2.0 * math.pi).sum(axis=1)
+        exact = self.total_length * k / math.pi + self.offset - wrapped / (2.0 * math.pi)
+        count = np.rint(exact)
+        if np.any(np.abs(exact - count) > 1e-6):
+            raise SpectrumCountError("eigenphase count is not an integer; the eigensolver failed")
+        return count.astype(int)
 
 
 def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
-    The scan step is pi / (8 L), four samples per mean eigenvalue spacing
-    doubled for safety. A Weyl-window count check guards against misses in
-    tight clusters; on a violation the range is rescanned at 8x and then 64x
-    resolution using the product of the two smallest singular values, which
-    recovers dips masked by near-degenerate crossings. If the count still
-    fails after the rescue passes, SpectrumCountError reports the sample
-    points, since silently returning an incomplete spectrum would corrupt
-    every downstream sum.
+    The exact count N on a grid of step pi / (4 L) brackets the roots. Each
+    round then probes every open bracket at x -+ ROOT_TOL, which cuts it into
+    pieces. A piece over which N does not step is dropped. In the others, x
+    becomes the Newton step on the eigenphases, from the probe at the
+    piece's end, that lands nearest to it inside the piece (every fifth
+    round, or with none inside, the midpoint). A piece at most 3 ROOT_TOL
+    wide, too narrow to probe again, is a root at x whose multiplicity is
+    the step of N: the listing is complete by construction.
     """
-    if k_max <= 0.0:
-        raise ValueError("k_max must be positive")
-    total = g.total_length()
-    M = len(g.vertices)
-    base_h = math.pi / (8.0 * total)
-
-    found: list[tuple[float, int]] = []
-    for refine in (1, 8, 64):
-        h = base_h / refine
-        grid = np.arange(1, math.ceil(k_max / h) + 2) * h
-        order = 1 if refine == 1 else 2
-        found = _merge_roots(found + _scan_for_roots(g, grid, order))
-        values = [0.0] + [k for k, n in found if k <= k_max + MERGE_TOL for _ in range(n)]
-        if not _weyl_window_violations(values, k_max, total, M):
-            return Spectrum(tuple(values), float(k_max), "secular", 1e-10)
-    bad = _weyl_window_violations(values, k_max, total, M)
-    raise SpectrumCountError(
-        f"eigenvalue count leaves the Weyl window near k = {bad[:5]} even after "
-        f"64x rescue scans; the spectrum of {g.name!r} near those points needs "
-        "manual inspection"
-    )
+    if not 0.0 < k_max < math.inf:
+        raise ValueError("k_max must be positive and finite")
+    bonds = _Bonds(g)
+    h = math.pi / (4.0 * bonds.total_length)
+    grid = np.linspace(0.0, k_max, math.ceil(k_max / h) + 1)
+    counts = np.concatenate(([0], bonds.count(grid[1:])))
+    if np.any(np.diff(counts) < 0):
+        raise SpectrumCountError(f"eigenvalue count of {g.name!r} decreases; eigensolver failed")
+    roots = []
+    # Open brackets: (a, N(a), b, N(b), next probe centre, round).
+    open_ = [(grid[i], counts[i], grid[i + 1], counts[i + 1], 0.5 * (grid[i] + grid[i + 1]), 0)
+             for i in np.nonzero(np.diff(counts))[0]]
+    while open_:
+        probes = [[p for p in (x - ROOT_TOL, x + ROOT_TOL) if a < p < b]
+                  for a, _na, b, _nb, x, _rnd in open_]
+        flat = np.array([p for pts in probes for p in pts])
+        phase, slope = bonds.phases(flat, slopes=True)
+        n_flat, targets = bonds.count(flat, phase), flat[:, None] - phase / slope
+        nxt, row = [], 0
+        for (a, na, b, nb, _x, rnd), pts in zip(open_, probes):
+            ends = [a, *pts, b]
+            ns = np.minimum(np.maximum.accumulate([na, *n_flat[row : row + len(pts)], nb]), nb)
+            for j in np.nonzero(np.diff(ns))[0]:  # the pieces over which N steps
+                lo, hi, narrow = ends[j], ends[j + 1], ends[j + 1] - ends[j] <= 3.0 * ROOT_TOL
+                q = row + max(j - 1, 0)  # the probe at an end of this piece
+                # A root at the probe may lie a rounding error outside the piece.
+                t = targets[q][(targets[q] > lo - ROOT_TOL) & (targets[q] < hi + ROOT_TOL)]
+                x = 0.5 * (lo + hi)
+                if t.size and ((rnd + 1) % 5 or narrow):
+                    x = min(max(float(t[np.argmin(np.abs(t - flat[q]))]), lo), hi)
+                if narrow:
+                    roots.append((x, int(ns[j + 1] - ns[j])))
+                else:
+                    nxt.append((lo, ns[j], hi, ns[j + 1], x, rnd + 1))
+            row += len(pts)
+        open_ = nxt
+    values = [0.0] + sorted(k for k, m in roots for _ in range(m))
+    return Spectrum(tuple(values), float(k_max), "secular", 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +410,30 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
 
 
 def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> Spectrum:
-    """At least `count` eigenfrequencies by the chosen method, truncated to count.
+    """The first `count` eigenfrequencies by the chosen method.
 
-    Picks k_max from Weyl counting and extends it until enough values appear.
+    k_max is where the exact count first reaches `count`, to pi / (4 L), so
+    at least count + 1 values are listed and k_max_covered falls between
+    two; when the cut splits a cluster of equal values, below the cluster.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    compute = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method]
-    M = len(g.vertices)
-    k_max = (count + M) * math.pi / g.total_length() + 1.0
-    for _ in range(20):
-        s = compute(g, k_max)
-        if len(s.values) >= count:
-            cut = s.values[count - 1]
-            covered = (
-                0.5 * (cut + s.values[count]) if len(s.values) > count else s.k_max_covered
-            )
-            return Spectrum(s.values[:count], min(covered, s.k_max_covered), s.method, s.tol)
-        k_max *= 1.3
-    raise SpectrumCountError(f"could not reach {count} eigenfrequencies below k = {k_max:.3g}")
+    bonds = _Bonds(g)
+    # Dirichlet bracketing: N(k) >= L k / pi - N - 1, so N(hi) >= count.
+    lo, hi = 0.0, (count + len(g.edges) + 1) * math.pi / bonds.total_length
+    while hi - lo > math.pi / (4.0 * bonds.total_length):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if bonds.count(mid)[0] >= count else (mid, hi)
+    s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method](g, hi)
+    if len(s.values) <= count:
+        raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
+                                 f"the exact count gives at least {count + 1}")
+    cut = s.values[count - 1]
+    if s.values[count] - cut > s.tol:
+        covered = 0.5 * (cut + s.values[count])
+    else:
+        covered = 0.5 * (cut + max(v for v in s.values if v < cut - s.tol))
+    return Spectrum(s.values[:count], covered, s.method, s.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +441,7 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
 
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
-    """Check a spectrum against proved and heuristic counting estimates."""
+    """Check a spectrum against a proved estimate and the exact count of g."""
     summary = summarize(g)
     messages: list[str] = []
 
@@ -471,13 +457,19 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     if not zero_mode_ok:
         messages.append("zero eigenfrequency missing or not simple")
 
-    bad = _weyl_window_violations(list(s.values), s.k_max_covered, summary.total_length, summary.M)
-    weyl_window_ok = not bad
-    if bad:
-        messages.append(
-            f"count leaves the heuristic Weyl window at k = {bad[:3]} (heuristic check)"
-        )
-    return ValidationReport(weyl_lower_ok, zero_mode_ok, weyl_window_ok, tuple(messages))
+    # Values within tol of their true counterparts, listed completely up to
+    # K, leave between N(K - tol) and N(K + tol) of them in (0, K]. N is 0
+    # below pi / L, the lowest possible k_2.
+    bonds = _Bonds(g)
+    K = s.k_max_covered
+    low, high = (int(bonds.count(k)[0]) if k >= math.pi / summary.total_length else 0
+                 for k in (K - s.tol - ROOT_TOL, K + s.tol + ROOT_TOL))
+    listed = sum(1 for k in s.values[1:] if k <= K)
+    count_ok = low <= listed <= high
+    if not count_ok:
+        messages.append(f"{listed} eigenfrequencies listed in (0, {K:.12g}], "
+                        f"the exact count gives {low} to {high}")
+    return ValidationReport(weyl_lower_ok, zero_mode_ok, count_ok, tuple(messages))
 
 
 def compare_spectra(a: Spectrum, b: Spectrum, count: int | None = None) -> float:

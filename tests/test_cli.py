@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from eulerchar import Spectrum, to_document, preset, write_spectrum_csv
+from eulerchar import (
+    Spectrum,
+    SpectrumCountError,
+    build_graph,
+    cli,
+    preset,
+    to_document,
+    write_spectrum_csv,
+)
 from eulerchar.cli import main
 
 PLAN_BLOCK_LASSO = """\
@@ -87,6 +95,40 @@ def test_spectrum_von_below_needs_equilateral(tmp_path, capsys):
     code = main(["spectrum", str(doc), "--count", "5", "-o", str(out_file)])
     assert code == 0
     assert "cross-check skipped" in out_file.read_text()
+
+
+def test_spectrum_auto_skips_crosscheck_beyond_the_subdivision_cap(tmp_path):
+    # 4-decimal lengths need 55,406 equal pieces: auto must not build them.
+    g = build_graph(
+        "r2",
+        ["v0", "v1", "v2", "v3"],
+        [("v0", "v1", 0.8332), ("v1", "v2", 0.6381), ("v2", "v3", 1.7894),
+         ("v1", "v1", 1.9432), ("v3", "v2", 0.3367)],
+    )
+    doc = tmp_path / "r2.json"
+    doc.write_text(to_document(g))
+    out_file = tmp_path / "r2.csv"
+    assert main(["spectrum", str(doc), "--count", "73", "-o", str(out_file)]) == 0
+    text = out_file.read_text()
+    assert "cross-check skipped" in text
+    assert "55406 pieces" in text
+    assert len([ln for ln in text.splitlines() if ln[0].isdigit()]) == 73
+
+
+def test_spectrum_count_error_exits_1(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise SpectrumCountError("listing disagrees with the exact count")
+
+    monkeypatch.setattr(cli, "spectrum_with_count", failing)
+    assert main(["spectrum", "lasso", "--count", "5", "--method", "secular"]) == 1
+    assert "exact count" in capsys.readouterr().err
+
+
+def test_estimate_rejects_nonfinite_tol(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("# method=external\n# tol=nan\nj,k\n1,0.0\n2,0.5\n")
+    assert main(["estimate", "--spectrum", str(csv), "--graph", "lasso"]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_estimate_recovers_chi(tmp_path, capsys):

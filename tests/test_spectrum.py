@@ -11,11 +11,14 @@ from eulerchar import (
     analytic_spectrum,
     build_graph,
     compare_spectra,
+    complete_graph,
     equilateral_subdivision,
     interval_graph,
     loop_graph,
+    optimal_plan,
     preset,
     read_spectrum_csv,
+    recover_chi,
     secular_spectrum,
     spectrum_csv_text,
     spectrum_with_count,
@@ -26,6 +29,18 @@ from eulerchar import (
     von_below_spectrum,
     write_spectrum_csv,
 )
+from eulerchar.spectrum import _Bonds
+
+
+def r2_graph():
+    """Four 4-decimal lengths and a loop; a scan of singular-value minima
+    misses its roots at 8.866, 9.806 and one of the close pair near 11.82."""
+    return build_graph(
+        "r2",
+        ["v0", "v1", "v2", "v3"],
+        [("v0", "v1", 0.8332), ("v1", "v2", 0.6381), ("v2", "v3", 1.7894),
+         ("v1", "v1", 1.9432), ("v3", "v2", 0.3367)],
+    )
 
 
 def test_spectrum_constructor_validation():
@@ -47,6 +62,11 @@ def test_spectrum_constructor_validation():
         Spectrum(values=(0.0, 1.0), k_max_covered=3.0, method="analytic", tol=-1e-3)
     s = Spectrum(values=(0.0, 1.0, 1.0), k_max_covered=2.0, method="external", tol=0.1)
     assert s.values == (0.0, 1.0, 1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Spectrum(values=(0.0, 1.0), k_max_covered=3.0, method="external", tol=bad)
+        with pytest.raises(ValueError):
+            Spectrum(values=(0.0, 1.0), k_max_covered=bad, method="external", tol=0.0)
 
 
 def test_analytic_interval():
@@ -211,7 +231,11 @@ def test_secular_scaling():
 def test_spectrum_with_count():
     s = spectrum_with_count(preset("lasso"), 12)
     assert len(s.values) == 12
-    assert s.k_max_covered >= s.values[-1]
+    # 2 pi is a double eigenfrequency of the lasso and the cut at 12 splits
+    # it, so completeness is claimed only below it.
+    assert s.values[-1] == pytest.approx(2 * math.pi, abs=1e-12)
+    assert s.values[-2] < s.k_max_covered < s.values[-1]
+    assert validate_spectrum(s, preset("lasso")).ok
     assert s.method == "secular"
     t = spectrum_with_count(preset("k5"), 12, method="von-below")
     assert len(t.values) == 12
@@ -234,7 +258,7 @@ def test_validate_spectrum_accepts_good():
     assert report.ok
     assert report.weyl_lower_ok
     assert report.zero_mode_ok
-    assert report.weyl_window_ok
+    assert report.count_ok
 
 
 def test_validate_spectrum_flags_repeated_zero():
@@ -298,3 +322,84 @@ def test_csv_defaults_to_external_method(tmp_path):
     loaded, meta = read_spectrum_csv(path)
     assert loaded.method == "external"
     assert loaded.values == (0.0, 3.5)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [interval_graph(1.0), loop_graph(1.0), star_graph(4), preset("lasso"),
+     preset("k5-pendant"), preset("k33"), complete_graph(8), r2_graph()],
+    ids=lambda g: g.name,
+)
+def test_scattering_matrix_eigenvalue_one_has_multiplicity_beta1_plus_1(graph):
+    # The constant of the exact count rests on this multiplicity.
+    bonds = _Bonds(graph)
+    n = bonds.S.shape[0]
+    assert np.allclose(bonds.S @ bonds.S.T, np.eye(n), atol=1e-14)
+    sigma = np.linalg.svd(np.eye(n) - bonds.S, compute_uv=False)
+    assert int(np.sum(sigma < 1e-9)) == summarize(graph).beta1 + 1
+
+
+def test_exact_count_matches_analytic_spectra():
+    # Interval (k = j pi), loop (2 pi n twice), 3-star (pi/2 odd twice, pi n once).
+    assert list(_Bonds(interval_graph(1.0)).count([3.0, 3.2, 10.0])) == [0, 1, 3]
+    assert list(_Bonds(loop_graph(1.0)).count([6.2, 6.3, 12.6])) == [0, 2, 4]
+    assert list(_Bonds(star_graph(3)).count([1.5, 1.6, 3.2, 4.8])) == [0, 2, 3, 5]
+
+
+def test_secular_r2_finds_every_root():
+    g = r2_graph()
+    s = secular_spectrum(g, 13.0)
+    assert len(s.values) == 23
+    for k in (8.8657899071, 9.8057279223, 11.8210532095, 11.8257067462):
+        assert min(abs(v - k) for v in s.values) < 1e-9
+    assert validate_spectrum(s, g).ok
+    info = summarize(g)
+    plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+    assert recover_chi(spectrum_with_count(g, plan.J), plan) == info.chi == -1
+
+
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
+def test_secular_matches_von_below_at_500(name):
+    g = preset(name)
+    s = spectrum_with_count(g, 500)
+    sub, _piece = equilateral_subdivision(g)
+    vb = von_below_spectrum(sub, s.values[-1] + 0.1)
+    assert compare_spectra(s, vb, count=500) < 1e-10
+    assert validate_spectrum(s, g).ok
+
+
+def test_complete_graphs_with_many_cycles_match_von_below():
+    k8 = complete_graph(8)
+    info = summarize(k8)
+    plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+    s = spectrum_with_count(k8, plan.J)
+    vb = von_below_spectrum(k8, s.values[-1] + 0.1)
+    assert compare_spectra(s, vb, count=plan.J) < 1e-10
+    assert validate_spectrum(s, k8).ok
+    assert recover_chi(s, plan) == info.chi
+
+    k10 = complete_graph(10)
+    assert summarize(k10).beta1 == 36
+    s = secular_spectrum(k10, 3.0)
+    vb = von_below_spectrum(k10, 3.0)
+    assert len(s.values) == len(vb.values) == 10
+    assert compare_spectra(s, vb) < 1e-10
+
+
+def test_spectrum_with_count_covers_only_below_a_split_cluster():
+    g = preset("k5")
+    s = spectrum_with_count(g, 3)
+    a = math.acos(-0.25)  # multiplicity 4
+    assert s.values == pytest.approx((0.0, a, a), abs=1e-12)
+    assert 0.0 < s.k_max_covered < a
+    assert validate_spectrum(s, g).ok
+
+
+def test_validate_spectrum_flags_dropped_value():
+    g = preset("lasso")
+    s = spectrum_with_count(g, 20)
+    dropped = Spectrum(s.values[:10] + s.values[11:], s.k_max_covered, s.method, s.tol)
+    report = validate_spectrum(dropped, g)
+    assert not report.count_ok
+    assert not report.ok
+    assert "exact count gives 19 to 19" in report.messages[-1]
