@@ -25,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import NoiseModel, nint, perturb_spectrum, truncated_sum
+from .estimator import (
+    NoiseModel,
+    estimate_bound,
+    nint,
+    perturb_spectrum,
+    tol_exceeds_plan,
+    truncated_sum,
+)
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan, tail_bound
 from .orbits import trace_check
@@ -41,7 +48,7 @@ from .spectrum import (
     write_spectrum_csv,
 )
 from .svgplot import Series, line_plot
-from .testfn import TestFunction, cosine_power, triangular
+from .testfn import cosine_power, triangular
 
 __all__ = ["main", "ExperimentConfig", "run_experiment", "plan_block"]
 
@@ -203,17 +210,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     s, _meta = read_spectrum_csv(args.spectrum)
     bound = math.nan
+    tol_note = False
     if args.t is not None and args.J is not None:
         t, d, J = args.t, args.d, args.J
         if args.M is not None and args.L is not None:
-            x = J - args.M
             Lt = args.L * t
-            if x > 2.0 * Lt * d:
-                bound = tail_bound(d, x, Lt) + 2.0 * s.tol * J / t
+            if J - args.M > 2.0 * Lt * d:
+                bound = estimate_bound(d, J, args.M, Lt, t, s.tol)
     else:
         plan = _plan_from_args(args)
         t, d, J = plan.t, plan.d, plan.J
-        bound = tail_bound(d, J - plan.M_bar, plan.rho / 2.0) + 2.0 * s.tol * J / t
+        bound = estimate_bound(d, J, plan.M_bar, plan.rho / 2.0, t, s.tol)
+        tol_note = tol_exceeds_plan(s, plan)
     S = truncated_sum(s, cosine_power(d), t, J)
     chi_hat = nint(S)
     print(f"S={S:.16g}")
@@ -221,6 +229,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"bound={bound:.16g}")
     if math.isfinite(bound) and bound >= 0.5:
         print("note=bound does not certify a unique integer")
+    if tol_note:
+        print("note=spectrum tol exceeds the plan's delta_max; recovery is not certified")
     if math.isfinite(bound) and abs(S - chi_hat) > bound:
         print("bound violation: the truncated sum is farther from every integer "
               "than the certified bound allows", file=sys.stderr)
@@ -269,12 +279,6 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _sweep_series(
-    s: Spectrum, tf: TestFunction, J: int, ts: np.ndarray
-) -> np.ndarray:
-    return np.array([truncated_sum(s, tf, float(t), J) for t in ts])
-
-
 def _experiment_table(out: Path, eps_bar: float) -> int:
     rows = []
     for rho in TABLE_RHOS:
@@ -298,7 +302,7 @@ def _experiment_compare(out: Path, eps_bar: float) -> int:
         g = preset(name)
         chis.append(summarize(g).chi)
         s = spectrum_with_count(g, J)
-        columns.append(_sweep_series(s, tf, J, ts))
+        columns.append(truncated_sum(s, tf, ts, J))
     rows = [
         f"{t:.6g}," + ",".join(f"{c[i]:.16e}" for c in columns) for i, t in enumerate(ts)
     ]
@@ -342,6 +346,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     # Noisy recovery sweep; the seed=-1 row is the exact spectrum.
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
     tail = tail_bound(plan.d, plan.J - plan.M_bar, plan.rho / 2.0)
+    bound = estimate_bound(plan.d, plan.J, plan.M_bar, plan.rho / 2.0, plan.t, delta)
     rows = []
     failures = 0
     noisy_cache: list[Spectrum] = []
@@ -355,7 +360,6 @@ def run_experiment(config: ExperimentConfig) -> int:
         if len(noisy_cache) < 3:
             noisy_cache.append(noisy)
         S = truncated_sum(noisy, tf, plan.t, plan.J)
-        bound = tail + 2.0 * delta * plan.J / plan.t
         rows.append(f"{plan.t:.16g},{plan.J},{S:.16e},{abs(S - chi):.16e},{bound:.16e},{seed}")
         if nint(S) != chi:
             failures += 1
@@ -365,8 +369,8 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     # Sweep of S_J over the time scaling, exact and three noisy overlays.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
-    exact_sweep = _sweep_series(s, tf, plan.J, ts)
-    overlays = [_sweep_series(n, tf, plan.J, ts) for n in noisy_cache]
+    exact_sweep = truncated_sum(s, tf, ts, plan.J)
+    overlays = [truncated_sum(n, tf, ts, plan.J) for n in noisy_cache]
     sweep_rows = []
     for i, t in enumerate(ts):
         cells = [f"{t:.6g}", f"{exact_sweep[i]:.16e}"]
@@ -385,7 +389,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     )
 
     # Cosine power against the triangular function at the same J.
-    psi_sweep = _sweep_series(s, triangular(), plan.J, ts)
+    psi_sweep = truncated_sum(s, triangular(), ts, plan.J)
     _write_csv(
         out / "testfn_compare.csv",
         "t,S_cosine_power,S_triangular",

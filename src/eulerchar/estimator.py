@@ -7,6 +7,11 @@ the shortest periodic orbit, every orbit term of the trace identity vanishes
 and S_J(t) converges to chi as J grows; rounding to the nearest integer then
 recovers chi exactly once the certified tail bound drops below 1/2.
 
+Each sum takes one array evaluation of the transform over all its terms (and
+over all time scalings of a sweep); the terms are then added with math.fsum,
+whose correctly rounded result does not depend on their order. The tests hold
+the sums bit for bit equal to one scalar transform call per term.
+
 Noise is uniform on [-delta, +delta] per positive eigenfrequency, generated
 by an in-repo 64-bit mixing recurrence (the SplitMix64 finalizer) so that
 identical seeds give byte-identical spectra on every platform; numpy's
@@ -18,13 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .planner import RecoveryPlan
+import numpy as np
+
+from .planner import RecoveryPlan, tail_bound
 from .spectrum import Spectrum
 from .testfn import TestFunction, cosine_power, re_fourier
 
 __all__ = [
     "NoiseModel",
     "truncated_sum",
+    "estimate_bound",
+    "tol_exceeds_plan",
     "perturb_spectrum",
     "recover_chi",
     "nint",
@@ -70,21 +79,46 @@ def nint(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0.0 else int(math.ceil(x - 0.5))
 
 
-def truncated_sum(s: Spectrum, tf: TestFunction, t: float, J: int) -> float:
-    """S_J(t) over the first J eigenfrequencies of s.
+def truncated_sum(
+    s: Spectrum, tf: TestFunction, t: float | np.ndarray, J: int
+) -> float | np.ndarray:
+    """S_J(t) over the first J eigenfrequencies of s, for a scalar t or a 1-D array of t.
 
     The j = 1 slot is the exact zero mode contributing 2 f_hat(0) = 2; the
-    rest add 2 Re f_hat(k_j / t) in index order with compensated summation,
-    so the result is independent of threading or chunking choices.
+    rest add 2 Re f_hat(k_j / t). All terms come from one array evaluation of
+    the transform, on the (len(t), J - 1) grid when t is an array, and each
+    sum adds them with math.fsum, so the result is independent of the order
+    or chunking of the evaluation. An array t gives an array of sums.
     """
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D array")
+    if not np.all(ts > 0.0):
         raise ValueError("t must be positive")
     if J < 1:
         raise ValueError("J must be at least 1")
     if len(s.values) < J:
         raise ValueError(f"spectrum has {len(s.values)} values, need J = {J}")
-    terms = [re_fourier(tf, k / t) for k in s.values[1:J]]
-    return 2.0 * re_fourier(tf, 0.0) + 2.0 * math.fsum(terms)
+    k = np.asarray(s.values[1:J], dtype=float)
+    terms = re_fourier(tf, k / ts[..., None])
+    head = 2.0 * re_fourier(tf, 0.0)
+    sums = [head + 2.0 * math.fsum(row) for row in np.atleast_2d(terms).tolist()]
+    return sums[0] if ts.ndim == 0 else np.array(sums)
+
+
+def estimate_bound(d: int, J: int, M: float, Lt: float, t: float, tol: float) -> float:
+    """Certified bound on |S_J(t) - chi| for the order-d cosine power.
+
+    The tail bound of the values beyond J (with vertex prior M and Lt = L t)
+    plus 2 tol J / t, the most that a per-value error of tol can move the J
+    terms, since |d/dk Re f_hat(k / t)| <= 1 / t.
+    """
+    return tail_bound(d, J - M, Lt) + 2.0 * tol * J / t
+
+
+def tol_exceeds_plan(s: Spectrum, plan: RecoveryPlan) -> bool:
+    """Whether the spectrum's tol is more per-value error than the plan certifies."""
+    return s.tol > plan.delta_max + _TOL_SLACK
 
 
 def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
@@ -116,7 +150,7 @@ def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:
     """
     if len(s.values) < plan.J:
         raise ValueError(f"plan needs J = {plan.J} eigenfrequencies, spectrum has {len(s.values)}")
-    if s.tol > plan.delta_max + _TOL_SLACK:
+    if tol_exceeds_plan(s, plan):
         raise ValueError(
             f"spectrum tolerance {s.tol:.3g} exceeds the plan's delta_max = "
             f"{plan.delta_max:.3g}; recovery is not certified"

@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .estimator import truncated_sum
 from .graph import MetricGraph, summarize
 from .planner import tail_envelope
 from .spectrum import Spectrum
-from .testfn import TestFunction, eval_time, re_fourier
+from .testfn import TestFunction, eval_time
 
 __all__ = [
     "PeriodicOrbit",
@@ -237,6 +238,5 @@ def trace_check(
         )
     certified = tail_envelope(tf, n - summary.M, Lt)
     lhs = orbit_side(g, tf, t)
-    terms = [re_fourier(tf, k / t) for k in s.values[1:]]
-    rhs = 2.0 * re_fourier(tf, 0.0) + 2.0 * math.fsum(terms)
+    rhs = truncated_sum(s, tf, t, len(s.values))
     return lhs, rhs, abs(lhs - rhs), certified

@@ -146,6 +146,23 @@ def test_estimate_recovers_chi(tmp_path, capsys):
     assert float(bound_line[6:]) == pytest.approx(0.237906360519373, abs=1e-12)
 
 
+def test_estimate_notes_tol_beyond_the_plan(tmp_path, capsys):
+    exact = tmp_path / "lasso.csv"
+    noisy = tmp_path / "noisy.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(exact)]) == 0
+    # The lasso plan certifies delta_max = 1/384 = 0.0026; 0.0027 exceeds it
+    # while the bound stays below 1/2, so only the tol note is due.
+    assert main(["perturb", "--spectrum", str(exact), "--delta", "0.0027", "-o", str(noisy)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(exact), "--graph", "lasso"]) == 0
+    assert "note=" not in capsys.readouterr().out
+    assert main(["estimate", "--spectrum", str(noisy), "--graph", "lasso"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "chi_hat=0"
+    assert float(lines[2][len("bound="):]) < 0.5
+    assert lines[3:] == ["note=spectrum tol exceeds the plan's delta_max; recovery is not certified"]
+
+
 def test_estimate_explicit_parameters(tmp_path, capsys):
     csv = tmp_path / "lasso.csv"
     assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0

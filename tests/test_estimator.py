@@ -9,18 +9,26 @@ from eulerchar import (
     NoiseModel,
     Spectrum,
     analytic_spectrum,
+    cli,
     cosine_power,
+    estimator,
     nint,
     optimal_plan,
     perturb_spectrum,
     preset,
+    re_fourier,
     recover_chi,
+    secular_spectrum,
     spectrum_with_count,
     summarize,
+    tail_bound,
     tail_envelope,
+    trace_check,
     triangular,
     truncated_sum,
 )
+from eulerchar.estimator import estimate_bound, tol_exceeds_plan
+from eulerchar.testfn import MAX_POWER
 
 LASSO_PLAN = optimal_plan(0.25, 2, 6, 1)
 K5_PLAN = optimal_plan(0.25, 5, 10, 2)
@@ -80,6 +88,121 @@ def test_truncated_sum_validation(lasso_spectrum):
         truncated_sum(lasso_spectrum, cosine_power(1), 1.0, 0)
     with pytest.raises(ValueError):
         truncated_sum(lasso_spectrum, cosine_power(1), 1.0, 49)  # only 48 values
+
+
+ALL_TEST_FUNCTIONS = [triangular()] + [cosine_power(d) for d in range(1, MAX_POWER + 1)]
+SWEEP_TS = np.round(np.linspace(0.05, 2.0, 14), 12)
+
+
+def scalar_reference(s, tf, t, J):
+    """S_J(t) with one scalar transform evaluation per eigenfrequency."""
+    return 2 * re_fourier(tf, 0.0) + 2 * math.fsum([re_fourier(tf, k / t) for k in s.values[1:J]])
+
+
+@pytest.mark.parametrize("tf", ALL_TEST_FUNCTIONS, ids=lambda tf: tf.label())
+def test_truncated_sum_bit_identical_to_scalar_terms(k5_spectrum, tf):
+    s = k5_spectrum
+    for J in (1, 2, len(s.values)):
+        expected = [scalar_reference(s, tf, float(t), J) for t in SWEEP_TS]
+        assert [truncated_sum(s, tf, float(t), J) for t in SWEEP_TS] == expected
+        swept = truncated_sum(s, tf, SWEEP_TS, J)
+        assert isinstance(swept, np.ndarray) and swept.shape == SWEEP_TS.shape
+        assert swept.tolist() == expected
+
+
+def test_truncated_sum_shapes_follow_t(lasso_spectrum):
+    tf = cosine_power(2)
+    zero_d = truncated_sum(lasso_spectrum, tf, np.array(0.3), 48)
+    assert isinstance(zero_d, float)
+    assert zero_d == truncated_sum(lasso_spectrum, tf, 0.3, 48)
+    assert truncated_sum(lasso_spectrum, tf, np.array([]), 48).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.5, 0.0], [-1.0], [0.2, math.nan], [[0.5]]])
+def test_truncated_sum_rejects_bad_t(lasso_spectrum, bad):
+    with pytest.raises(ValueError):
+        truncated_sum(lasso_spectrum, cosine_power(1), np.array(bad), 10)
+
+
+def test_trace_check_rhs_is_the_truncated_sum():
+    g = preset("lasso")
+    s = secular_spectrum(g, 60.0)
+    for tf, t in ((cosine_power(1), 0.3), (triangular(), 0.25)):
+        _lhs, rhs, _gap, _bound = trace_check(g, tf, t, s)
+        assert rhs == truncated_sum(s, tf, t, len(s.values))
+        assert rhs == scalar_reference(s, tf, t, len(s.values))
+
+
+def test_experiment_sweep_matches_scalar_terms(tmp_path, capsys):
+    assert cli.main(["experiment", "lasso", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    g = preset("lasso")
+    info = summarize(g)
+    plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+    s = spectrum_with_count(g, plan.J + 20)
+    tf = cosine_power(plan.d)
+    ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
+    lines = (tmp_path / "sweep_t.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(ts)
+    for line, t in zip(lines, ts):
+        t_cell, exact_cell = line.split(",")[:2]
+        assert t_cell == f"{t:.6g}"
+        assert exact_cell == f"{scalar_reference(s, tf, float(t), plan.J):.16e}"
+
+
+@pytest.fixture
+def re_fourier_calls(monkeypatch):
+    """Count the transform evaluations the estimator makes."""
+    calls = []
+
+    def counting(tf, k):
+        calls.append(k)
+        return re_fourier(tf, k)
+
+    monkeypatch.setattr(estimator, "re_fourier", counting)
+    return calls
+
+
+def test_truncated_sum_evaluates_each_sum_in_one_array_call(lasso_spectrum, re_fourier_calls):
+    truncated_sum(lasso_spectrum, cosine_power(1), 1.0, 48)
+    assert len(re_fourier_calls) <= 2
+    re_fourier_calls.clear()
+    truncated_sum(lasso_spectrum, cosine_power(1), SWEEP_TS, 48)
+    assert len(re_fourier_calls) <= 2
+
+
+def test_experiment_makes_at_most_two_evaluations_per_sum(
+    tmp_path, capsys, monkeypatch, re_fourier_calls
+):
+    sums = []
+
+    def counting_sum(*args):
+        sums.append(args)
+        return truncated_sum(*args)
+
+    monkeypatch.setattr(cli, "truncated_sum", counting_sum)
+    assert cli.main(["experiment", "lasso", "--seeds", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sums
+    assert len(re_fourier_calls) <= 2 * len(sums)
+
+
+def test_estimate_bound_is_tail_plus_noise_term():
+    p = LASSO_PLAN
+    tol = 1e-10
+    got = estimate_bound(p.d, p.J, p.M_bar, p.rho / 2.0, p.t, tol)
+    assert got == tail_bound(p.d, p.J - p.M_bar, p.rho / 2.0) + 2.0 * tol * p.J / p.t
+    assert estimate_bound(p.d, p.J, p.M_bar, p.rho / 2.0, p.t, 0.0) == tail_bound(
+        p.d, p.J - p.M_bar, p.rho / 2.0
+    )
+
+
+def test_tol_exceeds_plan(lasso_spectrum):
+    assert not tol_exceeds_plan(lasso_spectrum, LASSO_PLAN)
+    noisy = perturb_spectrum(lasso_spectrum, NoiseModel(delta=LASSO_PLAN.delta_max, seed=1))
+    assert not tol_exceeds_plan(noisy, LASSO_PLAN)
+    noisier = perturb_spectrum(lasso_spectrum, NoiseModel(delta=2 * LASSO_PLAN.delta_max))
+    assert tol_exceeds_plan(noisier, LASSO_PLAN)
 
 
 @pytest.mark.parametrize("J", [20, 30, 48])
