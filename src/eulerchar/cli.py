@@ -35,7 +35,7 @@ from .estimator import (
 )
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan, tail_bound
-from .orbits import trace_check
+from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
     Spectrum,
     SpectrumCountError,
@@ -566,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpectrumCountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
-    except (GraphError, PlanError, ValueError, OSError) as exc:
+    except (GraphError, PlanError, OrbitBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -11,21 +11,28 @@ factor-2 gap.
 
 The geometric side of the trace identity is
 
-    chi + sum over orbits of prim_length(p) * s_v(p) * t * f(t * length(p)),
+    chi + sum over orbits of prim_length(p) * s_v(p) * t * f(t * length(p)).
 
-and ``trace_check`` compares it against the spectral sum over a supplied
-spectrum, reporting the gap together with a certified truncation bound.
+An orbit of n bonds (directed edges) repeating a primitive orbit r times is
+n/r closed bond walks whose first bonds add up to prim_length, and s_v is the
+product of the bond scattering matrix S along each. So ``orbit_side`` sums
+l(w_0) * (product of S along w) * t * f(t L(w)) over closed walks w of S, and
+``enumerate_orbits`` lists orbits only for inspection and tests. ``trace_check``
+compares the orbit side with the spectral sum and a certified tail bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .estimator import truncated_sum
 from .graph import MetricGraph, summarize
 from .planner import tail_envelope
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _Bonds
 from .testfn import TestFunction, eval_time
 
 __all__ = [
@@ -37,14 +44,16 @@ __all__ = [
     "trace_check",
 ]
 
-DEFAULT_MAX_ORBITS = 10_000_000
+# Cap on the walk table of orbit_side, exact lengths x (2N)^2 entries over all layers. An entry
+# takes 0.1 us (K5, ten lengths) to 2.5 us (a loop) on a 2-core Xeon: a refusal takes 0.2-5 s.
+MAX_WALK_ENTRIES = 2_000_000
 
-# A step is (edge index, direction): +1 runs u -> v, -1 runs v -> u.
+# A step is (edge index e, direction): +1 runs u -> v (bond 2e of S), -1 back (bond 2e + 1).
 Step = tuple[int, int]
 
 
 class OrbitBudgetError(RuntimeError):
-    """Orbit enumeration exceeded the combinatorial budget."""
+    """An orbit listing or walk table exceeded its combinatorial budget."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +66,8 @@ class PeriodicOrbit:
     s_v: float
 
 
-def _reverse_step(step: Step) -> Step:
-    return (step[0], -step[1])
+def _bond(step: Step) -> int:
+    return 2 * step[0] + (step[1] < 0)
 
 
 def _step_tail(g: MetricGraph, step: Step) -> str:
@@ -76,15 +85,6 @@ def _canonical_rotation(steps: tuple[Step, ...]) -> tuple[Step, ...]:
     return min(rotations)
 
 
-def _transition_coeff(g: MetricGraph, degree: dict[str, int], a: Step, b: Step) -> float:
-    """Scattering coefficient for leaving step a into step b at their shared vertex."""
-    v = _step_head(g, a)
-    coeff = 2.0 / degree[v]
-    if b == _reverse_step(a):
-        coeff -= 1.0
-    return coeff
-
-
 def _primitive_period(steps: tuple[Step, ...]) -> int:
     n = len(steps)
     for p in range(1, n + 1):
@@ -98,7 +98,7 @@ def enumerate_orbits(
     l_max: float,
     *,
     include_zero_amplitude: bool = False,
-    max_orbits: int = DEFAULT_MAX_ORBITS,
+    max_orbits: int = 10_000_000,
 ) -> list[PeriodicOrbit]:
     """Every periodic orbit of length <= l_max, modulo cyclic rotation.
 
@@ -111,7 +111,7 @@ def enumerate_orbits(
     """
     if l_max <= 0.0:
         raise ValueError("l_max must be positive")
-    degree = {v: g.degree(v) for v in g.vertices}
+    S = _Bonds(g).S.tolist()
     steps_from: dict[str, list[Step]] = {v: [] for v in g.vertices}
     for i, e in enumerate(g.edges):
         steps_from[e.u].append((i, 1))
@@ -120,10 +120,8 @@ def enumerate_orbits(
     seen: set[tuple[Step, ...]] = set()
     out: list[PeriodicOrbit] = []
 
-    all_steps = sorted((i, d) for i in range(len(g.edges)) for d in (1, -1))
-
     def record(path: list[Step], length: float, amplitude: float) -> None:
-        closing = _transition_coeff(g, degree, path[-1], path[0])
+        closing = S[_bond(path[0])][_bond(path[-1])]
         if closing == 0.0 and not include_zero_amplitude:
             return
         canon = _canonical_rotation(tuple(path))
@@ -140,10 +138,8 @@ def enumerate_orbits(
             )
         )
         if len(out) > max_orbits:
-            raise OrbitBudgetError(
-                f"more than {max_orbits} orbits below length {l_max}; "
-                "raise max_orbits explicitly if this is intentional"
-            )
+            raise OrbitBudgetError(f"more than {max_orbits} orbits below length {l_max}; "
+                                   "raise max_orbits explicitly if this is intentional")
 
     def descend(root: Step, path: list[Step], length: float, amplitude: float) -> None:
         here = _step_head(g, path[-1])
@@ -155,14 +151,14 @@ def enumerate_orbits(
             step_len = g.edges[nxt[0]].length
             if length + step_len > l_max:
                 continue
-            coeff = _transition_coeff(g, degree, path[-1], nxt)
+            coeff = S[_bond(nxt)][_bond(path[-1])]
             if coeff == 0.0 and not include_zero_amplitude:
                 continue
             path.append(nxt)
             descend(root, path, length + step_len, amplitude * coeff)
             path.pop()
 
-    for root in all_steps:
+    for root in sorted((i, d) for i in range(len(g.edges)) for d in (1, -1)):
         root_len = g.edges[root[0]].length
         if root_len > l_max:
             continue
@@ -173,48 +169,51 @@ def enumerate_orbits(
 
 
 def scattering_amplitude(orbit: PeriodicOrbit, g: MetricGraph) -> float:
-    """Recompute s_v as the product of the vertex coefficients along the orbit.
+    """Recompute s_v as the product of the entries of S along the orbit.
 
     Independent of the amplitude accumulated during enumeration; tests compare
-    the two. At a vertex of degree v the back-reflection coefficient is
-    2/v - 1 and every other outgoing direction gets 2/v.
+    the two.
     """
-    degree = {v: g.degree(v) for v in g.vertices}
-    product = 1.0
-    n = len(orbit.steps)
-    for i in range(n):
-        product *= _transition_coeff(g, degree, orbit.steps[i], orbit.steps[(i + 1) % n])
-    return product
+    S = _Bonds(g).S.tolist()
+    bonds = [_bond(step) for step in orbit.steps]
+    return math.prod(S[c][b] for b, c in zip(bonds, bonds[1:] + bonds[:1]))
 
 
-def orbit_side(
-    g: MetricGraph,
-    tf: TestFunction,
-    t: float,
-    l_max: float | None = None,
-    *,
-    include_zero_amplitude: bool = False,
-    max_orbits: int = DEFAULT_MAX_ORBITS,
-) -> float:
-    """Geometric side of the trace identity at time scaling t.
+def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
+    """Geometric side of the trace identity at time scaling t, from closed walks of S.
 
-    Equals chi + sum of prim_length * s_v * t * f(t * length) over orbits up
-    to l_max, which must cover the support [0, 1/t) of the scaled test
-    function (and defaults to exactly that).
+    Layer n maps each exact length L of n-bond walks, an integer in units of
+    1/D (D the common denominator of the Fraction(repr(l))), to P[a, b], the
+    sum of the S products along those walks from bond a to bond b: walks of
+    equal length share one entry. A layer closes its walks with
+    sum(l[:, None] * S * P) and extends them by P @ S.T to lengths with t L < 1.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    support = 1.0 / t
-    if l_max is None:
-        l_max = support
-    elif l_max < support:
-        raise ValueError(f"l_max = {l_max} does not cover the support 1/t = {support}")
-    chi = summarize(g).chi
-    orbits = enumerate_orbits(
-        g, l_max, include_zero_amplitude=include_zero_amplitude, max_orbits=max_orbits
-    )
-    terms = [o.prim_length * o.s_v * t * eval_time(tf, t * o.length) for o in orbits]
-    return chi + math.fsum(terms)
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    bonds = _Bonds(g)
+    S, weight = bonds.S, bonds.lengths[:, None] * bonds.S
+    exact = [Fraction(repr(e.length)) for e in g.edges for _ in (0, 1)]
+    D = math.lcm(*(x.denominator for x in exact))
+    units = [x.numerator * (D // x.denominator) for x in exact]
+    masks = {u: np.array([v == u for v in units], dtype=float) for u in dict.fromkeys(units)}
+    layer = {u: np.diag(m) for u, m in masks.items() if t * (u / D) < 1.0}
+    closed_length, closed_weight, entries = [], [], 0
+    while layer:
+        entries += len(layer) * S.size
+        if entries > MAX_WALK_ENTRIES:
+            raise OrbitBudgetError(f"the closed walks below length 1/t = {1.0 / t:.6g} need "
+                                   f"more than {MAX_WALK_ENTRIES} walk-table entries")
+        nxt: dict[int, np.ndarray] = {}
+        for length, P in layer.items():
+            closed_length.append(length / D)
+            closed_weight.append(np.vdot(weight, P))
+            Q = P @ S.T
+            for u, m in masks.items():
+                if t * ((length + u) / D) < 1.0:
+                    nxt[length + u] = nxt.get(length + u, 0.0) + Q * m
+        layer = nxt
+    terms = np.array(closed_weight) * t * eval_time(tf, t * np.array(closed_length))
+    return summarize(g).chi + math.fsum(terms.tolist())
 
 
 def trace_check(
@@ -228,6 +227,8 @@ def trace_check(
     the values beyond the supplied range; the identity holds iff
     gap <= certified_bound plus rounding slack.
     """
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     summary = summarize(g)
     n = len(s.values)
     Lt = summary.total_length * t
@@ -237,6 +238,5 @@ def trace_check(
             f"M + 2*L*t*d = {summary.M + 2.0 * Lt * tf.d:.3g} values, got {n}"
         )
     certified = tail_envelope(tf, n - summary.M, Lt)
-    lhs = orbit_side(g, tf, t)
-    rhs = truncated_sum(s, tf, t, len(s.values))
+    lhs, rhs = orbit_side(g, tf, t), truncated_sum(s, tf, t, n)
     return lhs, rhs, abs(lhs - rhs), certified

@@ -10,7 +10,7 @@ Two families, both probability densities supported on [0, 1]:
 
 Transforms follow the convention f_hat(k) = integral f(l) exp(i k l) dl, so
 f_hat(0) = 1 for both families. All evaluators accept scalars or numpy arrays
-and return matching shapes.
+and return matching shapes; a scalar gets the same bits as in an array.
 """
 
 from __future__ import annotations
@@ -104,13 +104,13 @@ def _sinc(u: np.ndarray) -> np.ndarray:
 
 def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
     """Evaluate the test function itself at length(s) ell (zero outside [0, 1])."""
-    arr = np.asarray(ell, dtype=float)
+    arr = np.array(ell, dtype=float, ndmin=1)
     inside = (arr > 0.0) & (arr < 1.0)
     if tf.kind == "triangular":
         vals = np.where(inside, 2.0 - 4.0 * np.abs(arr - 0.5), 0.0)
     else:
         vals = np.where(inside, tf.c_d * (1.0 - np.cos(2.0 * math.pi * arr)) ** tf.d, 0.0)
-    return vals if np.ndim(ell) else float(vals)
+    return vals if np.ndim(ell) else float(vals[0])
 
 
 def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
@@ -177,7 +177,7 @@ def majorant(tf: TestFunction, k) -> np.ndarray | float:
     that threshold raises ValueError since no decay is certified there. For
     the triangular function the bound 16/k^2 holds for all k > 0.
     """
-    arr = np.asarray(k, dtype=float)
+    arr = np.array(k, dtype=float, ndmin=1)
     if tf.kind == "triangular":
         if np.any(arr <= 0.0):
             raise ValueError("triangular majorant requires k > 0")
@@ -189,4 +189,4 @@ def majorant(tf: TestFunction, k) -> np.ndarray | float:
             raise ValueError(f"cosine power majorant requires k > 2 pi d = {edge:.6g}")
         fact2 = float(math.factorial(d)) ** 2
         vals = fact2 / (2.0 * math.pi * (arr / (2.0 * math.pi) - d) ** (2 * d + 1))
-    return vals if np.ndim(k) else float(vals)
+    return vals if np.ndim(k) else float(vals[0])

@@ -9,6 +9,7 @@ from eulerchar import (
     SpectrumCountError,
     build_graph,
     cli,
+    orbits,
     preset,
     to_document,
     write_spectrum_csv,
@@ -244,6 +245,20 @@ def test_verify_trace_triangular(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "trace identity holds" in out
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_verify_trace_rejects_nonfinite_t(t, capsys):
+    assert main(["verify-trace", "--graph", "lasso", "--t", t]) == 2
+    assert "error: t must be positive and finite" in capsys.readouterr().err
+
+
+def test_verify_trace_walk_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(orbits, "MAX_WALK_ENTRIES", 1000)
+    assert main(["verify-trace", "--graph", "k5", "--t", "0.2"]) == 2
+    assert "error: the closed walks below length 1/t = 5 need more than 1000" in (
+        capsys.readouterr().err
+    )
 
 
 def test_experiment_table(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from eulerchar import (
     OrbitBudgetError,
+    build_graph,
     cosine_power,
     enumerate_orbits,
     equilateral_subdivision,
@@ -21,7 +22,9 @@ from eulerchar import (
     trace_check,
     triangular,
 )
+from eulerchar import orbits
 from eulerchar.graph import PRESET_NAMES
+from eulerchar.spectrum import secular_spectrum
 
 
 def test_loop_orbits():
@@ -171,13 +174,6 @@ def test_orbit_side_equals_chi_when_support_is_short():
     assert orbit_side(interval_graph(1.0), triangular(), 0.75) == 1.0
 
 
-def test_orbit_side_l_max_must_cover_support():
-    with pytest.raises(ValueError):
-        orbit_side(loop_graph(1.0), cosine_power(1), 0.5, l_max=1.5)
-    # Exactly covering the support is allowed.
-    orbit_side(loop_graph(1.0), cosine_power(1), 0.5, l_max=2.0)
-
-
 def test_orbit_side_subdivision_invariant():
     g = preset("lasso")
     sub, _ = equilateral_subdivision(g)
@@ -185,6 +181,67 @@ def test_orbit_side_subdivision_invariant():
         a = orbit_side(g, cosine_power(1), t)
         b = orbit_side(sub, cosine_power(1), t)
         assert b == pytest.approx(a, abs=1e-9)
+
+
+def _incommensurate_graph():
+    # Two loops, two parallel edges and no common divisor of the lengths.
+    return build_graph("odd", ["a", "b"], [("a", "a", math.sqrt(2)), ("b", "b", 0.45),
+                                          ("a", "b", 1.0), ("a", "b", 1.7)])
+
+
+WALK_GRAPHS = {
+    "loop": loop_graph(1.0),
+    "interval": interval_graph(1.0),
+    "star3": star_graph(3),
+    **{name: preset(name) for name in PRESET_NAMES},
+    "odd": _incommensurate_graph(),
+}
+
+
+# Listing the orbits of k5, k5-pendant and k33 below 1/0.15 takes too long.
+@pytest.mark.parametrize("name,t", [
+    (name, t) for name in WALK_GRAPHS for t in (0.15, 0.25, 0.4, 0.7)
+    if t > 0.15 or name not in ("k5", "k5-pendant", "k33")
+])
+def test_orbit_side_equals_the_orbit_listing(name, t):
+    g = WALK_GRAPHS[name]
+    listing = enumerate_orbits(g, 1.0 / t)
+    for tf in (cosine_power(1), cosine_power(2), cosine_power(5), triangular()):
+        oracle = summarize(g).chi + math.fsum(
+            o.prim_length * o.s_v * t * eval_time(tf, t * o.length) for o in listing
+        )
+        assert orbit_side(g, tf, t) == pytest.approx(oracle, abs=1e-12)
+
+
+def test_trace_check_does_not_list_orbits(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_orbits called")
+
+    monkeypatch.setattr(orbits, "enumerate_orbits", refuse)
+    g = preset("lasso")
+    info = summarize(g)
+    s = secular_spectrum(g, (info.M + 200) * math.pi / info.total_length)
+    _lhs, _rhs, gap, bound = trace_check(g, cosine_power(2), 0.06, s)
+    assert gap <= bound + 1e-9
+
+
+def test_orbit_side_walk_budget(monkeypatch):
+    g = _incommensurate_graph()
+    with pytest.raises(OrbitBudgetError):
+        orbit_side(g, cosine_power(2), 0.03)
+    monkeypatch.setattr(orbits, "MAX_WALK_ENTRIES", 1000)
+    with pytest.raises(OrbitBudgetError):
+        orbit_side(preset("k5"), cosine_power(2), 0.2)
+    assert orbit_side(loop_graph(1.0), cosine_power(2), 0.2) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])
+def test_orbit_side_and_trace_check_reject_bad_t(t):
+    g = preset("lasso")
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        orbit_side(g, cosine_power(1), t)
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        trace_check(g, cosine_power(1), t, spectrum_with_count(g, 30))
 
 
 @pytest.fixture(scope="module")

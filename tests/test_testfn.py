@@ -71,6 +71,16 @@ def test_eval_time_cosine_power():
     assert arr == pytest.approx([1.0, 2.0, 0.0], abs=1e-15)
 
 
+@pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in range(1, MAX_POWER + 1)],
+                         ids=lambda tf: tf.label())
+def test_scalar_and_array_give_the_same_bits(tf):
+    ells = np.linspace(-0.25, 1.25, 3001)
+    assert [eval_time(tf, x) for x in ells.tolist()] == eval_time(tf, ells).tolist()
+    assert eval_time(tf, np.float64(ells[1000])) == eval_time(tf, ells)[1000]
+    ks = 2.0 * math.pi * tf.d + np.linspace(0.01, 400.0, 3001)
+    assert [majorant(tf, k) for k in ks.tolist()] == majorant(tf, ks).tolist()
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_unit_mass(d):
     tf = cosine_power(d)
