@@ -13,12 +13,10 @@ The geometric side of the trace identity is
 
     chi + sum over orbits of prim_length(p) * s_v(p) * t * f(t * length(p)).
 
-An orbit of n bonds (directed edges) repeating a primitive orbit r times is
-n/r closed bond walks whose first bonds add up to prim_length, and s_v is the
-product of the bond scattering matrix S along each. So ``orbit_side`` sums
-l(w_0) * (product of S along w) * t * f(t L(w)) over closed walks w of S, and
-``enumerate_orbits`` lists orbits only for inspection and tests. ``trace_check``
-compares the orbit side with the spectral sum and a certified tail bound.
+An orbit of n bonds repeating a primitive orbit r times is n/r closed walks of
+the bond scattering matrix S whose first bonds add up to prim_length and whose
+S products are s_v, so ``orbit_side`` sums closed walks of S instead of listing
+orbits. ``trace_check`` compares it with the spectral sum.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ __all__ = [
     "trace_check",
 ]
 
-# Cap on the walk table of orbit_side, exact lengths x (2N)^2 entries over all layers. An entry
-# takes 0.1 us (K5, ten lengths) to 2.5 us (a loop) on a 2-core Xeon: a refusal takes 0.2-5 s.
+# Cap on orbit_side's walk table, lengths x (2N)^2 entries over all layers: refused in 0.2-5 s.
 MAX_WALK_ENTRIES = 2_000_000
 
 # A step is (edge index e, direction): +1 runs u -> v (bond 2e of S), -1 back (bond 2e + 1).
@@ -120,6 +117,8 @@ def enumerate_orbits(
     seen: set[tuple[Step, ...]] = set()
     out: list[PeriodicOrbit] = []
 
+    all_steps = sorted((i, d) for i in range(len(g.edges)) for d in (1, -1))
+
     def record(path: list[Step], length: float, amplitude: float) -> None:
         closing = S[_bond(path[0])][_bond(path[-1])]
         if closing == 0.0 and not include_zero_amplitude:
@@ -138,8 +137,10 @@ def enumerate_orbits(
             )
         )
         if len(out) > max_orbits:
-            raise OrbitBudgetError(f"more than {max_orbits} orbits below length {l_max}; "
-                                   "raise max_orbits explicitly if this is intentional")
+            raise OrbitBudgetError(
+                f"more than {max_orbits} orbits below length {l_max}; "
+                "raise max_orbits explicitly if this is intentional"
+            )
 
     def descend(root: Step, path: list[Step], length: float, amplitude: float) -> None:
         here = _step_head(g, path[-1])
@@ -158,7 +159,7 @@ def enumerate_orbits(
             descend(root, path, length + step_len, amplitude * coeff)
             path.pop()
 
-    for root in sorted((i, d) for i in range(len(g.edges)) for d in (1, -1)):
+    for root in all_steps:
         root_len = g.edges[root[0]].length
         if root_len > l_max:
             continue
@@ -182,11 +183,10 @@ def scattering_amplitude(orbit: PeriodicOrbit, g: MetricGraph) -> float:
 def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     """Geometric side of the trace identity at time scaling t, from closed walks of S.
 
-    Layer n maps each exact length L of n-bond walks, an integer in units of
-    1/D (D the common denominator of the Fraction(repr(l))), to P[a, b], the
-    sum of the S products along those walks from bond a to bond b: walks of
-    equal length share one entry. A layer closes its walks with
-    sum(l[:, None] * S * P) and extends them by P @ S.T to lengths with t L < 1.
+    Layer n maps each length L of n-bond walks, exact as an integer multiple of
+    1/D (D the common denominator of the Fraction(repr(l))), to P[a, b], the sum
+    of S products over those walks from bond a to bond b. Each layer closes its
+    walks with sum(l[:, None] * S * P) and extends them by P @ S.T while t L < 1.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
@@ -201,8 +201,7 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     while layer:
         entries += len(layer) * S.size
         if entries > MAX_WALK_ENTRIES:
-            raise OrbitBudgetError(f"the closed walks below length 1/t = {1.0 / t:.6g} need "
-                                   f"more than {MAX_WALK_ENTRIES} walk-table entries")
+            raise OrbitBudgetError(f"orbit side at t={t:g} exceeds {MAX_WALK_ENTRIES} walk entries")
         nxt: dict[int, np.ndarray] = {}
         for length, P in layer.items():
             closed_length.append(length / D)
@@ -238,5 +237,6 @@ def trace_check(
             f"M + 2*L*t*d = {summary.M + 2.0 * Lt * tf.d:.3g} values, got {n}"
         )
     certified = tail_envelope(tf, n - summary.M, Lt)
-    lhs, rhs = orbit_side(g, tf, t), truncated_sum(s, tf, t, n)
+    lhs = orbit_side(g, tf, t)
+    rhs = truncated_sum(s, tf, t, len(s.values))
     return lhs, rhs, abs(lhs - rhs), certified

@@ -256,9 +256,7 @@ def test_verify_trace_rejects_nonfinite_t(t, capsys):
 def test_verify_trace_walk_budget_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(orbits, "MAX_WALK_ENTRIES", 1000)
     assert main(["verify-trace", "--graph", "k5", "--t", "0.2"]) == 2
-    assert "error: the closed walks below length 1/t = 5 need more than 1000" in (
-        capsys.readouterr().err
-    )
+    assert "error: orbit side at t=0.2 exceeds 1000 walk entries" in capsys.readouterr().err
 
 
 def test_experiment_table(tmp_path, capsys):
