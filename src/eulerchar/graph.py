@@ -8,6 +8,7 @@ Graphs are immutable value objects; editing operations return new graphs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ __all__ = [
     "to_document",
     "build_graph",
     "summarize",
+    "two_colouring",
+    "length_units",
     "subdivide_edge",
     "attach_loop",
     "equilateral_subdivision",
@@ -34,10 +37,10 @@ __all__ = [
     "PRESET_NAMES",
 ]
 
-# Maximum edge count produced by automatic equilateral subdivision. The
-# subdivision is quadratic in the piece count and the von Below lift on it
-# is dense: `eulerchar spectrum --count 73` with its cross-check takes about
-# 1.3 s at 1,000 pieces, 6.3 s at 2,000 and 25 s at 4,000 (2-core Xeon).
+# Maximum edge count produced by automatic equilateral subdivision. The von
+# Below lift on it is a dense eigenproblem: `eulerchar spectrum --count 73`
+# with its cross-check takes about 0.17 s at 1,000 pieces, 0.74 s at 2,000
+# and 5.7 s at 4,000 (2-core Xeon).
 MAX_SUBDIVIDED_EDGES = 1_000
 
 
@@ -127,12 +130,17 @@ def build_graph(name: str, vertices: list[str], edges: list[tuple[str, str, floa
             raise GraphError(f"edge {i} has nonpositive length {length!r}")
         built.append(Edge(u, v, length))
     g = MetricGraph(str(name), tuple(sorted(seen)), tuple(built))
-    _check_connected(g)
+    reached = two_colouring(g)
+    if len(reached) != len(g.vertices):
+        missing = sorted(seen - set(reached))
+        raise GraphError(f"graph is not connected (unreached vertices: {missing})")
     return g
 
 
-def _check_connected(g: MetricGraph) -> None:
-    reached = {g.edges[0].u}
+def two_colouring(g: MetricGraph) -> dict[str, int]:
+    """Colour 0 or 1 of every vertex reached from the first edge, each opposite to
+    the one it is reached from; g is bipartite iff every edge joins two colours."""
+    colour = {g.edges[0].u: 0}
     frontier = [g.edges[0].u]
     adj: dict[str, list[str]] = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -141,12 +149,10 @@ def _check_connected(g: MetricGraph) -> None:
     while frontier:
         v = frontier.pop()
         for w in adj[v]:
-            if w not in reached:
-                reached.add(w)
+            if w not in colour:
+                colour[w] = 1 - colour[v]
                 frontier.append(w)
-    if len(reached) != len(g.vertices):
-        missing = sorted(set(g.vertices) - reached)
-        raise GraphError(f"graph is not connected (unreached vertices: {missing})")
+    return colour
 
 
 def parse_graph(text: str) -> MetricGraph:
@@ -277,18 +283,12 @@ def attach_loop(g: MetricGraph, vertex: str, length: float) -> MetricGraph:
     return build_graph(g.name, list(g.vertices), edges)
 
 
-def _common_divisor(lengths: list[float]) -> Fraction:
-    fracs = []
-    for length in lengths:
-        try:
-            fracs.append(Fraction(repr(length)))
-        except ValueError as exc:
-            raise GraphError(f"length {length!r} is not a finite decimal") from exc
-    a = fracs[0]
-    for f in fracs[1:]:
-        a = Fraction(math.gcd(a.numerator * f.denominator, f.numerator * a.denominator),
-                     a.denominator * f.denominator)
-    return a
+def length_units(g: MetricGraph) -> tuple[list[int], int]:
+    """Each edge length as an exact integer number of units 1/D, and D, the common
+    denominator of the Fraction(repr(l)); units / D gives l back, correctly rounded."""
+    exact = [Fraction(repr(e.length)) for e in g.edges]
+    D = math.lcm(*(x.denominator for x in exact))
+    return [x.numerator * (D // x.denominator) for x in exact], D
 
 
 def equilateral_subdivision(g: MetricGraph) -> tuple[MetricGraph, float]:
@@ -297,29 +297,31 @@ def equilateral_subdivision(g: MetricGraph) -> tuple[MetricGraph, float]:
     The piece length is the greatest common divisor of the edge lengths
     (computed exactly from their decimal representations), halved once if a
     loop would otherwise survive as a single piece; the result therefore has
-    no loops, though parallel edges may remain. Raises GraphError when the
-    lengths have no usable common divisor (irrational ratios, or a divisor so
-    small the subdivision would exceed an edge budget).
+    no loops, though parallel edges may remain. Each edge becomes, in place, a
+    path of pieces of exactly the returned length, through new vertices named
+    as subdivide_edge would name them cutting the last edge first, each from
+    its v end. Raises GraphError when the lengths have no usable common
+    divisor (irrational ratios, or a divisor so small the subdivision would
+    exceed MAX_SUBDIVIDED_EDGES pieces).
     """
-    a = _common_divisor([e.length for e in g.edges])
-    if any(e.u == e.v and Fraction(repr(e.length)) == a for e in g.edges):
-        a = a / 2
-    pieces = [Fraction(repr(e.length)) / a for e in g.edges]
-    if any(p.denominator != 1 for p in pieces):
-        raise GraphError("edge lengths have no exact common divisor")
-    total = sum(int(p) for p in pieces)
+    units, D = length_units(g)
+    step = math.gcd(*units)
+    if any(e.u == e.v and n == step for e, n in zip(g.edges, units)):
+        units, D = [2 * n for n in units], 2 * D
+    pieces = [n // step for n in units]
+    total = sum(pieces)
     if total > MAX_SUBDIVIDED_EDGES:
         raise GraphError(
             f"common divisor too small: {total} pieces exceed the cap of {MAX_SUBDIVIDED_EDGES}"
         )
-    out = g
-    for orig_index in range(len(g.edges) - 1, -1, -1):
-        # Work backwards so earlier edge indices stay valid while we split.
-        n = int(pieces[orig_index])
-        edge_id = orig_index
-        for cut in range(n - 1, 0, -1):
-            out = subdivide_edge(out, edge_id, float(a * cut))
-    return out, float(a)
+    a = float(Fraction(step, D))
+    names = (f"s{n}" for n in itertools.count() if f"s{n}" not in g.vertices)
+    inner: list[list[str]] = [[] for _ in pieces]
+    for i in reversed(range(len(pieces))):
+        inner[i] = [next(names) for _ in range(pieces[i] - 1)][::-1]
+    paths = [[e.u, *mid, e.v] for e, mid in zip(g.edges, inner)]
+    edges = [(p[j], p[j + 1], a) for p in paths for j in range(len(p) - 1)]
+    return build_graph(g.name, [*g.vertices, *(v for mid in inner for v in mid)], edges), a
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .estimator import truncated_sum
-from .graph import MetricGraph, summarize
+from .graph import MetricGraph, length_units, summarize
 from .planner import tail_envelope
 from .spectrum import Spectrum, _Bonds
 from .testfn import TestFunction, eval_time
@@ -184,17 +183,16 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     """Geometric side of the trace identity at time scaling t, from closed walks of S.
 
     Layer n maps each length L of n-bond walks, exact as an integer multiple of
-    1/D (D the common denominator of the Fraction(repr(l))), to P[a, b], the sum
-    of S products over those walks from bond a to bond b. Each layer closes its
-    walks with sum(l[:, None] * S * P) and extends them by P @ S.T while t L < 1.
+    1/D (D from graph.length_units), to P[a, b], the sum of S products over
+    those walks from bond a to bond b. Each layer closes its walks with
+    sum(l[:, None] * S * P) and extends them by P @ S.T while t L < 1.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     bonds = _Bonds(g)
     S, weight = bonds.S, bonds.lengths[:, None] * bonds.S
-    exact = [Fraction(repr(e.length)) for e in g.edges for _ in (0, 1)]
-    D = math.lcm(*(x.denominator for x in exact))
-    units = [x.numerator * (D // x.denominator) for x in exact]
+    edge_units, D = length_units(g)
+    units = [u for u in edge_units for _ in (0, 1)]
     masks = {u: np.array([v == u for v in units], dtype=float) for u in dict.fromkeys(units)}
     layer = {u: np.diag(m) for u, m in masks.items() if t * (u / D) < 1.0}
     closed_length, closed_weight, entries = [], [], 0

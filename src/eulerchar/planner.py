@@ -182,12 +182,17 @@ def optimal_plan(eps_bar: float, M_bar: float, L_bar: float, lmin_lower: float) 
     1..ceil(alpha_star) attaining J*. delta_max = t/(8 J*) is the noise
     half-width under which recovery is still certified.
     """
-    if M_bar < 0:
-        raise PlanError("M_bar must be nonnegative")
-    if L_bar <= 0.0 or lmin_lower <= 0.0:
-        raise PlanError("L_bar and lmin_lower must be positive")
+    if not 0.0 < eps_bar < 1.0:
+        raise PlanError(f"eps_bar must lie in (0, 1), got {eps_bar!r}")
+    if not 0.0 <= M_bar < math.inf:
+        raise PlanError(f"M_bar must be finite and nonnegative, got {M_bar!r}")
+    for name, x in (("L_bar", L_bar), ("lmin_lower", lmin_lower)):
+        if not 0.0 < x < math.inf:
+            raise PlanError(f"{name} must be positive and finite, got {x!r}")
     t = 1.0 / lmin_lower
     rho = 2.0 * t * L_bar
+    if rho == math.inf:
+        raise PlanError(f"rho = 2 L_bar / lmin_lower overflows at lmin_lower={lmin_lower!r}")
     a_star = alpha_star(eps_bar, rho)
     lo = max(1, math.floor(a_star))
     hi = max(1, math.ceil(a_star))

@@ -11,13 +11,14 @@ Two independent numerical methods plus closed-form oracles:
   eigenphases and accepted only where N steps, so the listing is complete.
 * ``von_below_spectrum``: equilateral graphs only. Eigenvalues mu of the
   degree-normalized adjacency matrix of the discrete graph are lifted through
-  cos(ka) = mu; the lattice points k = n pi / a take their multiplicities
-  from the nullity of the vertex-condition matrix A(k) (``secular_matrix``),
-  an encoding of the same conditions independent of S.
+  cos(ka) = mu; the lattice points k = n pi / a take von Below's exact
+  multiplicities (Linear Algebra Appl. 71, 1985) from N, M and whether the
+  graph is bipartite.
 * ``analytic_spectrum``: textbook spectra for intervals, loops, and
   equilateral stars, used as oracles in tests.
 
-``validate_spectrum`` checks a listing from any source against N.
+``validate_spectrum`` checks a listing from any source against N;
+``secular_matrix``, a second encoding of the conditions, is a test oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
 numerically) and repeats eigenfrequencies by multiplicity.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, MetricGraph, summarize
+from .graph import GraphError, MetricGraph, summarize, two_colouring
 
 __all__ = [
     "Spectrum",
@@ -49,11 +50,6 @@ __all__ = [
 ]
 
 METHODS = ("von-below", "secular", "analytic", "external")
-
-# Singular values below RANK_TOL * max(sigma_max, 1) count toward the nullity.
-# The floor at 1 matters: at a loop's eigenfrequencies the whole secular
-# matrix vanishes, so a purely relative threshold would report nullity 0.
-RANK_TOL = 1e-7
 
 # Roots are isolated to within ROOT_TOL: distinct eigenfrequencies closer
 # than this are listed as one value with their combined multiplicity.
@@ -122,7 +118,7 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# The vertex-condition matrix: an oracle for lattice multiplicities and tests
+# The vertex-condition matrix: a test oracle only, independent of S
 
 
 def _edge_ends(g: MetricGraph) -> dict[str, list[tuple[int, int]]]:
@@ -182,12 +178,6 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
         row += 1
     assert row == n2
     return A if np.ndim(k) else A[0]
-
-
-def _nullity(g: MetricGraph, k: float) -> int:
-    sigma = np.linalg.svd(secular_matrix(g, np.array([k]))[0], compute_uv=False)
-    threshold = RANK_TOL * max(float(sigma[0]), 1.0)
-    return int(np.sum(sigma < threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +313,14 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     Loops must be subdivided away first (their halves become parallel edges,
     which are fine: the adjacency matrix just counts them). Each discrete
     eigenvalue mu in (-1, 1) of the degree-normalized adjacency lifts to
-    k = (arccos mu + 2 pi n)/a and k = (-arccos mu + 2 pi (n+1))/a; the
-    lattice points k = n pi / a take their multiplicities from the secular
-    nullity, deferring the one genuinely convention-laden case to the method
-    that needs no convention.
+    k = (arccos mu + 2 pi n)/a and k = (-arccos mu + 2 pi (n+1))/a. Those are
+    all eigenvalues but the top one, mu = 1 (simple, g being connected), and,
+    when g is bipartite, the bottom one, mu = -1, so they are dropped by
+    position. The lattice points k = n pi / a have multiplicity N - M + 2,
+    except N - M at odd n when g is not bipartite (von Below 1985).
     """
-    if k_max <= 0.0:
-        raise ValueError("k_max must be positive")
+    if not 0.0 < k_max < math.inf:
+        raise ValueError("k_max must be positive and finite")
     if any(e.u == e.v for e in g.edges):
         raise GraphError("subdivide loops before the von Below lift")
     a = _equilateral_length(g)
@@ -344,10 +335,11 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     degree = adjacency.sum(axis=1)
     scale = 1.0 / np.sqrt(degree)
     mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
+    colour = two_colouring(g)
+    bipartite = all(colour[e.u] != colour[e.v] for e in g.edges)
 
     values = [0.0]
-    interior = mu[(mu > -1.0 + 1e-9) & (mu < 1.0 - 1e-9)]
-    for m in interior:
+    for m in mu[int(bipartite) : -1]:
         phi = math.acos(float(m))
         n_branch = 0
         while True:
@@ -360,10 +352,11 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
             if k_down <= k_max:
                 values.append(k_down)
             n_branch += 1
+    n_minus_m = len(g.edges) - len(g.vertices)
     lattice = 1
     while lattice * math.pi / a <= k_max:
         k = lattice * math.pi / a
-        values.extend([k] * _nullity(g, k))
+        values.extend([k] * (n_minus_m + 2 if bipartite or lattice % 2 == 0 else n_minus_m))
         lattice += 1
     values.sort()
     return Spectrum(tuple(values), float(k_max), "von-below", 1e-10)

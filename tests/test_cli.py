@@ -60,6 +60,30 @@ def test_plan_bad_eps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["plan", "estimate"])
+@pytest.mark.parametrize("priors, name", [
+    (["--M", "2", "--L", "inf", "--lmin", "1"], "L_bar"),
+    (["--M", "nan", "--L", "6", "--lmin", "1"], "M_bar"),
+    (["--M", "inf", "--L", "6", "--lmin", "1"], "M_bar"),
+    (["--M", "2", "--L", "6", "--lmin", "nan"], "lmin_lower"),
+    (["--M", "2", "--L", "nan", "--lmin", "inf"], "L_bar"),
+])
+def test_nonfinite_priors_exit_2_naming_the_prior(tmp_path, capsys, command, priors, name):
+    args = [command, *priors]
+    if command == "estimate":
+        csv = tmp_path / "lasso.csv"
+        csv.write_text("# method=external\n# tol=0\nj,k\n1,0.0\n2,0.5\n")
+        args += ["--spectrum", str(csv)]
+    assert main(args) == 2
+    assert f"error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kmax", ["nan", "inf"])
+def test_spectrum_von_below_rejects_nonfinite_kmax(capsys, kmax):
+    assert main(["spectrum", "k5", "--kmax", kmax, "--method", "von-below"]) == 2
+    assert "error: k_max must be positive and finite" in capsys.readouterr().err
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     out = tmp_path / "lasso.csv"
     code = main(["spectrum", "lasso", "--count", "20", "-o", str(out)])

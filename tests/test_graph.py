@@ -273,6 +273,35 @@ def test_equilateral_subdivision_mixed_lengths():
     assert summarize(h).chi == summarize(g).chi
 
 
+def _subdivision_by_cuts(g, a):
+    """The subdivision as successive subdivide_edge cuts: the last edge first,
+    each edge from its v end, so earlier edge indices stay valid."""
+    out = g
+    for i in reversed(range(len(g.edges))):
+        for cut in range(round(g.edges[i].length / a) - 1, 0, -1):
+            out = subdivide_edge(out, i, a * cut)
+    return out
+
+
+@pytest.mark.parametrize("g, a", [
+    (preset("lasso"), 0.5),
+    (preset("k5"), 1.0),
+    (preset("k5-pendant"), 1.0),
+    (preset("k33"), 1.0),
+    (loop_graph(1.0), 0.5),
+    (build_graph("mix", ["a", "b", "c"],
+                 [("a", "a", 0.3), ("a", "b", 0.5), ("a", "b", 0.2), ("b", "c", 0.5)]), 0.1),
+    (build_graph("taken", ["s0", "s2", "x"], [("s0", "x", 0.75), ("x", "s2", 0.5)]), 0.25),
+])
+def test_equilateral_subdivision_matches_successive_cuts(g, a):
+    h, piece = equilateral_subdivision(g)
+    assert piece == a
+    ref = _subdivision_by_cuts(g, a)
+    assert h.vertices == ref.vertices
+    assert [(e.u, e.v) for e in h.edges] == [(e.u, e.v) for e in ref.edges]
+    assert all(e.length == piece for e in h.edges)
+
+
 def test_equilateral_subdivision_budget():
     g = build_graph("g", ["a", "b"], [("a", "b", 1.0), ("a", "b", 1e-5)])
     with pytest.raises(GraphError):

@@ -260,6 +260,10 @@ def test_plan_domain_errors():
         optimal_plan(0.25, 2, -6, 1)
     with pytest.raises(PlanError):
         optimal_plan(0.25, 2, 6, 0)
+    with pytest.raises(PlanError, match="eps_bar must lie in"):
+        optimal_plan(math.nan, 2, 6, 1)
+    with pytest.raises(PlanError, match="overflows"):
+        optimal_plan(0.25, 2, 6, 1e-320)
 
 
 def test_j_min_frozen():

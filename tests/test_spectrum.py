@@ -11,6 +11,7 @@ from eulerchar import (
     analytic_spectrum,
     build_graph,
     compare_spectra,
+    complete_bipartite_graph,
     complete_graph,
     equilateral_subdivision,
     interval_graph,
@@ -19,6 +20,7 @@ from eulerchar import (
     preset,
     read_spectrum_csv,
     recover_chi,
+    secular_matrix,
     secular_spectrum,
     spectrum_csv_text,
     spectrum_with_count,
@@ -206,6 +208,47 @@ def test_von_below_on_subdivided_lasso_matches_secular():
     n = min(len(vb.values), len(sec.values))
     assert n >= 15
     assert np.max(np.abs(np.array(vb.values[:n]) - np.array(sec.values[:n]))) < 1e-8
+
+
+def _secular_nullity(g, k):
+    """Nullity of the vertex-condition matrix, read against a rank threshold."""
+    sigma = np.linalg.svd(secular_matrix(g, k), compute_uv=False)
+    return int(np.sum(sigma < 1e-7 * max(float(sigma[0]), 1.0)))
+
+
+LATTICE_GRAPHS = {
+    "interval": interval_graph(1.0),
+    "path3": build_graph("path3", ["a", "b", "c", "d"],
+                         [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)]),
+    "star3": star_graph(3),
+    "star5": star_graph(5),
+    **{f"k{n}": complete_graph(n) for n in range(3, 9)},
+    "k33": complete_bipartite_graph(3, 3),
+    "k24": complete_bipartite_graph(2, 4),
+    "banana": build_graph("banana", ["a", "b"], [("a", "b", 1.0)] * 2),
+    "theta": build_graph("theta", ["a", "b"], [("a", "b", 1.0)] * 3),
+    "doubled-triangle": build_graph("dt", ["a", "b", "c"],
+                                    [("a", "b", 1.0), ("a", "b", 1.0), ("b", "c", 1.0),
+                                     ("c", "a", 1.0)]),
+    "k5-pendant": preset("k5-pendant"),
+    "loop": equilateral_subdivision(loop_graph(1.0))[0],
+    "lasso": equilateral_subdivision(preset("lasso"))[0],
+    "odd-lasso": equilateral_subdivision(
+        build_graph("ol", ["a", "b"], [("a", "a", 1.5), ("a", "b", 1.0)]))[0],
+    "mix": equilateral_subdivision(build_graph(
+        "mix", ["a", "b", "c"],
+        [("a", "a", 0.3), ("a", "b", 0.5), ("a", "b", 0.2), ("b", "c", 0.5)]))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_GRAPHS))
+def test_von_below_lattice_multiplicities_equal_secular_nullity(name):
+    g = LATTICE_GRAPHS[name]
+    a = g.edges[0].length
+    s = von_below_spectrum(g, 8.5 * math.pi / a)
+    for n in range(1, 9):
+        k = n * math.pi / a
+        assert s.values.count(k) == _secular_nullity(g, k), (name, n)
 
 
 def test_secular_invariant_under_degree_two_vertex():
