@@ -192,7 +192,7 @@ def optimal_plan(eps_bar: float, M_bar: float, L_bar: float, lmin_lower: float) 
     t = 1.0 / lmin_lower
     rho = 2.0 * t * L_bar
     if rho == math.inf:
-        raise PlanError(f"rho = 2 L_bar / lmin_lower overflows at lmin_lower={lmin_lower!r}")
+        raise PlanError("rho = 2 L_bar / lmin_lower overflows")
     a_star = alpha_star(eps_bar, rho)
     lo = max(1, math.floor(a_star))
     hi = max(1, math.ceil(a_star))

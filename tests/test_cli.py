@@ -71,7 +71,7 @@ def test_plan_bad_eps(capsys):
 def test_nonfinite_priors_exit_2_naming_the_prior(tmp_path, capsys, command, priors, name):
     args = [command, *priors]
     if command == "estimate":
-        csv = tmp_path / "lasso.csv"
+        csv = tmp_path / "spectrum.csv"
         csv.write_text("# method=external\n# tol=0\nj,k\n1,0.0\n2,0.5\n")
         args += ["--spectrum", str(csv)]
     assert main(args) == 2
