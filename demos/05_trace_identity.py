@@ -42,11 +42,11 @@ def main():
     print("= Both sides of the identity on the lasso, order-2 cosine power =")
     spectrum = spectrum_with_count(lasso, 80)
     f = cosine_power(2)
-    print("t      orbit side       spectral side    gap        tail bound")
+    print("t      orbit side       spectral side    gap        bound")
     for t in (0.3, 0.5, 0.8, 1.25):
         lhs, rhs, gap, bound = trace_check(lasso, f, t, spectrum)
         print(f"{t:4.2f}   {lhs:+.10f}    {rhs:+.10f}    {gap:.2e}   {bound:.2e}")
-    print("(gap <= tail bound: the identity holds to the certified truncation error)")
+    print("(gap <= bound: the identity holds to the certified truncation and tol error)")
 
     print()
     print("= Orbit terms fade as the support shrinks past the shortest orbit =")

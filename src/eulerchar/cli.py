@@ -25,16 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (
-    NoiseModel,
-    estimate_bound,
-    nint,
-    perturb_spectrum,
-    tol_exceeds_plan,
-    truncated_sum,
-)
+from .estimator import NoiseModel, certified_bound, certify, nint, perturb_spectrum, truncated_sum
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
-from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan, tail_bound
+from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
     Spectrum,
@@ -44,6 +37,7 @@ from .spectrum import (
     secular_spectrum,
     spectrum_csv_text,
     spectrum_with_count,
+    validate_spectrum,
     von_below_spectrum,
     write_spectrum_csv,
 )
@@ -209,29 +203,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     s, _meta = read_spectrum_csv(args.spectrum)
-    bound = math.nan
-    tol_note = False
+    if args.graph:
+        report = validate_spectrum(s, _resolve_graph(args.graph))
+        if not report.ok:
+            print(f"error: {'; '.join(report.messages)}", file=sys.stderr)
+            return EXIT_BOUND_VIOLATION
     if args.t is not None and args.J is not None:
-        t, d, J = args.t, args.d, args.J
-        if args.M is not None and args.L is not None:
-            Lt = args.L * t
-            if J - args.M > 2.0 * Lt * d:
-                bound = estimate_bound(d, J, args.M, Lt, t, s.tol)
+        est = certify(s, cosine_power(args.d), args.t, args.J, args.M, args.L)
     else:
         plan = _plan_from_args(args)
-        t, d, J = plan.t, plan.d, plan.J
-        bound = estimate_bound(d, J, plan.M_bar, plan.rho / 2.0, t, s.tol)
-        tol_note = tol_exceeds_plan(s, plan)
-    S = truncated_sum(s, cosine_power(d), t, J)
-    chi_hat = nint(S)
-    print(f"S={S:.16g}")
-    print(f"chi_hat={chi_hat}")
-    print(f"bound={bound:.16g}")
-    if math.isfinite(bound) and bound >= 0.5:
+        est = certify(s, cosine_power(plan.d), plan.t, plan.J, plan.M_bar, plan.L_bar)
+    print(f"S={est.S:.16g}")
+    print(f"chi_hat={est.chi_hat}")
+    print(f"bound={est.bound:.16g}")
+    if est.bound >= 0.5:
         print("note=bound does not certify a unique integer")
-    if tol_note:
-        print("note=spectrum tol exceeds the plan's delta_max; recovery is not certified")
-    if math.isfinite(bound) and abs(S - chi_hat) > bound:
+    if abs(est.S - est.chi_hat) > est.bound:
         print("bound violation: the truncated sum is farther from every integer "
               "than the certified bound allows", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
@@ -264,7 +251,7 @@ def cmd_verify_trace(args: argparse.Namespace) -> int:
     print(f"rhs={rhs:.16g}")
     print(f"gap={gap:.3e}")
     print(f"certified_bound={bound:.3e}")
-    if gap > bound + 1e-9:
+    if gap > bound:
         print("trace identity violated beyond the certified bound", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     print("trace identity holds within the certified bound")
@@ -345,24 +332,23 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     # Noisy recovery sweep; the seed=-1 row is the exact spectrum.
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
-    tail = tail_bound(plan.d, plan.J - plan.M_bar, plan.rho / 2.0)
-    bound = estimate_bound(plan.d, plan.J, plan.M_bar, plan.rho / 2.0, plan.t, delta)
-    rows = []
+    rows: list[str] = []
+
+    def recovery_row(spec: Spectrum, seed: int) -> float:
+        S = truncated_sum(spec, tf, plan.t, plan.J)
+        bound = certified_bound(tf, plan.J, plan.M_bar, plan.L_bar, plan.t, spec.tol)
+        rows.append(f"{plan.t:.16g},{plan.J},{S:.16e},{abs(S - chi):.16e},{bound:.16e},{seed}")
+        return S
+
+    S_exact = recovery_row(s, -1)
     failures = 0
     noisy_cache: list[Spectrum] = []
-    S_exact = truncated_sum(s, tf, plan.t, plan.J)
-    rows.append(
-        f"{plan.t:.16g},{plan.J},{S_exact:.16e},{abs(S_exact - chi):.16e},{tail:.16e},-1"
-    )
     for i in range(config.seeds):
         seed = config.base_seed + i
         noisy = perturb_spectrum(s, NoiseModel(delta, seed))
         if len(noisy_cache) < 3:
             noisy_cache.append(noisy)
-        S = truncated_sum(noisy, tf, plan.t, plan.J)
-        rows.append(f"{plan.t:.16g},{plan.J},{S:.16e},{abs(S - chi):.16e},{bound:.16e},{seed}")
-        if nint(S) != chi:
-            failures += 1
+        failures += nint(recovery_row(noisy, seed)) != chi
     header = "t,J,S,abs_err,bound,seed"
     (out / "recovery.csv").write_text(plan_echo + header + "\n" + "\n".join(rows) + "\n",
                                       encoding="utf-8")
@@ -407,14 +393,19 @@ def run_experiment(config: ExperimentConfig) -> int:
         hlines=(float(chi),),
     )
 
+    def sweep_bound(J: int, t: float) -> float:
+        """The certified bound at (J, t), NaN outside the tail bound's domain."""
+        try:
+            return certified_bound(tf, J, summary.M, summary.total_length, t, s.tol)
+        except PlanError:
+            return math.nan
+
     # Error against certified bound, sweeping t at fixed J.
     err_t_rows = []
     errs_t, bounds_t = [], []
     for i, t in enumerate(ts):
         err = abs(exact_sweep[i] - chi)
-        x = plan.J - summary.M
-        Lt = summary.total_length * float(t)
-        b = tail_bound(plan.d, x, Lt) if x > 2.0 * Lt * plan.d else math.nan
+        b = sweep_bound(plan.J, float(t))
         errs_t.append(err)
         bounds_t.append(b)
         err_t_rows.append(f"{t:.6g},{err:.16e},{b:.16e}")
@@ -429,14 +420,12 @@ def run_experiment(config: ExperimentConfig) -> int:
     )
 
     # Error against certified bound, sweeping J at the plan's t.
-    Lt_star = summary.total_length * plan.t
     js = list(range(2, J_hi + 1))
     errs_j, bounds_j = [], []
     err_j_rows = []
     for J in js:
         err = abs(truncated_sum(s, tf, plan.t, J) - chi)
-        x = J - summary.M
-        b = tail_bound(plan.d, x, Lt_star) if x > 2.0 * Lt_star * plan.d else math.nan
+        b = sweep_bound(J, plan.t)
         errs_j.append(err)
         bounds_j.append(b)
         err_j_rows.append(f"{J},{err:.16e},{b:.16e}")
@@ -489,7 +478,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed for noise")
-    common.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar")
+    common.add_argument("--eps", type=float, default=0.25,
+                        help="target bound eps_bar, in (0, 0.25]")
     common.add_argument("--out", "-o", default="", help="output file or directory")
 
     parser = argparse.ArgumentParser(

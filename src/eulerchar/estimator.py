@@ -5,7 +5,11 @@ over the first J eigenfrequencies (the zero mode occupies slot j = 1 and
 contributes the constant 2 analytically). When t is at most the reciprocal of
 the shortest periodic orbit, every orbit term of the trace identity vanishes
 and S_J(t) converges to chi as J grows; rounding to the nearest integer then
-recovers chi exactly once the certified tail bound drops below 1/2.
+recovers chi exactly once the certified bound drops below 1/2.
+
+``certified_bound`` (tail bound from the priors M and L plus 2 tol J / t) is
+the one place that writes that bound and decides where it applies; ``certify``
+pairs it with the sum in an ``Estimate``, certified iff the bound is below 1/2.
 
 Each sum takes one array evaluation of the transform over all its terms (and
 over all time scalings of a sweep); the terms are then added with math.fsum,
@@ -25,23 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planner import RecoveryPlan, tail_bound
+from .planner import PlanError, RecoveryPlan, tail_envelope
 from .spectrum import Spectrum
 from .testfn import TestFunction, cosine_power, re_fourier
 
 __all__ = [
     "NoiseModel",
+    "Estimate",
     "truncated_sum",
-    "estimate_bound",
-    "tol_exceeds_plan",
+    "certified_bound",
+    "certify",
     "perturb_spectrum",
     "recover_chi",
     "nint",
 ]
-
-# Tolerance allowance for the numerical error of computed spectra stacked on
-# top of the noise half-width when checking a plan's delta_max.
-_TOL_SLACK = 1e-9
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -106,19 +107,40 @@ def truncated_sum(
     return sums[0] if ts.ndim == 0 else np.array(sums)
 
 
-def estimate_bound(d: int, J: int, M: float, Lt: float, t: float, tol: float) -> float:
-    """Certified bound on |S_J(t) - chi| for the order-d cosine power.
+def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float, tol: float) -> float:
+    """Certified bound on |S_J(t) - chi| from the priors M (vertices) and L (length).
 
-    The tail bound of the values beyond J (with vertex prior M and Lt = L t)
-    plus 2 tol J / t, the most that a per-value error of tol can move the J
-    terms, since |d/dk Re f_hat(k / t)| <= 1 / t.
+    The tail envelope beyond J, which raises PlanError where it does not apply
+    (J - M <= 2 L t d, or J <= M for the tent), plus 2 tol J / t, the most a
+    per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t.
     """
-    return tail_bound(d, J - M, Lt) + 2.0 * tol * J / t
+    if not 0.0 <= M < math.inf:
+        raise PlanError(f"M must be finite and nonnegative, got {M!r}")
+    if not 0.0 < L < math.inf:
+        raise PlanError(f"L must be positive and finite, got {L!r}")
+    return tail_envelope(tf, J - M, L * t) + 2.0 * tol * J / t
 
 
-def tol_exceeds_plan(s: Spectrum, plan: RecoveryPlan) -> bool:
-    """Whether the spectrum's tol is more per-value error than the plan certifies."""
-    return s.tol > plan.delta_max + _TOL_SLACK
+@dataclass(frozen=True)
+class Estimate:
+    """A truncated sum S, its nearest integer chi_hat, and the bound on |S - chi|."""
+
+    S: float
+    chi_hat: int
+    bound: float
+
+    @property
+    def certified(self) -> bool:
+        """chi_hat is the only integer within the bound of S (never for a NaN bound)."""
+        return self.bound < 0.5
+
+
+def certify(s: Spectrum, tf: TestFunction, t: float, J: int,
+            M: float | None, L: float | None) -> Estimate:
+    """S_J(t) over s with its certified bound, or a NaN bound when M or L is None."""
+    bound = math.nan if M is None or L is None else certified_bound(tf, J, M, L, t, s.tol)
+    S = truncated_sum(s, tf, t, J)
+    return Estimate(S, nint(S), bound)
 
 
 def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
@@ -142,17 +164,11 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:
     """Recover the Euler characteristic following a certified plan.
 
-    Evaluates the truncated sum with the plan's cosine power order, time
-    scaling, and eigenfrequency count, then rounds to the nearest integer.
-    The spectrum's tol must not exceed the plan's delta_max (plus a small
-    allowance for the numerical tolerance of computed spectra), since the
-    certification covers exactly that much per-value error.
+    The nearest integer to the plan's truncated sum. Raises ValueError unless
+    the certified bound from the plan's priors and the spectrum's tol is below
+    1/2, which holds for every tol up to the plan's delta_max.
     """
-    if len(s.values) < plan.J:
-        raise ValueError(f"plan needs J = {plan.J} eigenfrequencies, spectrum has {len(s.values)}")
-    if tol_exceeds_plan(s, plan):
-        raise ValueError(
-            f"spectrum tolerance {s.tol:.3g} exceeds the plan's delta_max = "
-            f"{plan.delta_max:.3g}; recovery is not certified"
-        )
-    return nint(truncated_sum(s, cosine_power(plan.d), plan.t, plan.J))
+    est = certify(s, cosine_power(plan.d), plan.t, plan.J, plan.M_bar, plan.L_bar)
+    if not est.certified:
+        raise ValueError(f"bound {est.bound:.3g} at tol {s.tol:.3g} is not below 1/2: uncertified")
+    return est.chi_hat

@@ -16,7 +16,8 @@ The geometric side of the trace identity is
 An orbit of n bonds repeating a primitive orbit r times is n/r closed walks of
 the bond scattering matrix S whose first bonds add up to prim_length and whose
 S products are s_v, so ``orbit_side`` sums closed walks of S instead of listing
-orbits. ``trace_check`` compares it with the spectral sum.
+orbits. ``trace_check`` compares it with the spectral sum, within the
+estimator's ``certified_bound``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import truncated_sum
+from .estimator import certified_bound, truncated_sum
 from .graph import MetricGraph, length_units, summarize
-from .planner import tail_envelope
 from .spectrum import Spectrum, _Bonds
 from .testfn import TestFunction, eval_time
 
@@ -220,21 +220,14 @@ def trace_check(
 
     Returns (lhs, rhs, gap, certified_bound): lhs is the geometric orbit sum,
     rhs the spectral sum over every supplied eigenfrequency, gap their
-    absolute difference, and certified_bound the truncation tail bound for
-    the values beyond the supplied range; the identity holds iff
-    gap <= certified_bound plus rounding slack.
+    absolute difference, and certified_bound the estimator's certified_bound
+    for the n supplied values; the identity holds iff gap <= certified_bound.
+    Raises PlanError when the spectrum is too short for the tail bound.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     summary = summarize(g)
-    n = len(s.values)
-    Lt = summary.total_length * t
-    if tf.kind != "triangular" and n - summary.M <= 2.0 * Lt * tf.d:
-        raise ValueError(
-            f"spectrum too short to certify: need more than "
-            f"M + 2*L*t*d = {summary.M + 2.0 * Lt * tf.d:.3g} values, got {n}"
-        )
-    certified = tail_envelope(tf, n - summary.M, Lt)
+    certified = certified_bound(tf, len(s.values), summary.M, summary.total_length, t, s.tol)
     lhs = orbit_side(g, tf, t)
     rhs = truncated_sum(s, tf, t, len(s.values))
     return lhs, rhs, abs(lhs - rhs), certified

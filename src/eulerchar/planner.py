@@ -180,10 +180,11 @@ def optimal_plan(eps_bar: float, M_bar: float, L_bar: float, lmin_lower: float) 
     minimum of ceil(beta_continuous) over the integer orders bracketing
     alpha_star (the floor clamped up to 1); d* is the smallest order in
     1..ceil(alpha_star) attaining J*. delta_max = t/(8 J*) is the noise
-    half-width under which recovery is still certified.
+    half-width under which recovery is still certified: its noise term
+    2 delta_max J / t = 1/4 leaves 1/4 for the tail, so eps_bar <= 1/4.
     """
-    if not 0.0 < eps_bar < 1.0:
-        raise PlanError(f"eps_bar must lie in (0, 1), got {eps_bar!r}")
+    if not 0.0 < eps_bar <= 0.25:
+        raise PlanError(f"eps_bar must lie in (0, 1/4], got {eps_bar!r}")
     if not 0.0 <= M_bar < math.inf:
         raise PlanError(f"M_bar must be finite and nonnegative, got {M_bar!r}")
     for name, x in (("L_bar", L_bar), ("lmin_lower", lmin_lower)):

@@ -174,10 +174,14 @@ def test_estimate_recovers_chi(tmp_path, capsys):
 def test_estimate_notes_tol_beyond_the_plan(tmp_path, capsys):
     exact = tmp_path / "lasso.csv"
     noisy = tmp_path / "noisy.csv"
+    noisier = tmp_path / "noisier.csv"
     assert main(["spectrum", "lasso", "--count", "48", "-o", str(exact)]) == 0
     # The lasso plan certifies delta_max = 1/384 = 0.0026; 0.0027 exceeds it
-    # while the bound stays below 1/2, so only the tol note is due.
+    # while the bound stays below 1/2, so the estimate is certified and gets
+    # no note. At 0.00305 the bound passes 1/2 and the estimate is noted.
     assert main(["perturb", "--spectrum", str(exact), "--delta", "0.0027", "-o", str(noisy)]) == 0
+    assert main(["perturb", "--spectrum", str(exact), "--delta", "0.00305",
+                 "-o", str(noisier)]) == 0
     capsys.readouterr()
     assert main(["estimate", "--spectrum", str(exact), "--graph", "lasso"]) == 0
     assert "note=" not in capsys.readouterr().out
@@ -185,7 +189,48 @@ def test_estimate_notes_tol_beyond_the_plan(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "chi_hat=0"
     assert float(lines[2][len("bound="):]) < 0.5
-    assert lines[3:] == ["note=spectrum tol exceeds the plan's delta_max; recovery is not certified"]
+    assert len(lines) == 3
+    assert main(["estimate", "--spectrum", str(noisier), "--graph", "lasso"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "chi_hat=0"
+    assert float(lines[2][len("bound="):]) >= 0.5
+    assert lines[3:] == ["note=bound does not certify a unique integer"]
+
+
+@pytest.mark.parametrize("dropped", [29, 39, 46])
+def test_estimate_with_graph_rejects_missing_values(tmp_path, capsys, dropped):
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "60", "-o", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith(f"{dropped},"))
+    csv.write_text("\n".join(lines[:row] + lines[row + 1:]) + "\n")
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(csv), "--graph", "lasso"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eigenfrequencies listed in (0, " in captured.err
+    assert "the exact count gives" in captured.err
+
+
+@pytest.mark.parametrize("priors, message", [
+    (["--J", "48", "--M", "nan", "--L", "6"], "error: M must be finite and nonnegative, got nan"),
+    (["--J", "48", "--M", "2", "--L", "inf"], "error: L must be positive and finite, got inf"),
+    (["--J", "14", "--M", "2", "--L", "6"], "error: tail bound needs x > 2*Lt*d = 12"),
+])
+def test_estimate_explicit_priors_outside_the_bound_exit_2(tmp_path, capsys, priors, message):
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    args = ["estimate", "--spectrum", str(csv), "--t", "1", "--d", "1", *priors]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_plan_refuses_eps_above_a_quarter(capsys):
+    assert main(["plan", "--graph", "lasso", "--eps", "0.4"]) == 2
+    assert "error: eps_bar must lie in (0, 1/4], got 0.4" in capsys.readouterr().err
 
 
 def test_estimate_explicit_parameters(tmp_path, capsys):

@@ -10,6 +10,7 @@ from eulerchar import (
     Spectrum,
     analytic_spectrum,
     cli,
+    complete_graph,
     cosine_power,
     estimator,
     nint,
@@ -27,7 +28,8 @@ from eulerchar import (
     triangular,
     truncated_sum,
 )
-from eulerchar.estimator import estimate_bound, tol_exceeds_plan
+from eulerchar.estimator import Estimate, certified_bound, certify
+from eulerchar.planner import PlanError
 from eulerchar.testfn import MAX_POWER
 
 LASSO_PLAN = optimal_plan(0.25, 2, 6, 1)
@@ -187,22 +189,79 @@ def test_experiment_makes_at_most_two_evaluations_per_sum(
     assert len(re_fourier_calls) <= 2 * len(sums)
 
 
+RECOVER_GRAPHS = ("lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8")
+
+
 def test_estimate_bound_is_tail_plus_noise_term():
-    p = LASSO_PLAN
     tol = 1e-10
-    got = estimate_bound(p.d, p.J, p.M_bar, p.rho / 2.0, p.t, tol)
+    for name in RECOVER_GRAPHS:
+        g = complete_graph(int(name[1:])) if name.startswith("K") else preset(name)
+        info = summarize(g)
+        p = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+        tf = cosine_power(p.d)
+        # L_bar t is the rho / 2 that the planner and recover_chi used before.
+        assert p.L_bar * p.t == p.rho / 2.0, name
+        tail = tail_envelope(tf, p.J - p.M_bar, p.L_bar * p.t)
+        assert certified_bound(tf, p.J, p.M_bar, p.L_bar, p.t, tol) == tail + 2.0 * tol * p.J / p.t
+        assert certified_bound(tf, p.J, p.M_bar, p.L_bar, p.t, 0.0) == tail
+    # At the lasso plan: the bound the estimate command printed before.
+    p = LASSO_PLAN
+    got = certified_bound(cosine_power(p.d), p.J, p.M_bar, p.L_bar, p.t, tol)
     assert got == tail_bound(p.d, p.J - p.M_bar, p.rho / 2.0) + 2.0 * tol * p.J / p.t
-    assert estimate_bound(p.d, p.J, p.M_bar, p.rho / 2.0, p.t, 0.0) == tail_bound(
-        p.d, p.J - p.M_bar, p.rho / 2.0
-    )
+    assert got == pytest.approx(0.237906360519373, abs=1e-15)
+
+
+@pytest.mark.parametrize("M, L", [(math.nan, 6.0), (math.inf, 6.0), (-1.0, 6.0),
+                                  (2.0, math.nan), (2.0, math.inf), (2.0, 0.0)])
+def test_certified_bound_rejects_bad_priors(M, L):
+    with pytest.raises(PlanError, match="must be"):
+        certified_bound(cosine_power(1), 48, M, L, 1.0, 0.0)
+
+
+def test_certified_bound_outside_the_tail_domain():
+    # J - M must exceed 2 L t d for the cosine power, and M for the tent.
+    with pytest.raises(PlanError, match="tail bound needs x > 2"):
+        certified_bound(cosine_power(1), 14, 2.0, 6.0, 1.0, 0.0)
+    with pytest.raises(PlanError, match="triangular tail needs x > 0"):
+        certified_bound(triangular(), 2, 2.0, 6.0, 1.0, 0.0)
+    assert certified_bound(triangular(), 3, 2.0, 6.0, 1.0, 0.0) > 0.0
+
+
+def test_estimate_certified_iff_bound_below_half(lasso_spectrum):
+    assert Estimate(0.1, 0, 0.4999).certified
+    assert not Estimate(0.1, 0, 0.5).certified
+    assert not Estimate(0.1, 0, math.nan).certified
+    est = certify(lasso_spectrum, cosine_power(1), 1.0, 48, 2.0, 6.0)
+    assert est.S == truncated_sum(lasso_spectrum, cosine_power(1), 1.0, 48)
+    assert est.chi_hat == 0 and est.certified
+    assert math.isnan(certify(lasso_spectrum, cosine_power(1), 1.0, 48, None, 6.0).bound)
 
 
 def test_tol_exceeds_plan(lasso_spectrum):
-    assert not tol_exceeds_plan(lasso_spectrum, LASSO_PLAN)
-    noisy = perturb_spectrum(lasso_spectrum, NoiseModel(delta=LASSO_PLAN.delta_max, seed=1))
-    assert not tol_exceeds_plan(noisy, LASSO_PLAN)
-    noisier = perturb_spectrum(lasso_spectrum, NoiseModel(delta=2 * LASSO_PLAN.delta_max))
-    assert tol_exceeds_plan(noisier, LASSO_PLAN)
+    # A tol beyond the plan's delta_max = 1/384 = 0.0026 still certifies
+    # while the bound stays below 1/2, and is refused once it does not.
+    tf, p = cosine_power(LASSO_PLAN.d), LASSO_PLAN
+    noisy = perturb_spectrum(lasso_spectrum, NoiseModel(delta=0.0027, seed=1))
+    assert noisy.tol > p.delta_max
+    assert certified_bound(tf, p.J, p.M_bar, p.L_bar, p.t, noisy.tol) < 0.5
+    assert recover_chi(noisy, p) == 0
+    tail = tail_bound(p.d, p.J - p.M_bar, p.L_bar * p.t)
+    for tol in ((0.5 - tail) * p.t / (2.0 * p.J), 0.00275):
+        at_edge = Spectrum(lasso_spectrum.values, lasso_spectrum.k_max_covered, "external", tol)
+        assert certified_bound(tf, p.J, p.M_bar, p.L_bar, p.t, tol) >= 0.5
+        with pytest.raises(ValueError, match="not below 1/2"):
+            recover_chi(at_edge, p)
+
+
+def test_trace_check_bound_includes_the_tol_term():
+    g = preset("lasso")
+    s = spectrum_with_count(g, 60)
+    tf, t, info = cosine_power(2), 0.3, summarize(g)
+    _lhs, _rhs, _gap, bound = trace_check(g, tf, t, s)
+    tail = tail_envelope(tf, 60 - info.M, info.total_length * t)
+    assert s.tol > 0.0
+    assert bound == certified_bound(tf, 60, info.M, info.total_length, t, s.tol)
+    assert bound == tail + 2.0 * s.tol * 60 / t
 
 
 @pytest.mark.parametrize("J", [20, 30, 48])

@@ -199,7 +199,7 @@ PLAN_GRID = [
     (0.25, 5.0, 10.0, 2.0),
     (0.25, 0.0, 200.0, 1.0),
     (0.1, 3.0, 7.5, 0.5),
-    (0.4, 1.0, 4.0, 1.0),
+    (0.2, 1.0, 4.0, 1.0),
     (0.05, 0.0, 40.0, 1.0),
 ]
 
@@ -241,7 +241,7 @@ def test_j_star_monotone_in_rho():
 
 
 def test_j_star_monotone_in_precision():
-    js = [optimal_plan(eb, 2.0, 6.0, 1.0).J for eb in (0.5, 0.25, 0.1, 0.05, 0.01)]
+    js = [optimal_plan(eb, 2.0, 6.0, 1.0).J for eb in (0.25, 0.2, 0.1, 0.05, 0.01)]
     assert all(a <= b for a, b in zip(js, js[1:]))
 
 
@@ -262,6 +262,10 @@ def test_plan_domain_errors():
         optimal_plan(0.25, 2, 6, 0)
     with pytest.raises(PlanError, match="eps_bar must lie in"):
         optimal_plan(math.nan, 2, 6, 1)
+    # delta_max = t / (8 J) spends 1/4 of the 1/2 budget on noise.
+    for eps_bar in (0.2500001, 0.3, 0.4, 0.6):
+        with pytest.raises(PlanError, match=r"eps_bar must lie in \(0, 1/4\]"):
+            optimal_plan(eps_bar, 2, 6, 1)
     with pytest.raises(PlanError, match="overflows"):
         optimal_plan(0.25, 2, 6, 1e-320)
 
