@@ -89,18 +89,22 @@ def truncated_sum(
     rest add 2 Re f_hat(k_j / t). All terms come from one array evaluation of
     the transform, on the (len(t), J - 1) grid when t is an array, and each
     sum adds them with math.fsum, so the result is independent of the order
-    or chunking of the evaluation. An array t gives an array of sums.
+    or chunking of the evaluation. An array t gives an array of sums. Each t
+    must be positive and finite, and k_J / t finite.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("t must be a scalar or a 1-D array")
-    if not np.all(ts > 0.0):
-        raise ValueError("t must be positive")
+    if not np.all((ts > 0.0) & (ts < math.inf)):
+        raise ValueError("t must be positive and finite")
     if J < 1:
         raise ValueError("J must be at least 1")
     if len(s.values) < J:
         raise ValueError(f"spectrum has {len(s.values)} values, need J = {J}")
     k = np.asarray(s.values[1:J], dtype=float)
+    with np.errstate(over="ignore"):
+        if k.size and not np.all(np.isfinite(k[-1] / ts)):
+            raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k[-1]:.6g}")
     terms = re_fourier(tf, k / ts[..., None])
     head = 2.0 * re_fourier(tf, 0.0)
     sums = [head + 2.0 * math.fsum(row) for row in np.atleast_2d(terms).tolist()]

@@ -101,8 +101,11 @@ def tail_bound(d: int, x: float, Lt: float) -> float:
         raise PlanError("Lt must be positive")
     if x <= 2.0 * Lt * d:
         raise PlanError(f"tail bound needs x > 2*Lt*d = {2.0 * Lt * d:.6g}, got x = {x:.6g}")
-    fact2 = float(math.factorial(d)) ** 2
-    return fact2 * (2.0 * Lt) ** (2 * d + 1) / (2.0 * math.pi * d * (x - 2.0 * Lt * d) ** (2 * d))
+    try:
+        fact2 = float(math.factorial(d)) ** 2
+        return fact2 * (2.0 * Lt) ** (2 * d + 1) / (2.0 * math.pi * d * (x - 2.0 * Lt * d) ** (2 * d))
+    except OverflowError:
+        raise PlanError(f"tail bound overflows a float at d = {d}, x = {x:.6g}, Lt = {Lt:.6g}") from None
 
 
 def triangular_tail(x: float, Lt: float) -> float:

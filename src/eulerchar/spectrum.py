@@ -2,13 +2,13 @@
 
 Two independent numerical methods plus closed-form oracles:
 
-* ``secular_spectrum``: works on any graph. The vertex conditions are
-  encoded once, in the bond scattering matrix S (Kottos and Smilansky, Ann.
-  Phys. 274, 1999; Berkolaiko and Kuchment, Introduction to Quantum Graphs,
-  2013, ch. 2). The eigenphases of U(k) = S diag(e^{i k l_b}) turn
-  counterclockwise in k and give the exact count N(k) of eigenfrequencies
-  in (0, k]. Roots are bracketed by N on a grid, refined by Newton on the
-  eigenphases and accepted only where N steps, so the listing is complete.
+* ``secular_spectrum``: works on any graph. The exact count N(k) of
+  eigenfrequencies in (0, k] comes from the vertex Dirichlet-to-Neumann
+  matrix where a rounding-error certificate holds, else from the eigenphases
+  of U(k) = S diag(e^{i k l_b}), S the bond scattering matrix (Kottos and
+  Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013, ch. 2).
+  Roots are bracketed by N on a grid, refined by Newton on the eigenphases
+  and accepted only where N steps, so the listing is complete.
 * ``von_below_spectrum``: equilateral graphs only. Eigenvalues mu of the
   degree-normalized adjacency matrix of the discrete graph are lifted through
   cos(ka) = mu; the lattice points k = n pi / a take von Below's exact
@@ -55,8 +55,11 @@ METHODS = ("von-below", "secular", "analytic", "external")
 # than this are listed as one value with their combined multiplicity.
 ROOT_TOL = 1e-11
 
-# Batches of U(k) hold at most this many complex entries (4 MiB).
+# Batches of U(k) or of the vertex matrix A(k) hold at most this many entries.
 _BATCH_ENTRIES = 1 << 18
+
+# secular_spectrum refuses a grid whose points times 2N exceed this.
+_GRID_ENTRIES = 1 << 22
 
 
 class SpectrumCountError(RuntimeError):
@@ -185,7 +188,8 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 
 
 class _Bonds:
-    """The bond scattering matrix S of the standard vertex conditions of g.
+    """The standard vertex conditions of g as the bond scattering matrix S and
+    as the vertex matrix A(k) on the edge ends (see vertex_count).
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -207,6 +211,9 @@ class _Bonds:
         self.lengths = np.repeat([e.length for e in g.edges], 2)
         self.total_length = g.total_length()
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
+        self.n_vertices = len(g.vertices)
+        self.ends = [(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges]
+        self.loops = np.array([float(e.u == e.v) for e in g.edges])
 
     def phases(self, k: np.ndarray, slopes: bool = False):
         """Eigenphases in (-pi, pi] of U(k) per k and, if asked, their k-slopes
@@ -225,16 +232,69 @@ class _Bonds:
             phase[lo : lo + batch] = np.angle(w)
         return phase, slope
 
+    def vertex_count(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """N(k) per k > 0 from the M x M vertex matrix A(k), and where that count is certified.
+
+        A_uu = -sum cot(k l_e) over the non-loop edges at u plus 2 tan(k l / 2)
+        per loop at u; A_uv = sum csc(k l_e) over the edges from u to v. Away
+        from Dirichlet points (sin k l_e = 0) and eigenvalues, N(k) =
+        sum_e floor(k l_e / pi) + #{eigenvalues of A(k) > 0} - 1 (Friedlander,
+        ARMA 116, 1991; Berkolaiko, Cox and Marzuola, Lett. Math. Phys. 109, 2019).
+
+        With u = 2^-53, x_e = fl(k l_e), s_e = fl(sin x_e) and w the eigvalsh
+        eigenvalues of the computed matrix B, the count is certified where
+          (1) |s_e| > 16 u (1 + x_e) for every edge e, and
+          (2) min |w| > 64 u sum_e (1 + N + x_e) / s_e^2 + 16 M u ||B||_F.
+        (1) puts k l_e and x_e, at most u x_e apart, and x_e / pi in one cell
+        between multiples of pi, so the floors are exact, with |sin| > 5/6 |s_e|
+        between k l_e and x_e. An edge's block moves by at most 4 csc^2 per unit
+        of x there, so the argument error, the rounding of the terms and their
+        sums, at most 2N per entry, move A by less than the first term of (2)
+        in norm. eigvalsh returns the eigenvalues of B + E with
+        ||E|| <= 8 M (2 u) ||B|| (LAPACK Users' Guide, section 4.7). By Weyl's
+        inequality each eigenvalue of the exact A(k) lies within the right side
+        of (2) of its w, so it has the sign of w and is not zero.
+        """
+        n_edges, m, u = len(self.ends), self.n_vertices, 2.0**-53
+        count = np.empty(k.shape[0], dtype=int)
+        sure = np.empty(k.shape[0], dtype=bool)
+        batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n_edges))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, k.shape[0], batch):
+                x = k[lo : lo + batch, None] * self.lengths[::2]
+                s = np.sin(x)
+                far = np.all(np.abs(s) > 16.0 * u * (1.0 + x), axis=1)
+                # Each end of a loop adds tan(x / 2) = (1 - cos x) / sin x, and no csc.
+                diag = np.where(far[:, None], (self.loops - np.cos(x)) / s, 0.0)
+                off = np.where(far[:, None], (1.0 - self.loops) / s, 0.0)
+                A = np.zeros((len(x), m, m))
+                for e, (a, b) in enumerate(self.ends):
+                    A[:, a, a] += diag[:, e]
+                    A[:, b, b] += diag[:, e]
+                    A[:, a, b] += off[:, e]
+                    A[:, b, a] += off[:, e]
+                w = np.linalg.eigvalsh(A)
+                err = (64.0 * u * np.sum((1.0 + n_edges + x) / s**2, axis=1)
+                       + 16.0 * m * u * np.linalg.norm(A, axis=(1, 2)))
+                sure[lo : lo + batch] = far & (np.min(np.abs(w), axis=1) > err)
+                count[lo : lo + batch] = (np.floor(x / math.pi).sum(axis=1)
+                                          + np.sum(w > 0.0, axis=1) - 1)
+        return count, sure
+
     def count(self, k, phase: np.ndarray | None = None) -> np.ndarray:
         """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0.
 
-        Each phase rises in k and passes 0 mod 2 pi once per eigenfrequency, so
-        2 pi N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the
-        wrapped one. A fractional part above 1e-6 means the eigensolver failed.
+        From vertex_count where certified, else from the eigenphases of U(k):
+        each rises in k and passes 0 mod 2 pi once per eigenfrequency, so 2 pi
+        N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the wrapped
+        one. A fractional part above 1e-6 means the eigensolver failed.
         """
         k = np.atleast_1d(np.asarray(k, dtype=float))
         if phase is None:
-            phase, _ = self.phases(k)
+            count, sure = self.vertex_count(k)
+            if not sure.all():
+                count[~sure] = self.count(k[~sure], self.phases(k[~sure])[0])
+            return count
         wrapped = np.mod(phase, 2.0 * math.pi).sum(axis=1)
         exact = self.total_length * k / math.pi + self.offset - wrapped / (2.0 * math.pi)
         count = np.rint(exact)
@@ -243,23 +303,36 @@ class _Bonds:
         return count.astype(int)
 
 
+def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
+    """The bracketing grid of step pi / (4 L) on [0, k_max], refused before it
+    is allocated when its points times 2N exceed _GRID_ENTRIES."""
+    steps = k_max / (math.pi / (4.0 * bonds.total_length))
+    points = math.ceil(steps) + 1 if steps < _GRID_ENTRIES else math.inf
+    if points * bonds.lengths.shape[0] > _GRID_ENTRIES:
+        raise ValueError(f"k_max = {k_max:.6g} needs {points:.6g} grid points, times "
+                         f"2N = {bonds.lengths.shape[0]} above the budget of {_GRID_ENTRIES}")
+    return np.linspace(0.0, k_max, points)
+
+
 def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
-    The exact count N on a grid of step pi / (4 L) brackets the roots. Each
-    round then probes every open bracket at x -+ ROOT_TOL, which cuts it into
-    pieces. A piece over which N does not step is dropped. In the others, x
-    becomes the Newton step on the eigenphases, from the probe at the
-    piece's end, that lands nearest to it inside the piece (every fifth
-    round, or with none inside, the midpoint). A piece at most 3 ROOT_TOL
-    wide, too narrow to probe again, is a root at x whose multiplicity is
-    the step of N: the listing is complete by construction.
+    The exact count N on a grid of step pi / (4 L) brackets the roots; a
+    grid of more than _GRID_ENTRIES points times 2N is refused. N comes from
+    the vertex matrix at the grid points where its certificate holds and
+    from the eigenphases at the others. Each round then probes every open
+    bracket at x -+ ROOT_TOL, which cuts it into pieces. A piece over which
+    N does not step is dropped. In the others, x becomes the Newton step on
+    the eigenphases, from the probe at the piece's end, that lands nearest
+    to it inside the piece (every fifth round, or with none inside, the
+    midpoint). A piece at most 3 ROOT_TOL wide, too narrow to probe again,
+    is a root at x whose multiplicity is the step of N: the listing is
+    complete by construction.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
     bonds = _Bonds(g)
-    h = math.pi / (4.0 * bonds.total_length)
-    grid = np.linspace(0.0, k_max, math.ceil(k_max / h) + 1)
+    grid = _grid(bonds, k_max)
     counts = np.concatenate(([0], bonds.count(grid[1:])))
     if np.any(np.diff(counts) < 0):
         raise SpectrumCountError(f"eigenvalue count of {g.name!r} decreases; eigensolver failed")

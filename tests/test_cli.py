@@ -216,6 +216,7 @@ def test_estimate_with_graph_rejects_missing_values(tmp_path, capsys, dropped):
     (["--J", "48", "--M", "nan", "--L", "6"], "error: M must be finite and nonnegative, got nan"),
     (["--J", "48", "--M", "2", "--L", "inf"], "error: L must be positive and finite, got inf"),
     (["--J", "14", "--M", "2", "--L", "6"], "error: tail bound needs x > 2*Lt*d = 12"),
+    (["--J", str(10**300), "--M", "2", "--L", "6"], "error: tail bound overflows a float"),
 ])
 def test_estimate_explicit_priors_outside_the_bound_exit_2(tmp_path, capsys, priors, message):
     csv = tmp_path / "lasso.csv"
@@ -226,6 +227,26 @@ def test_estimate_explicit_priors_outside_the_bound_exit_2(tmp_path, capsys, pri
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_estimate_with_t_too_small_for_k_J_exits_2(tmp_path, capsys):
+    # k_48 / 1e-320 overflows; the sum would be NaN.
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    args = ["estimate", "--spectrum", str(csv), "--t", "1e-320", "--J", "48", "--d", "1",
+            "--M", "2", "--L", "6"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k_J / t overflows a float: t is too small for k_J = 25.1327\n"
+
+
+def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
+    assert main(["spectrum", "lasso", "--kmax", "1e12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "above the budget of" in captured.err
 
 
 def test_plan_refuses_eps_above_a_quarter(capsys):

@@ -120,7 +120,8 @@ def test_truncated_sum_shapes_follow_t(lasso_spectrum):
     assert truncated_sum(lasso_spectrum, tf, np.array([]), 48).shape == (0,)
 
 
-@pytest.mark.parametrize("bad", [math.nan, [0.5, 0.0], [-1.0], [0.2, math.nan], [[0.5]]])
+@pytest.mark.parametrize("bad", [math.nan, [0.5, 0.0], [-1.0], [0.2, math.nan], [[0.5]],
+                                 math.inf, [0.5, math.inf], 1e-320, [0.5, 1e-320]])
 def test_truncated_sum_rejects_bad_t(lasso_spectrum, bad):
     with pytest.raises(ValueError):
         truncated_sum(lasso_spectrum, cosine_power(1), np.array(bad), 10)

@@ -41,6 +41,12 @@ def test_tail_bound_domain():
         tail_bound(2, 10, 6)
 
 
+@pytest.mark.parametrize("d, x, Lt", [(1, 1e300, 6.0), (1, 1e201, 1e200), (200, 1e4, 1.0)])
+def test_tail_bound_overflow_is_a_plan_error(d, x, Lt):
+    with pytest.raises(PlanError, match="tail bound overflows a float"):
+        tail_bound(d, x, Lt)
+
+
 def test_tail_bound_monotonic():
     xs = [15, 20, 30, 50, 100, 400]
     vals = [tail_bound(1, x, 6) for x in xs]

@@ -1,6 +1,7 @@
 """Tests for the three spectrum backends and their cross-validation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from eulerchar import (
     von_below_spectrum,
     write_spectrum_csv,
 )
-from eulerchar.spectrum import _Bonds
+from eulerchar import spectrum as spectrum_module
+from eulerchar.spectrum import _GRID_ENTRIES, _Bonds, _grid
 
 
 def r2_graph():
@@ -446,3 +448,143 @@ def test_validate_spectrum_flags_dropped_value():
     assert not report.count_ok
     assert not report.ok
     assert "exact count gives 19 to 19" in report.messages[-1]
+
+
+# ---------------------------------------------------------------------------
+# The vertex (Dirichlet-to-Neumann) count against the eigenphase count
+
+
+def random_graph(seed, m, n_edges):
+    """A connected graph on m vertices: a random tree, then random edges,
+    loops and parallel edges included, of lengths in (0.3, 1.7)."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(m)]
+    edges = [(vs[i], vs[rng.randrange(i)], rng.uniform(0.3, 1.7)) for i in range(1, m)]
+    while len(edges) < n_edges:
+        edges.append((rng.choice(vs), rng.choice(vs), rng.uniform(0.3, 1.7)))
+    return build_graph(f"random-{seed}", vs, edges)
+
+
+def scan_k_max(monkeypatch, g, count):
+    """The k_max up to which spectrum_with_count(g, count) scans."""
+    seen = []
+    real = spectrum_module.secular_spectrum
+    monkeypatch.setattr(spectrum_module, "secular_spectrum",
+                        lambda g, k_max: seen.append(k_max) or real(g, k_max))
+    spectrum_with_count(g, count)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def assert_vertex_count_exact(g, k):
+    """The certified vertex count and count() equal the eigenphase count at every k."""
+    bonds = _Bonds(g)
+    n, sure = bonds.vertex_count(k)
+    by_phases = bonds.count(k, bonds.phases(k)[0])
+    assert np.array_equal(n[sure], by_phases[sure])
+    assert np.array_equal(bonds.count(k), by_phases)
+    return sure
+
+
+def planned_j(g):
+    info = summarize(g)
+    return optimal_plan(0.25, info.M, info.total_length, info.l_min).J
+
+
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8"])
+def test_vertex_count_on_the_recover_grids(monkeypatch, name):
+    g = complete_graph(int(name[1:])) if name.startswith("K") else preset(name)
+    grid = _grid(_Bonds(g), scan_k_max(monkeypatch, g, planned_j(g)))
+    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+
+
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
+def test_vertex_count_on_the_grids_to_500_values(monkeypatch, name):
+    g = preset(name)
+    grid = _grid(_Bonds(g), scan_k_max(monkeypatch, g, 500))
+    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+
+
+@pytest.mark.parametrize("g", [
+    build_graph("loops", ["a", "b", "c"], [("a", "b", math.sqrt(2.0)), ("b", "c", 0.45),
+                                         ("a", "a", 0.7), ("c", "c", 0.3)]),
+    build_graph("lasso-1.5", ["a", "b"], [("a", "a", 1.5), ("a", "b", 5.0)]),
+    build_graph("double-triangle", ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.3),
+                                                     ("c", "a", 0.8), ("a", "b", 1.1)]),
+    random_graph(1, 8, 12),
+    random_graph(2, 10, 20),
+], ids=lambda g: g.name)
+def test_vertex_count_on_irregular_grids(g):
+    grid = _grid(_Bonds(g), 15.0)
+    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+    assert validate_spectrum(secular_spectrum(g, 15.0), g).ok
+
+
+def test_vertex_count_on_k10_to_45():
+    k10 = complete_graph(10)
+    grid = _grid(_Bonds(k10), 45.0)
+    assert grid.size == 2580
+    assert assert_vertex_count_exact(k10, grid[1:]).mean() >= 0.95
+    s = secular_spectrum(k10, 45.0)
+    assert len(s.values) == 631
+    assert compare_spectra(s, von_below_spectrum(k10, 45.0)) < 1e-10
+
+
+# k5's edges all have length 1: within 3e-11 of n pi every cot and csc is
+# about 1e11 and the vertex matrix cancels catastrophically.
+K5_DIRICHLET_PROBES = np.concatenate(
+    [np.arange(1, 25) * math.pi + d for d in (-1e-11, 1e-11, -3e-11, 3e-11)])
+
+
+def test_count_next_to_dirichlet_points():
+    bonds = _Bonds(preset("k5"))
+    k = K5_DIRICHLET_PROBES
+    assert k.size == 96
+    assert np.array_equal(bonds.count(k), bonds.count(k, bonds.phases(k)[0]))
+    # At the Dirichlet points themselves nothing is certified, and nothing warns.
+    dirichlet = np.arange(1, 25) * math.pi
+    assert not bonds.vertex_count(dirichlet)[1].any()
+    assert np.array_equal(bonds.count(dirichlet), bonds.count(dirichlet, bonds.phases(dirichlet)[0]))
+
+
+def test_certificate_has_teeth(monkeypatch):
+    # Accepting every vertex count makes count() wrong next to Dirichlet points.
+    bonds = _Bonds(preset("k5"))
+    k = K5_DIRICHLET_PROBES
+    by_phases = bonds.count(k, bonds.phases(k)[0])
+    real = _Bonds.vertex_count
+    monkeypatch.setattr(_Bonds, "vertex_count",
+                        lambda self, k: (real(self, k)[0], np.ones(k.shape, dtype=bool)))
+    assert np.any(bonds.count(k) != by_phases)
+
+
+def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
+    k8 = complete_graph(8)
+    k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
+    grid = _grid(_Bonds(k8), k_max)[1:]
+    _n, sure = _Bonds(k8).vertex_count(grid)
+    assert np.sum(~sure) <= 0.05 * grid.size
+    calls = []
+    real = _Bonds.phases
+    monkeypatch.setattr(_Bonds, "phases",
+                        lambda self, k, slopes=False: calls.append((k, slopes)) or real(self, k, slopes))
+    secular_spectrum(k8, k_max)
+    counted = [k for k, slopes in calls if not slopes]
+    assert np.array_equal(np.concatenate(counted) if counted else np.empty(0), grid[~sure])
+    assert any(slopes for _k, slopes in calls)  # the refinement probes
+
+
+def test_grid_budget_refuses_before_allocating(monkeypatch):
+    # The largest grid in the tests, demos and bench is K10 to k = 45.
+    assert _GRID_ENTRIES >= 10 * _grid(_Bonds(complete_graph(10)), 45.0).size * 90
+    with pytest.raises(ValueError, match="above the budget"):
+        spectrum_with_count(preset("lasso"), 10**9)
+    with pytest.raises(ValueError, match="above the budget"):
+        secular_spectrum(preset("lasso"), 1e308)
+    # The budget is exact: lasso has 2N = 4.
+    points = _grid(_Bonds(preset("lasso")), 25.0).size
+    monkeypatch.setattr(spectrum_module, "_GRID_ENTRIES", 4 * points)
+    assert validate_spectrum(secular_spectrum(preset("lasso"), 25.0), preset("lasso")).ok
+    monkeypatch.setattr(spectrum_module, "_GRID_ENTRIES", 4 * points - 1)
+    with pytest.raises(ValueError, match="above the budget"):
+        secular_spectrum(preset("lasso"), 25.0)
