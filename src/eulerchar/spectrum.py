@@ -7,8 +7,8 @@ Two independent numerical methods plus closed-form oracles:
   matrix where a rounding-error certificate holds, else from the eigenphases
   of U(k) = S diag(e^{i k l_b}), S the bond scattering matrix (Kottos and
   Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013, ch. 2).
-  Roots are bracketed by N on a grid, refined by Newton on the eigenphases
-  and accepted only where N steps, so the listing is complete.
+  Roots are bracketed by N on a grid, refined by Newton on the vertex
+  matrix and accepted only where N steps, so the listing is complete.
 * ``von_below_spectrum``: equilateral graphs only. Eigenvalues mu of the
   degree-normalized adjacency matrix of the discrete graph are lifted through
   cos(ka) = mu; the lattice points k = n pi / a take von Below's exact
@@ -55,7 +55,7 @@ METHODS = ("von-below", "secular", "analytic", "external")
 # than this are listed as one value with their combined multiplicity.
 ROOT_TOL = 1e-11
 
-# Batches of U(k) or of the vertex matrix A(k) hold at most this many entries.
+# Batches of U(k), or of the vertex matrix A(k) and A'(k), hold at most this many entries each.
 _BATCH_ENTRIES = 1 << 18
 
 # secular_spectrum refuses a grid whose points times 2N exceed this.
@@ -188,8 +188,8 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 
 
 class _Bonds:
-    """The standard vertex conditions of g as the bond scattering matrix S and
-    as the vertex matrix A(k) on the edge ends (see vertex_count).
+    """The standard vertex conditions of g as the vertex matrix A(k) (see vertex_count)
+    and as the bond scattering matrix S, for counts A cannot certify and for orbit_side.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -215,34 +215,54 @@ class _Bonds:
         self.ends = [(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges]
         self.loops = np.array([float(e.u == e.v) for e in g.edges])
 
-    def phases(self, k: np.ndarray, slopes: bool = False):
-        """Eigenphases in (-pi, pi] of U(k) per k and, if asked, their k-slopes
-        v* diag(l_b) v > 0 (Hellmann-Feynman), in batches that bound memory."""
+    def phases(self, k: np.ndarray) -> np.ndarray:
+        """Eigenphases in (-pi, pi] of U(k) per k, in batches that bound memory."""
         n = self.lengths.shape[0]
         phase = np.empty((k.shape[0], n))
-        slope = np.empty((k.shape[0], n)) if slopes else None
         batch = max(1, _BATCH_ENTRIES // (n * n))
         for lo in range(0, k.shape[0], batch):
             U = self.S * np.exp(1j * k[lo : lo + batch, None, None] * self.lengths)
-            if slopes:
-                w, V = np.linalg.eig(U)
-                slope[lo : lo + batch] = np.einsum("b,kbj->kj", self.lengths, np.abs(V) ** 2)
-            else:
-                w = np.linalg.eigvals(U)
-            phase[lo : lo + batch] = np.angle(w)
-        return phase, slope
+            phase[lo : lo + batch] = np.angle(np.linalg.eigvals(U))
+        return phase
 
-    def vertex_count(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """N(k) per k > 0 from the M x M vertex matrix A(k), and where that count is certified.
+    def vertex_matrix(self, k: np.ndarray, derivative: bool = False):
+        """x_e = k l_e, s_e = sin x_e, where (1) of vertex_count holds, and the
+        vertex matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0.
 
-        A_uu = -sum cot(k l_e) over the non-loop edges at u plus 2 tan(k l / 2)
-        per loop at u; A_uv = sum csc(k l_e) over the edges from u to v. Away
-        from Dirichlet points (sin k l_e = 0) and eigenvalues, N(k) =
+        A_uu = -sum cot x_e over the non-loop edges at u plus 2 tan(x_e / 2) per
+        loop at u; A_uv = sum csc x_e over the edges from u to v. A'(k) =
+        sum_e l_e / s_e^2 [[1 - loop c_e, -(1 - loop) c_e], [., 1 - loop c_e]]
+        on the ends of e, c_e = cos x_e, is positive definite, so every
+        eigenvalue of A rises between poles. Call under np.errstate.
+        """
+        l, loops = self.lengths[::2], self.loops
+        x = k[:, None] * l
+        s, c = np.sin(x), np.cos(x)
+        far = np.all(np.abs(s) > 16.0 * 2.0**-53 * (1.0 + x), axis=1)
+        # Each end of a loop adds tan(x / 2) = (1 - cos x) / sin x, and no csc.
+        diag, off = [(loops - c) / s], [(1.0 - loops) / s]
+        if derivative:
+            diag, off = diag + [l * (1.0 - loops * c) / s**2], off + [-l * (1.0 - loops) * c / s**2]
+        diag, off = (np.where(far[:, None], np.array(d), 0.0) for d in (diag, off))
+        A = np.zeros((len(diag), k.shape[0], self.n_vertices, self.n_vertices))
+        for e, (a, b) in enumerate(self.ends):
+            A[..., a, a] += diag[..., e]
+            A[..., b, b] += diag[..., e]
+            A[..., a, b] += off[..., e]
+            A[..., b, a] += off[..., e]
+        return (x, s, far, *A)
+
+    def vertex_count(self, k: np.ndarray, newton: bool = False):
+        """N(k) per k > 0 from the M x M vertex matrix A(k) (vertex_matrix),
+        where that count is certified and, with newton, the Newton targets
+        k - w / w' of the eigenvalues w of A(k).
+
+        Away from Dirichlet points (sin k l_e = 0) and eigenvalues, N(k) =
         sum_e floor(k l_e / pi) + #{eigenvalues of A(k) > 0} - 1 (Friedlander,
         ARMA 116, 1991; Berkolaiko, Cox and Marzuola, Lett. Math. Phys. 109, 2019).
 
-        With u = 2^-53, x_e = fl(k l_e), s_e = fl(sin x_e) and w the eigvalsh
-        eigenvalues of the computed matrix B, the count is certified where
+        With u = 2^-53, x_e = fl(k l_e), s_e = fl(sin x_e) and w the eigenvalues
+        of the computed matrix B, the count is certified where
           (1) |s_e| > 16 u (1 + x_e) for every edge e, and
           (2) min |w| > 64 u sum_e (1 + N + x_e) / s_e^2 + 16 M u ||B||_F.
         (1) puts k l_e and x_e, at most u x_e apart, and x_e / pi in one cell
@@ -250,36 +270,36 @@ class _Bonds:
         between k l_e and x_e. An edge's block moves by at most 4 csc^2 per unit
         of x there, so the argument error, the rounding of the terms and their
         sums, at most 2N per entry, move A by less than the first term of (2)
-        in norm. eigvalsh returns the eigenvalues of B + E with
-        ||E|| <= 8 M (2 u) ||B|| (LAPACK Users' Guide, section 4.7). By Weyl's
-        inequality each eigenvalue of the exact A(k) lies within the right side
-        of (2) of its w, so it has the sign of w and is not zero.
+        in norm. eigvalsh and eigh (LAPACK's syevd without and with vectors)
+        return the eigenvalues of B + E with ||E|| <= 8 M (2 u) ||B|| (LAPACK
+        Users' Guide, section 4.7, which bounds every symmetric driver). By
+        Weyl's inequality each eigenvalue of the exact A(k) lies within the
+        right side of (2) of its w, so it has the sign of w and is not zero.
+
+        The targets take the slope w' = v^T A'(k) v of each eigenvalue, v its
+        unit eigenvector (Hellmann-Feynman); they are 0 / 0 = NaN where (1) fails.
         """
         n_edges, m, u = len(self.ends), self.n_vertices, 2.0**-53
         count = np.empty(k.shape[0], dtype=int)
         sure = np.empty(k.shape[0], dtype=bool)
+        target = np.empty((k.shape[0], m))
         batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n_edges))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, k.shape[0], batch):
-                x = k[lo : lo + batch, None] * self.lengths[::2]
-                s = np.sin(x)
-                far = np.all(np.abs(s) > 16.0 * u * (1.0 + x), axis=1)
-                # Each end of a loop adds tan(x / 2) = (1 - cos x) / sin x, and no csc.
-                diag = np.where(far[:, None], (self.loops - np.cos(x)) / s, 0.0)
-                off = np.where(far[:, None], (1.0 - self.loops) / s, 0.0)
-                A = np.zeros((len(x), m, m))
-                for e, (a, b) in enumerate(self.ends):
-                    A[:, a, a] += diag[:, e]
-                    A[:, b, b] += diag[:, e]
-                    A[:, a, b] += off[:, e]
-                    A[:, b, a] += off[:, e]
-                w = np.linalg.eigvalsh(A)
+                kb = k[lo : lo + batch]
+                x, s, far, A, *dA = self.vertex_matrix(kb, newton)
+                if newton:
+                    w, V = np.linalg.eigh(A)
+                    slope = np.sum(V * (dA[0] @ V), axis=1)
+                    target[lo : lo + batch] = kb[:, None] - w / slope
+                else:
+                    w = np.linalg.eigvalsh(A)
                 err = (64.0 * u * np.sum((1.0 + n_edges + x) / s**2, axis=1)
                        + 16.0 * m * u * np.linalg.norm(A, axis=(1, 2)))
                 sure[lo : lo + batch] = far & (np.min(np.abs(w), axis=1) > err)
                 count[lo : lo + batch] = (np.floor(x / math.pi).sum(axis=1)
                                           + np.sum(w > 0.0, axis=1) - 1)
-        return count, sure
+        return (count, sure, target) if newton else (count, sure)
 
     def count(self, k, phase: np.ndarray | None = None) -> np.ndarray:
         """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0.
@@ -293,7 +313,7 @@ class _Bonds:
         if phase is None:
             count, sure = self.vertex_count(k)
             if not sure.all():
-                count[~sure] = self.count(k[~sure], self.phases(k[~sure])[0])
+                count[~sure] = self.count(k[~sure], self.phases(k[~sure]))
             return count
         wrapped = np.mod(phase, 2.0 * math.pi).sum(axis=1)
         exact = self.total_length * k / math.pi + self.offset - wrapped / (2.0 * math.pi)
@@ -319,15 +339,18 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
 
     The exact count N on a grid of step pi / (4 L) brackets the roots; a
     grid of more than _GRID_ENTRIES points times 2N is refused. N comes from
-    the vertex matrix at the grid points where its certificate holds and
-    from the eigenphases at the others. Each round then probes every open
-    bracket at x -+ ROOT_TOL, which cuts it into pieces. A piece over which
-    N does not step is dropped. In the others, x becomes the Newton step on
-    the eigenphases, from the probe at the piece's end, that lands nearest
-    to it inside the piece (every fifth round, or with none inside, the
-    midpoint). A piece at most 3 ROOT_TOL wide, too narrow to probe again,
-    is a root at x whose multiplicity is the step of N: the listing is
-    complete by construction.
+    the vertex matrix A(k) where its certificate holds, else from the
+    eigenphases. Each round probes all open brackets at once at x -+ ROOT_TOL,
+    which cuts them into pieces. A piece over which N does not step is
+    dropped. In the others, x becomes the Dirichlet point m pi / l_e nearest
+    to the probe at the piece's end, where A has a pole, else the Newton
+    target k - w / w' of vertex_count from that probe nearest to it, inside
+    the piece (every fifth round, or with neither, the midpoint). A piece at
+    most 3 ROOT_TOL wide, too narrow to probe again, is a root at x whose
+    multiplicity is the step of N: the listing is complete by construction.
+    The probes need no budget: each kept piece holds an eigenvalue, so a
+    round has at most 2 N(k_max) probes, about half the grid points, and
+    vertex_count builds their matrices in batches.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
@@ -336,36 +359,41 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     counts = np.concatenate(([0], bonds.count(grid[1:])))
     if np.any(np.diff(counts) < 0):
         raise SpectrumCountError(f"eigenvalue count of {g.name!r} decreases; eigensolver failed")
-    roots = []
-    # Open brackets: (a, N(a), b, N(b), next probe centre, round).
-    open_ = [(grid[i], counts[i], grid[i + 1], counts[i + 1], 0.5 * (grid[i] + grid[i + 1]), 0)
-             for i in np.nonzero(np.diff(counts))[0]]
-    while open_:
-        probes = [[p for p in (x - ROOT_TOL, x + ROOT_TOL) if a < p < b]
-                  for a, _na, b, _nb, x, _rnd in open_]
-        flat = np.array([p for pts in probes for p in pts])
-        phase, slope = bonds.phases(flat, slopes=True)
-        n_flat, targets = bonds.count(flat, phase), flat[:, None] - phase / slope
-        nxt, row = [], 0
-        for (a, na, b, nb, _x, rnd), pts in zip(open_, probes):
-            ends = [a, *pts, b]
-            ns = np.minimum(np.maximum.accumulate([na, *n_flat[row : row + len(pts)], nb]), nb)
-            for j in np.nonzero(np.diff(ns))[0]:  # the pieces over which N steps
-                lo, hi, narrow = ends[j], ends[j + 1], ends[j + 1] - ends[j] <= 3.0 * ROOT_TOL
-                q = row + max(j - 1, 0)  # the probe at an end of this piece
-                # A root at the probe may lie a rounding error outside the piece.
-                t = targets[q][(targets[q] > lo - ROOT_TOL) & (targets[q] < hi + ROOT_TOL)]
-                x = 0.5 * (lo + hi)
-                if t.size and ((rnd + 1) % 5 or narrow):
-                    x = min(max(float(t[np.argmin(np.abs(t - flat[q]))]), lo), hi)
-                if narrow:
-                    roots.append((x, int(ns[j + 1] - ns[j])))
-                else:
-                    nxt.append((lo, ns[j], hi, ns[j + 1], x, rnd + 1))
-            row += len(pts)
-        open_ = nxt
-    values = [0.0] + sorted(k for k, m in roots for _ in range(m))
-    return Spectrum(tuple(values), float(k_max), "secular", 1e-10)
+    # Open brackets (lo, hi) with N(lo), N(hi), and their next probe centres x.
+    i = np.nonzero(np.diff(counts))[0]
+    lo, hi, n_lo, n_hi = grid[i], grid[i + 1], counts[i], counts[i + 1]
+    x = 0.5 * (lo + hi)
+    roots = [np.zeros(1)]  # k_1 = 0
+    spacing = math.pi / bonds.lengths[::2]  # of the Dirichlet points of each edge
+    rnd = 0
+    while lo.size:
+        rnd += 1
+        probe = x[:, None] + np.array([-ROOT_TOL, ROOT_TOL])
+        inside = (probe > lo[:, None]) & (probe < hi[:, None])
+        # Probes outside their bracket are padded with its ends: lo, p1, p2, hi.
+        ends = np.column_stack((lo, np.where(inside, probe, np.column_stack((lo, hi))), hi))
+        flat = probe[inside]
+        n_probe, sure, target = bonds.vertex_count(flat, newton=True)
+        n_probe[~sure] = bonds.count(flat[~sure], bonds.phases(flat[~sure]))
+        n = np.column_stack((n_lo, n_lo, n_hi, n_hi))
+        n[:, 1:3][inside] = n_probe
+        n = np.minimum(np.maximum.accumulate(n, axis=1), n_hi[:, None])
+        i, j = np.nonzero(np.diff(n, axis=1))  # the pieces over which N steps
+        a, b, narrow = ends[i, j], ends[i, j + 1], ends[i, j + 1] - ends[i, j] <= 3.0 * ROOT_TOL
+        # The row in flat of each piece's probe: p1, or p2 for (p2, hi] and where p1 is padded.
+        q = (np.cumsum(inside) - 1).reshape(inside.shape)[i, ((j == 2) | ~inside[i, 0]).astype(int)]
+        p = flat[q][:, None]
+        m = np.floor(p / spacing)
+        cand = np.concatenate((m * spacing, (m + 1.0) * spacing, target[q]), axis=1)
+        # Dirichlet points first; a root at the probe may lie a rounding error outside the piece.
+        ok = (cand > a[:, None] - ROOT_TOL) & (cand < b[:, None] + ROOT_TOL)
+        ok[:, 2 * spacing.size :] &= ~ok[:, : 2 * spacing.size].any(axis=1, keepdims=True)
+        best = np.argmin(np.where(ok, np.abs(cand - p), np.inf), axis=1)
+        x = np.where(ok.any(axis=1) & ((rnd % 5 != 0) | narrow),
+                     np.clip(cand[np.arange(best.size), best], a, b), 0.5 * (a + b))
+        roots.append(np.repeat(x[narrow], (n[i, j + 1] - n[i, j])[narrow]))
+        lo, hi, n_lo, n_hi, x = (v[~narrow] for v in (a, b, n[i, j], n[i, j + 1], x))
+    return Spectrum(tuple(np.sort(np.concatenate(roots)).tolist()), float(k_max), "secular", 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,8 @@ def _sinc(u: np.ndarray) -> np.ndarray:
     """sin(u)/u with the removable singularity filled by its Taylor series."""
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-8
-    safe = np.where(small, 1.0, u)
-    return np.where(small, 1.0 - u * u / 6.0, np.sin(safe) / safe)
+    safe, tiny = np.where(small, 1.0, u), np.where(small, u, 0.0)
+    return np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe)
 
 
 def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
@@ -128,14 +128,15 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     m = np.rint(x)
     u = k - 2.0 * math.pi * m
     near = (np.abs(u) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
-    mm = np.where(near, m, np.inf)
 
     full = np.ones_like(x)
     reduced = np.ones_like(x)
-    for j in range(-d, d + 1):
-        factor = x + j
-        full = full * factor
-        reduced = reduced * np.where(mm == -j, 1.0, factor)
+    # Where full overflows the quotient is 0, the exact term below (d!)^2 / (2 pi 2^1024) < 1e-291.
+    with np.errstate(over="ignore"):
+        for j in range(-d, d + 1):
+            factor = x + j
+            full = full * factor
+            reduced = reduced * np.where(near & (m != -j), factor, 1.0)
 
     safe_full = np.where(near, 1.0, full)
     alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)

@@ -127,6 +127,13 @@ def test_truncated_sum_rejects_bad_t(lasso_spectrum, bad):
         truncated_sum(lasso_spectrum, cosine_power(1), np.array(bad), 10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_truncated_sum_at_a_huge_but_finite_k_over_t_does_not_overflow(lasso_spectrum):
+    # k / t near 1e302: every term but the zero mode is below 1e-291.
+    for tf in (cosine_power(1), cosine_power(MAX_POWER), triangular()):
+        assert truncated_sum(lasso_spectrum, tf, 1e-300, 48) == 2.0
+
+
 def test_trace_check_rhs_is_the_truncated_sum():
     g = preset("lasso")
     s = secular_spectrum(g, 60.0)

@@ -480,7 +480,7 @@ def assert_vertex_count_exact(g, k):
     """The certified vertex count and count() equal the eigenphase count at every k."""
     bonds = _Bonds(g)
     n, sure = bonds.vertex_count(k)
-    by_phases = bonds.count(k, bonds.phases(k)[0])
+    by_phases = bonds.count(k, bonds.phases(k))
     assert np.array_equal(n[sure], by_phases[sure])
     assert np.array_equal(bonds.count(k), by_phases)
     return sure
@@ -505,7 +505,7 @@ def test_vertex_count_on_the_grids_to_500_values(monkeypatch, name):
     assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
 
 
-@pytest.mark.parametrize("g", [
+IRREGULAR_GRAPHS = [
     build_graph("loops", ["a", "b", "c"], [("a", "b", math.sqrt(2.0)), ("b", "c", 0.45),
                                          ("a", "a", 0.7), ("c", "c", 0.3)]),
     build_graph("lasso-1.5", ["a", "b"], [("a", "a", 1.5), ("a", "b", 5.0)]),
@@ -513,7 +513,10 @@ def test_vertex_count_on_the_grids_to_500_values(monkeypatch, name):
                                                      ("c", "a", 0.8), ("a", "b", 1.1)]),
     random_graph(1, 8, 12),
     random_graph(2, 10, 20),
-], ids=lambda g: g.name)
+]
+
+
+@pytest.mark.parametrize("g", IRREGULAR_GRAPHS, ids=lambda g: g.name)
 def test_vertex_count_on_irregular_grids(g):
     grid = _grid(_Bonds(g), 15.0)
     assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
@@ -540,18 +543,18 @@ def test_count_next_to_dirichlet_points():
     bonds = _Bonds(preset("k5"))
     k = K5_DIRICHLET_PROBES
     assert k.size == 96
-    assert np.array_equal(bonds.count(k), bonds.count(k, bonds.phases(k)[0]))
+    assert np.array_equal(bonds.count(k), bonds.count(k, bonds.phases(k)))
     # At the Dirichlet points themselves nothing is certified, and nothing warns.
     dirichlet = np.arange(1, 25) * math.pi
     assert not bonds.vertex_count(dirichlet)[1].any()
-    assert np.array_equal(bonds.count(dirichlet), bonds.count(dirichlet, bonds.phases(dirichlet)[0]))
+    assert np.array_equal(bonds.count(dirichlet), bonds.count(dirichlet, bonds.phases(dirichlet)))
 
 
 def test_certificate_has_teeth(monkeypatch):
     # Accepting every vertex count makes count() wrong next to Dirichlet points.
     bonds = _Bonds(preset("k5"))
     k = K5_DIRICHLET_PROBES
-    by_phases = bonds.count(k, bonds.phases(k)[0])
+    by_phases = bonds.count(k, bonds.phases(k))
     real = _Bonds.vertex_count
     monkeypatch.setattr(_Bonds, "vertex_count",
                         lambda self, k: (real(self, k)[0], np.ones(k.shape, dtype=bool)))
@@ -559,19 +562,77 @@ def test_certificate_has_teeth(monkeypatch):
 
 
 def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
+    # On the grid and at the refinement probes alike, a k reaches the
+    # eigenphases only where the vertex certificate has just failed there.
     k8 = complete_graph(8)
     k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
     grid = _grid(_Bonds(k8), k_max)[1:]
-    _n, sure = _Bonds(k8).vertex_count(grid)
-    assert np.sum(~sure) <= 0.05 * grid.size
-    calls = []
-    real = _Bonds.phases
+    events = []
+    real_count, real_phases = _Bonds.vertex_count, _Bonds.phases
+
+    def vertex_count(self, k, newton=False):
+        out = real_count(self, k, newton)
+        events.append(("vertex", k, out[1]))
+        return out
+
+    monkeypatch.setattr(_Bonds, "vertex_count", vertex_count)
     monkeypatch.setattr(_Bonds, "phases",
-                        lambda self, k, slopes=False: calls.append((k, slopes)) or real(self, k, slopes))
+                        lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
-    counted = [k for k, slopes in calls if not slopes]
-    assert np.array_equal(np.concatenate(counted) if counted else np.empty(0), grid[~sure])
-    assert any(slopes for _k, slopes in calls)  # the refinement probes
+    assert np.array_equal(events[0][1], grid)
+    assert np.sum(~events[0][2]) <= 0.05 * grid.size
+    assert sum(kind == "vertex" for kind, _k, _sure in events) >= 2  # the grid and the probes
+    for (kind, k, _sure), (prev, prev_k, prev_sure) in zip(events[1:], events):
+        if kind == "phases":
+            assert prev == "vertex" and np.array_equal(k, prev_k[~prev_sure])
+
+
+@pytest.mark.parametrize("g", IRREGULAR_GRAPHS, ids=lambda g: g.name)
+def test_vertex_matrix_derivative_is_a_positive_definite_central_difference(g):
+    bonds = _Bonds(g)
+    k, h = np.linspace(0.5, 15.0, 301), 1e-6
+    _x, s, far, _A, dA = bonds.vertex_matrix(k, derivative=True)
+    assert far.all()
+    assert np.all(np.linalg.eigvalsh(dA)[:, 0] > 0.0)
+    # Central differences are accurate only well away from the poles.
+    smooth = np.min(np.abs(s), axis=1) > 0.1
+    assert smooth.sum() >= 50
+    k, dA = k[smooth], dA[smooth]
+    difference = (bonds.vertex_matrix(k + h)[3] - bonds.vertex_matrix(k - h)[3]) / (2.0 * h)
+    assert np.allclose(difference, dA, rtol=1e-6, atol=1e-6)
+
+
+def test_the_solver_makes_no_complex_eig_call(monkeypatch):
+    def eig(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    for name in ("lasso", "k5", "k5-pendant", "k33"):
+        s = spectrum_with_count(preset(name), 500)
+        assert len(s.values) == 500
+        assert validate_spectrum(s, preset(name)).ok
+    for g, k_max in ((complete_graph(10), 45.0), (random_graph(2, 10, 20), 15.0)):
+        assert validate_spectrum(secular_spectrum(g, k_max), g).ok
+
+
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33", "K10"])
+def test_refinement_takes_few_rounds(monkeypatch, name):
+    # Bisection alone would need about 33 rounds to cut a grid cell of
+    # pi / (4 L) down to ROOT_TOL.
+    if name == "K10":
+        g, k_max = complete_graph(10), 45.0
+    else:
+        g = preset(name)
+        k_max = scan_k_max(monkeypatch, g, 500)
+    calls = []
+    real = _Bonds.vertex_count
+    monkeypatch.setattr(_Bonds, "vertex_count",
+                        lambda self, k, newton=False: calls.append(newton) or real(self, k, newton))
+    s = secular_spectrum(g, k_max)
+    assert len(s.values) >= 500
+    # One call counts the grid, then each round counts and targets all its probes at once.
+    assert calls[0] is False and all(calls[1:])
+    assert 1 <= len(calls) - 1 <= 8
 
 
 def test_grid_budget_refuses_before_allocating(monkeypatch):
