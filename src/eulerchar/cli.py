@@ -71,8 +71,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
-        if not 0.0 < self.eps_bar < 1.0:
-            raise ValueError("eps_bar must lie in (0, 1)")
 
 
 def _load_graph(path: str) -> MetricGraph:
@@ -134,36 +132,21 @@ def _order_boundary_note(plan: RecoveryPlan) -> str | None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    if args.count is None and args.kmax is None:
-        args.count = 60
-    method = args.method
-
-    def compute(kind: str) -> Spectrum:
-        if args.kmax is not None:
-            if kind == "von-below":
-                return von_below_spectrum(g_eq, args.kmax)
-            return secular_spectrum(g, args.kmax)
-        return spectrum_with_count(g_eq if kind == "von-below" else g, args.count, kind)
-
-    g_eq = g
-    note = ""
-    if method in ("von-below", "auto"):
+    method, note = args.method, ""
+    if method == "auto":
         try:
             g_eq, piece = equilateral_subdivision(g)
-            if method == "auto":
-                note = f"# note=von Below cross-check on {len(g_eq.edges)} edges of {piece:.6g}"
+            note = f"# note=von Below cross-check on {len(g_eq.edges)} edges of {piece:.6g}"
         except GraphError as exc:
-            if method == "von-below":
-                raise
             method = "secular"
             note = f"# note=von Below cross-check skipped ({exc})"
 
-    if method == "secular":
-        s = compute("secular")
-    elif method == "von-below":
-        s = compute("von-below")
+    kind = "secular" if method == "auto" else method
+    if args.kmax is not None:
+        s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[kind](g, args.kmax)
     else:
-        s = compute("secular")
+        s = spectrum_with_count(g, 60 if args.count is None else args.count, kind)
+    if method == "auto":
         vb = von_below_spectrum(g_eq, s.k_max_covered)
         diff = compare_spectra(s, vb, count=len(s.values))
         if diff > s.tol + vb.tol + 1e-8:
@@ -208,8 +191,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if not report.ok:
             print(f"error: {'; '.join(report.messages)}", file=sys.stderr)
             return EXIT_BOUND_VIOLATION
-    if args.t is not None and args.J is not None:
-        est = certify(s, cosine_power(args.d), args.t, args.J, args.M, args.L)
+    if (args.t is None) != (args.J is None) or (args.d is not None and args.t is None):
+        raise ValueError("--t and --J must be given together, and --d only with them")
+    if args.t is not None:
+        est = certify(s, cosine_power(1 if args.d is None else args.d),
+                      args.t, args.J, args.M, args.L)
     else:
         plan = _plan_from_args(args)
         est = certify(s, cosine_power(plan.d), plan.t, plan.J, plan.M_bar, plan.L_bar)
@@ -240,7 +226,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 def cmd_verify_trace(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    tf = triangular() if args.psi else cosine_power(args.d)
+    tf = triangular() if args.psi else cosine_power(1 if args.d is None else args.d)
     summary = summarize(g)
     kmax = args.kmax
     if kmax is None:
@@ -476,12 +462,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for noise")
-    common.add_argument("--eps", type=float, default=0.25,
-                        help="target bound eps_bar, in (0, 0.25]")
-    common.add_argument("--out", "-o", default="", help="output file or directory")
-
     parser = argparse.ArgumentParser(
         prog="eulerchar",
         description="Recover the Euler characteristic of a metric graph from "
@@ -489,56 +469,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="compute eigenfrequencies to CSV")
+    p = sub.add_parser("spectrum", help="compute eigenfrequencies to CSV")
     p.add_argument("graph", help="graph JSON file or preset name")
-    p.add_argument("--count", type=int, help="number of eigenfrequencies (default 60)")
-    p.add_argument("--kmax", type=float, help="compute everything up to this k instead")
+    extent = p.add_mutually_exclusive_group()
+    extent.add_argument("--count", type=int, help="number of eigenfrequencies (default 60)")
+    extent.add_argument("--kmax", type=float, help="compute everything up to this k instead")
     p.add_argument("--method", choices=("secular", "von-below", "auto"), default="auto")
+    p.add_argument("--out", "-o", default="", help="output file")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("plan", parents=[common],
-                       help="certified recovery parameters from priors")
+    p = sub.add_parser("plan", help="certified recovery parameters from priors")
     p.add_argument("--M", type=float, help="upper bound on the vertex count")
     p.add_argument("--L", type=float, help="upper bound on the total length")
     p.add_argument("--lmin", type=float, help="lower bound on the shortest orbit")
     p.add_argument("--graph", default="", help="read the priors off this graph instead")
+    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
     p.set_defaults(fn=cmd_plan)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="recover chi from a spectrum CSV")
+    p = sub.add_parser("estimate", help="recover chi from a spectrum CSV")
     p.add_argument("--spectrum", required=True, help="spectrum CSV file")
-    p.add_argument("--t", type=float, help="time scaling (with --d, --J)")
-    p.add_argument("--d", type=int, default=1, help="cosine power order")
-    p.add_argument("--J", type=int, help="number of eigenfrequencies to use")
+    p.add_argument("--t", type=float, help="time scaling (with --J)")
+    p.add_argument("--d", type=int, help="cosine power order, with --t and --J (default 1)")
+    p.add_argument("--J", type=int, help="number of eigenfrequencies to use (with --t)")
     p.add_argument("--M", type=float, help="vertex bound (for the certified bound)")
     p.add_argument("--L", type=float, help="length bound (for the certified bound)")
     p.add_argument("--lmin", type=float, help="shortest orbit lower bound")
     p.add_argument("--graph", default="", help="read the priors off this graph instead")
+    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
     p.set_defaults(fn=cmd_estimate)
 
-    p = sub.add_parser("perturb", parents=[common],
-                       help="add seeded uniform noise to a spectrum CSV")
+    p = sub.add_parser("perturb", help="add seeded uniform noise to a spectrum CSV")
     p.add_argument("--spectrum", required=True, help="spectrum CSV file")
     p.add_argument("--delta", type=float, required=True, help="noise half-width")
+    p.add_argument("--seed", type=int, default=0, help="base seed for noise")
+    p.add_argument("--out", "-o", default="", help="output file")
     p.set_defaults(fn=cmd_perturb)
 
-    p = sub.add_parser("verify-trace", parents=[common],
-                       help="check the trace identity against a computed spectrum")
+    p = sub.add_parser("verify-trace", help="check the trace identity against a computed spectrum")
     p.add_argument("--graph", required=True, help="graph JSON file or preset name")
     p.add_argument("--t", type=float, required=True, help="time scaling")
-    p.add_argument("--d", type=int, default=1, help="cosine power order")
-    p.add_argument("--psi", action="store_true", help="use the triangular function")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--d", type=int, help="cosine power order (default 1)")
+    shape.add_argument("--psi", action="store_true", help="use the triangular function")
     p.add_argument("--kmax", type=float, help="spectral range (default about 200 values)")
     p.set_defaults(fn=cmd_verify_trace)
 
-    p = sub.add_parser("experiment", parents=[common],
-                       help="run a full preset study into a directory")
+    p = sub.add_parser("experiment", help="run a full preset study into a directory")
     p.add_argument("preset",
                    help=f"one of {', '.join(EXPERIMENT_PRESETS)}, or a graph JSON file")
     p.add_argument("--seeds", type=int, default=100, help="noisy spectra per sweep")
     p.add_argument("--delta", default="auto",
                    help="noise half-width, or `auto` for the plan's delta_max")
+    p.add_argument("--seed", type=int, default=0, help="base seed for noise")
+    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
+    p.add_argument("--out", "-o", default="", help="output directory")
     p.set_defaults(fn=cmd_experiment)
     return parser
 

@@ -58,8 +58,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and nonnegative")
 
     def sample(self, j: int) -> float:
         """The perturbation of the j-th eigenfrequency (1-based), in [-delta, delta].

@@ -297,13 +297,17 @@ def equilateral_subdivision(g: MetricGraph) -> tuple[MetricGraph, float]:
     The piece length is the greatest common divisor of the edge lengths
     (computed exactly from their decimal representations), halved once if a
     loop would otherwise survive as a single piece; the result therefore has
-    no loops, though parallel edges may remain. Each edge becomes, in place, a
-    path of pieces of exactly the returned length, through new vertices named
-    as subdivide_edge would name them cutting the last edge first, each from
-    its v end. Raises GraphError when the lengths have no usable common
+    no loops, though parallel edges may remain. A graph with no edge to cut
+    is returned itself; otherwise each edge becomes, in place, a path of
+    pieces of exactly the returned length, through new vertices named as
+    subdivide_edge would name them cutting the last edge first, each from its
+    v end. Raises GraphError when the lengths have no usable common
     divisor (irrational ratios, or a divisor so small the subdivision would
     exceed MAX_SUBDIVIDED_EDGES pieces).
     """
+    a = g.edges[0].length
+    if all(e.length == a and e.u != e.v for e in g.edges):
+        return g, a
     units, D = length_units(g)
     step = math.gcd(*units)
     if any(e.u == e.v and n == step for e, n in zip(g.edges, units)):

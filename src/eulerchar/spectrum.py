@@ -9,11 +9,12 @@ Two independent numerical methods plus closed-form oracles:
   Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013, ch. 2).
   Roots are bracketed by N on a grid, refined by Newton on the vertex
   matrix and accepted only where N steps, so the listing is complete.
-* ``von_below_spectrum``: equilateral graphs only. Eigenvalues mu of the
-  degree-normalized adjacency matrix of the discrete graph are lifted through
-  cos(ka) = mu; the lattice points k = n pi / a take von Below's exact
-  multiplicities (Linear Algebra Appl. 71, 1985) from N, M and whether the
-  graph is bipartite.
+* ``von_below_spectrum``: commensurate graphs, through their equilateral
+  subdivision of piece length a. Eigenvalues mu of the degree-normalized
+  adjacency matrix of the discrete graph are lifted through cos(ka) = mu;
+  the lattice points k = n pi / a take von Below's exact multiplicities
+  (Linear Algebra Appl. 71, 1985) from N, M and whether the graph is
+  bipartite.
 * ``analytic_spectrum``: textbook spectra for intervals, loops, and
   equilateral stars, used as oracles in tests.
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, MetricGraph, summarize, two_colouring
+from .graph import MetricGraph, equilateral_subdivision, summarize, two_colouring
 
 __all__ = [
     "Spectrum",
@@ -397,23 +398,16 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# von Below lift for equilateral graphs
-
-
-def _equilateral_length(g: MetricGraph) -> float:
-    a = g.edges[0].length
-    for e in g.edges:
-        if abs(e.length - a) > 1e-12 * a:
-            raise GraphError("von Below lift needs an equilateral graph")
-    return a
+# von Below lift for commensurate graphs
 
 
 def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
-    """Eigenfrequencies of an equilateral graph through the discrete spectrum.
+    """Eigenfrequencies of a commensurate graph through the discrete spectrum.
 
-    Loops must be subdivided away first (their halves become parallel edges,
-    which are fine: the adjacency matrix just counts them). Each discrete
-    eigenvalue mu in (-1, 1) of the degree-normalized adjacency lifts to
+    The lift runs on equilateral_subdivision(g), which has the spectrum of g,
+    piece length a and no loops (parallel edges are fine: the adjacency matrix
+    just counts them), and raises GraphError where that does. Each discrete
+    eigenvalue mu in (-1, 1) of its degree-normalized adjacency lifts to
     k = (arccos mu + 2 pi n)/a and k = (-arccos mu + 2 pi (n+1))/a. Those are
     all eigenvalues but the top one, mu = 1 (simple, g being connected), and,
     when g is bipartite, the bottom one, mu = -1, so they are dropped by
@@ -422,9 +416,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
-    if any(e.u == e.v for e in g.edges):
-        raise GraphError("subdivide loops before the von Below lift")
-    a = _equilateral_length(g)
+    g, a = equilateral_subdivision(g)
 
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}

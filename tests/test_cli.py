@@ -60,6 +60,27 @@ def test_plan_bad_eps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "lasso", "--seed", "1"],
+    ["spectrum", "lasso", "--eps", "0.1"],
+    ["plan", "--graph", "lasso", "--seed", "1"],
+    ["plan", "--graph", "lasso", "--out", "no-such-dir/x"],
+    ["estimate", "--spectrum", "x.csv", "--graph", "lasso", "--seed", "1"],
+    ["estimate", "--spectrum", "x.csv", "--graph", "lasso", "-o", "y.csv"],
+    ["perturb", "--spectrum", "x.csv", "--delta", "0.001", "--eps", "0.1"],
+    ["verify-trace", "--graph", "lasso", "--t", "0.4", "--seed", "1"],
+    ["verify-trace", "--graph", "lasso", "--t", "0.4", "--eps", "0.1"],
+    ["verify-trace", "--graph", "lasso", "--t", "0.4", "--out", "y.csv"],
+    ["spectrum", "lasso", "--count", "60", "--kmax", "3"],
+    ["spectrum", "lasso", "--kmax", "3", "--count", "5"],
+    ["verify-trace", "--graph", "lasso", "--t", "0.4", "--psi", "--d", "1"],
+])
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "not allowed with argument" in err
+
+
 @pytest.mark.parametrize("command", ["plan", "estimate"])
 @pytest.mark.parametrize("priors, name", [
     (["--M", "2", "--L", "inf", "--lmin", "1"], "L_bar"),
@@ -267,6 +288,18 @@ def test_estimate_explicit_parameters(tmp_path, capsys):
     assert "chi_hat=0" in out
 
 
+@pytest.mark.parametrize("explicit", [["--t", "0.3"], ["--J", "10"], ["--d", "7"],
+                                      ["--d", "1", "--J", "48"]])
+def test_estimate_explicit_parameters_need_t_and_J(tmp_path, capsys, explicit):
+    csv = tmp_path / "lasso60.csv"
+    assert main(["spectrum", "lasso", "--count", "60", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(csv), "--graph", "lasso", *explicit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --t and --J must be given together" in captured.err
+
+
 def test_estimate_bound_violation(tmp_path, capsys):
     # A comb shifted off any legal spectrum: the sum lands far from every
     # integer while the claimed priors certify a tight bound.
@@ -316,6 +349,15 @@ def test_perturb_updates_tolerance(tmp_path):
     assert "tol=2.0000001000000001e-03" in text  # secular tol 1e-10 plus delta
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_perturb_refuses_nonfinite_delta(tmp_path, capsys, delta):
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "10", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["perturb", "--spectrum", str(csv), "--delta", delta]) == 2
+    assert "error: delta must be finite and nonnegative" in capsys.readouterr().err
+
+
 def test_verify_trace_passes(capsys):
     code = main(["verify-trace", "--graph", "lasso", "--t", "0.4", "--d", "1"])
     out = capsys.readouterr().out
@@ -362,6 +404,11 @@ def test_experiment_table(tmp_path, capsys):
     assert table[5] == "423,3,2926"
     assert table[6] == "10000,3,96360"
     assert "rho=2" in out
+
+
+def test_experiment_eps_outside_the_plan_range_exit_2(tmp_path, capsys):
+    assert main(["experiment", "lasso", "--eps", "1.5", "--seeds", "1", "--out", str(tmp_path)]) == 2
+    assert "error: eps_bar must lie in (0, 1/4], got 1.5" in capsys.readouterr().err
 
 
 def test_experiment_lasso_outputs(tmp_path, capsys):

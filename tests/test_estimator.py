@@ -314,8 +314,9 @@ def test_divergence_for_large_t(lasso_spectrum):
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(delta=-0.1)
+    for delta in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            NoiseModel(delta=delta)
     m = NoiseModel(delta=0.0)
     assert m.sample(2) == 0.0
 

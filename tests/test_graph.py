@@ -252,9 +252,17 @@ def test_equilateral_subdivision_lasso():
 
 
 def test_equilateral_subdivision_already_equilateral():
-    g, piece = equilateral_subdivision(preset("k5"))
+    k5 = preset("k5")
+    g, piece = equilateral_subdivision(k5)
     assert piece == 1.0
-    assert summarize(g).N == 10  # no loops, whole edges kept
+    assert g is k5  # no loops, whole edges kept
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_equilateral_subdivision_returns_a_subdivision_itself(name):
+    h, piece = equilateral_subdivision(preset(name))
+    again, a = equilateral_subdivision(h)
+    assert again is h and a == piece
 
 
 def test_equilateral_subdivision_loop_halved():

@@ -11,6 +11,7 @@ from eulerchar import (
     Spectrum,
     analytic_spectrum,
     build_graph,
+    cli,
     compare_spectra,
     complete_bipartite_graph,
     complete_graph,
@@ -28,6 +29,7 @@ from eulerchar import (
     star_graph,
     subdivide_edge,
     summarize,
+    to_document,
     validate_spectrum,
     von_below_spectrum,
     write_spectrum_csv,
@@ -175,14 +177,45 @@ def test_von_below_k5_head():
     assert s.values[: len(expected)] == pytest.approx(expected, abs=1e-12)
 
 
-def test_von_below_requires_equilateral():
-    with pytest.raises(GraphError):
-        von_below_spectrum(preset("lasso"), 5.0)
+LIFTED_GRAPHS = {
+    "lasso": preset("lasso"),
+    "loop": loop_graph(1.0),
+    "triangle": build_graph("triangle", ["a", "b", "c"],
+                            [("a", "b", 0.3), ("b", "c", 0.5), ("c", "a", 0.2)]),
+    "long-lasso": build_graph("long-lasso", ["a", "b"], [("a", "a", 1.01), ("a", "b", 8.99)]),
+}
 
 
-def test_von_below_rejects_loops():
-    with pytest.raises(GraphError):
-        von_below_spectrum(loop_graph(1.0), 5.0)
+@pytest.mark.parametrize("name", sorted(LIFTED_GRAPHS))
+def test_von_below_lifts_the_subdivision(name):
+    g = LIFTED_GRAPHS[name]
+    lifted = von_below_spectrum(equilateral_subdivision(g)[0], 20.0)
+    assert von_below_spectrum(g, 20.0).values == lifted.values
+
+
+def test_von_below_rejects_lengths_without_a_usable_divisor():
+    g = build_graph("lasso", ["a", "b"], [("a", "a", 1.0), ("a", "b", 5.000000001)])
+    with pytest.raises(GraphError, match="common divisor too small"):
+        von_below_spectrum(g, 5.0)
+
+
+def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
+    # The bisection for k_max counts on the 2-edge lasso, not on its 1,000 pieces.
+    g = LIFTED_GRAPHS["long-lasso"]
+    sizes = []
+
+    class Recorded(_Bonds):
+        def __init__(self, graph):
+            sizes.append(len(graph.edges))
+            super().__init__(graph)
+
+    monkeypatch.setattr(spectrum_module, "_Bonds", Recorded)
+    assert len(spectrum_with_count(g, 60, "von-below").values) == 60
+    doc = tmp_path / "long-lasso.json"
+    doc.write_text(to_document(g))
+    assert cli.main(["spectrum", str(doc), "--count", "60", "--method", "von-below"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("60,")
+    assert sizes and max(sizes) == len(g.edges)
 
 
 def test_von_below_handles_parallel_edges():
