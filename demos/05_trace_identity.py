@@ -8,19 +8,14 @@ least 1/t drops out, so below the shortest orbit the sum collapses to chi.
 """
 
 from eulerchar import (
+    certified_bound,
     cosine_power,
-    enumerate_orbits,
     orbit_side,
     preset,
     spectrum_with_count,
     summarize,
-    trace_check,
     truncated_sum,
 )
-
-
-def fmt_steps(steps):
-    return " ".join(f"{e}{'+' if s > 0 else '-'}" for e, s in steps)
 
 
 def main():
@@ -29,23 +24,16 @@ def main():
     print(f"lasso: chi = {info.chi}, shortest periodic orbit length = {info.l_min}")
 
     print()
-    print("= Periodic orbits up to length 2 (edge 0 is the unit loop) =")
-    print("length   primitive   amplitude   steps (edge index + direction)")
-    for orbit in enumerate_orbits(lasso, 2.0):
-        print(
-            f"{orbit.length:5.2f}    {orbit.prim_length:5.2f}       "
-            f"{orbit.s_v:+.4f}     {fmt_steps(orbit.steps)}"
-        )
-    print("(the shortest bounce on the straight edge has length 10, far away)")
-
-    print()
     print("= Both sides of the identity on the lasso, order-2 cosine power =")
     spectrum = spectrum_with_count(lasso, 80)
     f = cosine_power(2)
     print("t      orbit side       spectral side    gap        bound")
+    n = len(spectrum.values)
     for t in (0.3, 0.5, 0.8, 1.25):
-        lhs, rhs, gap, bound = trace_check(lasso, f, t, spectrum)
-        print(f"{t:4.2f}   {lhs:+.10f}    {rhs:+.10f}    {gap:.2e}   {bound:.2e}")
+        lhs = orbit_side(lasso, f, t)
+        rhs = truncated_sum(spectrum, f, t, n)
+        bound = certified_bound(f, n, info.M, info.total_length, t, spectrum.tol)
+        print(f"{t:4.2f}   {lhs:+.10f}    {rhs:+.10f}    {abs(lhs - rhs):.2e}   {bound:.2e}")
     print("(gap <= bound: the identity holds to the certified truncation and tol error)")
 
     print()

@@ -5,138 +5,26 @@ many eigenfrequencies of its standard Laplacian (`spectrum`), pick a test
 function (`testfn`) and certified truncation parameters (`planner`), then sum
 and round (`estimator`). `orbits` verifies the underlying trace identity
 independently, and `cli` wires everything into reproducible experiments.
+
+The package exports every name in the `__all__` of those six modules; each
+public name is declared there, once.
 """
 
-from .estimator import NoiseModel, nint, perturb_spectrum, recover_chi, truncated_sum
-from .graph import (
-    Edge,
-    GraphError,
-    GraphSummary,
-    MetricGraph,
-    attach_loop,
-    build_graph,
-    complete_bipartite_graph,
-    complete_graph,
-    equilateral_subdivision,
-    interval_graph,
-    loop_graph,
-    parse_graph,
-    preset,
-    star_graph,
-    subdivide_edge,
-    summarize,
-    to_document,
-)
-from .orbits import (
-    OrbitBudgetError,
-    PeriodicOrbit,
-    enumerate_orbits,
-    orbit_side,
-    scattering_amplitude,
-    trace_check,
-)
-from .planner import (
-    PlanError,
-    RecoveryPlan,
-    alpha_star,
-    beta_continuous,
-    epsilon,
-    j_min,
-    lambert_w_unit,
-    length_bound,
-    optimal_plan,
-    tail_bound,
-    tail_envelope,
-    triangular_tail,
-)
-from .spectrum import (
-    Spectrum,
-    SpectrumCountError,
-    ValidationReport,
-    analytic_spectrum,
-    compare_spectra,
-    read_spectrum_csv,
-    secular_matrix,
-    secular_spectrum,
-    spectrum_csv_text,
-    spectrum_with_count,
-    validate_spectrum,
-    von_below_spectrum,
-    write_spectrum_csv,
-)
-from .testfn import (
-    TestFunction,
-    cosine_power,
-    eval_time,
-    fourier,
-    majorant,
-    normalization,
-    re_fourier,
-    triangular,
-)
+from . import estimator, graph, orbits, planner, spectrum, testfn
+from .estimator import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .orbits import *  # noqa: F403
+from .planner import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .testfn import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Edge",
-    "GraphError",
-    "GraphSummary",
-    "MetricGraph",
-    "NoiseModel",
-    "OrbitBudgetError",
-    "PeriodicOrbit",
-    "PlanError",
-    "RecoveryPlan",
-    "Spectrum",
-    "SpectrumCountError",
-    "TestFunction",
-    "ValidationReport",
-    "alpha_star",
-    "analytic_spectrum",
-    "attach_loop",
-    "beta_continuous",
-    "build_graph",
-    "compare_spectra",
-    "complete_bipartite_graph",
-    "complete_graph",
-    "cosine_power",
-    "enumerate_orbits",
-    "epsilon",
-    "equilateral_subdivision",
-    "eval_time",
-    "fourier",
-    "interval_graph",
-    "j_min",
-    "lambert_w_unit",
-    "length_bound",
-    "loop_graph",
-    "majorant",
-    "nint",
-    "normalization",
-    "optimal_plan",
-    "orbit_side",
-    "parse_graph",
-    "perturb_spectrum",
-    "preset",
-    "re_fourier",
-    "read_spectrum_csv",
-    "recover_chi",
-    "scattering_amplitude",
-    "secular_matrix",
-    "secular_spectrum",
-    "spectrum_csv_text",
-    "spectrum_with_count",
-    "star_graph",
-    "subdivide_edge",
-    "summarize",
-    "tail_bound",
-    "tail_envelope",
-    "to_document",
-    "trace_check",
-    "triangular",
-    "triangular_tail",
-    "truncated_sum",
-    "validate_spectrum",
-    "von_below_spectrum",
-    "write_spectrum_csv",
+    *estimator.__all__,
+    *graph.__all__,
+    *orbits.__all__,
+    *planner.__all__,
+    *spectrum.__all__,
+    *testfn.__all__,
 ]

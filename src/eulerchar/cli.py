@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import NoiseModel, certified_bound, certify, nint, perturb_spectrum, truncated_sum
+from .estimator import Estimate, NoiseModel, certified_bound, certify, perturb_spectrum, truncated_sum
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
@@ -52,6 +52,9 @@ EXIT_INPUT_ERROR = 2
 
 EXPERIMENT_PRESETS = PRESET_NAMES + ("compare", "table")
 
+# Of --eps, --seeds, --delta and --seed, what `experiment table` and `compare` read; a graph reads all.
+EXPERIMENT_OPTIONS = {"table": ("--eps",), "compare": ()}
+
 # Rows of the order/count table reproduced by `experiment table` (M_bar = 0).
 TABLE_RHOS = (2.0, 15.6, 16.5, 421.0, 423.0, 1e4)
 
@@ -60,27 +63,22 @@ TABLE_RHOS = (2.0, 15.6, 16.5, 421.0, 423.0, 1e4)
 class ExperimentConfig:
     """Everything a full experiment run depends on."""
 
-    preset: str
+    preset: str  # a name in EXPERIMENT_PRESETS, or a graph JSON file
     eps_bar: float = 0.25
     seeds: int = 100
     delta: float | None = None  # None means the plan's delta_max
     out_dir: str = ""
     base_seed: int = 0
-    graph_path: str = ""
 
     def __post_init__(self) -> None:
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
 
 
-def _load_graph(path: str) -> MetricGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
-
-
 def _resolve_graph(name_or_path: str) -> MetricGraph:
     if name_or_path in PRESET_NAMES:
         return preset(name_or_path)
-    return _load_graph(name_or_path)
+    return parse_graph(Path(name_or_path).read_text(encoding="utf-8"))
 
 
 def plan_block(plan: RecoveryPlan) -> str:
@@ -253,9 +251,10 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 
 def _experiment_table(out: Path, eps_bar: float) -> int:
+    plans = [optimal_plan(eps_bar, 0.0, rho / 2.0, 1.0) for rho in TABLE_RHOS]
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for rho in TABLE_RHOS:
-        plan = optimal_plan(eps_bar, 0.0, rho / 2.0, 1.0)
+    for rho, plan in zip(TABLE_RHOS, plans):
         rows.append(f"{rho:.16g},{plan.d},{plan.J}")
         print(f"rho={rho:<8g} d*={plan.d} J*-M={plan.J}")
     _write_csv(out / "table.csv", "rho,d,J_minus_M", rows)
@@ -263,8 +262,9 @@ def _experiment_table(out: Path, eps_bar: float) -> int:
     return EXIT_OK
 
 
-def _experiment_compare(out: Path, eps_bar: float) -> int:
+def _experiment_compare(out: Path) -> int:
     """Overlay of S_30(t) with d=1 for the three equal-total-chi-gap graphs."""
+    out.mkdir(parents=True, exist_ok=True)
     J, d = 30, 1
     tf = cosine_power(d)
     names = ("k5", "k5-pendant", "k33")
@@ -296,23 +296,26 @@ def _experiment_compare(out: Path, eps_bar: float) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    out = Path(config.out_dir or f"experiment-{config.preset}")
-    out.mkdir(parents=True, exist_ok=True)
+    """Run one experiment; nothing is written before every input is checked."""
+    name = config.preset if config.preset in EXPERIMENT_PRESETS else "custom"
+    out = Path(config.out_dir or f"experiment-{name}")
     if config.preset == "table":
         return _experiment_table(out, config.eps_bar)
     if config.preset == "compare":
-        return _experiment_compare(out, config.eps_bar)
+        return _experiment_compare(out)
 
-    g = _load_graph(config.graph_path) if config.preset == "custom" else preset(config.preset)
+    g = _resolve_graph(config.preset)
     summary = summarize(g)
     chi = summary.chi
     plan = optimal_plan(config.eps_bar, summary.M, summary.total_length, summary.l_min)
     delta = plan.delta_max if config.delta is None else config.delta
+    noise = [NoiseModel(delta, config.base_seed + i) for i in range(config.seeds)]
     tf = cosine_power(plan.d)
 
     J_hi = plan.J + 20
     s = spectrum_with_count(g, J_hi)
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "plan.txt").write_text(plan_block(plan), encoding="utf-8")
     write_spectrum_csv(out / "spectrum.csv", s, {"graph": g.name})
 
@@ -320,21 +323,20 @@ def run_experiment(config: ExperimentConfig) -> int:
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
     rows: list[str] = []
 
-    def recovery_row(spec: Spectrum, seed: int) -> float:
-        S = truncated_sum(spec, tf, plan.t, plan.J)
-        bound = certified_bound(tf, plan.J, plan.M_bar, plan.L_bar, plan.t, spec.tol)
-        rows.append(f"{plan.t:.16g},{plan.J},{S:.16e},{abs(S - chi):.16e},{bound:.16e},{seed}")
-        return S
+    def recovery_row(spec: Spectrum, seed: int) -> Estimate:
+        est = certify(spec, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
+        rows.append(f"{plan.t:.16g},{plan.J},{est.S:.16e},{abs(est.S - chi):.16e},"
+                    f"{est.bound:.16e},{seed}")
+        return est
 
-    S_exact = recovery_row(s, -1)
+    exact = recovery_row(s, -1)
     failures = 0
     noisy_cache: list[Spectrum] = []
-    for i in range(config.seeds):
-        seed = config.base_seed + i
-        noisy = perturb_spectrum(s, NoiseModel(delta, seed))
+    for model in noise:
+        noisy = perturb_spectrum(s, model)
         if len(noisy_cache) < 3:
             noisy_cache.append(noisy)
-        failures += nint(recovery_row(noisy, seed)) != chi
+        failures += recovery_row(noisy, model.seed).chi_hat != chi
     header = "t,J,S,abs_err,bound,seed"
     (out / "recovery.csv").write_text(plan_echo + header + "\n" + "\n".join(rows) + "\n",
                                       encoding="utf-8")
@@ -428,32 +430,26 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     print(f"graph {g.name}: chi={chi}, plan d={plan.d}, J={plan.J}, "
           f"t={plan.t:.6g}, delta_max={plan.delta_max:.3e}")
-    print(f"exact S_J(t) = {S_exact:.6f} -> chi_hat = {nint(S_exact)}")
+    print(f"exact S_J(t) = {exact.S:.6f} -> chi_hat = {exact.chi_hat}")
     print(f"noisy recovery at delta={delta:.3e}: "
           f"{config.seeds - failures}/{config.seeds} correct")
     print(f"outputs in {out}/")
-    if nint(S_exact) != chi or failures:
+    if exact.chi_hat != chi or failures:
         print("recovery failed inside its certified regime", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    preset_name = args.preset
-    graph_path = ""
-    if preset_name not in EXPERIMENT_PRESETS:
-        graph_path = preset_name
-        preset_name = "custom"
-    delta = None if args.delta in (None, "auto") else float(args.delta)
-    config = ExperimentConfig(
-        preset=preset_name,
-        eps_bar=args.eps,
-        seeds=args.seeds,
-        delta=delta,
-        out_dir=args.out or "",
-        base_seed=args.seed,
-        graph_path=graph_path,
-    )
+    options = {"--eps": args.eps, "--seeds": args.seeds, "--delta": args.delta, "--seed": args.seed}
+    reads = EXPERIMENT_OPTIONS.get(args.preset, tuple(options))
+    for option, value in options.items():
+        if value is not None and option not in reads:
+            raise ValueError(f"experiment {args.preset} does not read {option}")
+    fields = {"eps_bar": args.eps, "seeds": args.seeds, "base_seed": args.seed,
+              "delta": None if args.delta in (None, "auto") else float(args.delta)}
+    config = ExperimentConfig(args.preset, out_dir=args.out or "",
+                              **{k: v for k, v in fields.items() if v is not None})
     return run_experiment(config)
 
 
@@ -517,11 +513,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a full preset study into a directory")
     p.add_argument("preset",
                    help=f"one of {', '.join(EXPERIMENT_PRESETS)}, or a graph JSON file")
-    p.add_argument("--seeds", type=int, default=100, help="noisy spectra per sweep")
-    p.add_argument("--delta", default="auto",
-                   help="noise half-width, or `auto` for the plan's delta_max")
-    p.add_argument("--seed", type=int, default=0, help="base seed for noise")
-    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
+    p.add_argument("--seeds", type=int, help="noisy spectra per sweep (default 100)")
+    p.add_argument("--delta", help="noise half-width, or `auto` for the plan's delta_max (default)")
+    p.add_argument("--seed", type=int, help="base seed for noise (default 0)")
+    p.add_argument("--eps", type=float, help="target bound eps_bar, in (0, 0.25] (default 0.25)")
     p.add_argument("--out", "-o", default="", help="output directory")
     p.set_defaults(fn=cmd_experiment)
     return parser

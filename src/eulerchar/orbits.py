@@ -33,10 +33,7 @@ from .spectrum import Spectrum, _Bonds
 from .testfn import TestFunction, eval_time
 
 __all__ = [
-    "PeriodicOrbit",
     "OrbitBudgetError",
-    "enumerate_orbits",
-    "scattering_amplitude",
     "orbit_side",
     "trace_check",
 ]
@@ -52,6 +49,8 @@ class OrbitBudgetError(RuntimeError):
     """An orbit listing or walk table exceeded its combinatorial budget."""
 
 
+# The orbit listing (PeriodicOrbit, enumerate_orbits, scattering_amplitude) is a
+# test oracle for orbit_side, kept out of __all__.
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """One periodic orbit: steps modulo rotation, lengths, scattering amplitude."""

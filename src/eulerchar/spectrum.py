@@ -38,7 +38,6 @@ __all__ = [
     "SpectrumCountError",
     "ValidationReport",
     "METHODS",
-    "secular_matrix",
     "secular_spectrum",
     "von_below_spectrum",
     "analytic_spectrum",
@@ -342,11 +341,12 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     grid of more than _GRID_ENTRIES points times 2N is refused. N comes from
     the vertex matrix A(k) where its certificate holds, else from the
     eigenphases. Each round probes all open brackets at once at x -+ ROOT_TOL,
-    which cuts them into pieces. A piece over which N does not step is
-    dropped. In the others, x becomes the Dirichlet point m pi / l_e nearest
-    to the probe at the piece's end, where A has a pole, else the Newton
-    target k - w / w' of vertex_count from that probe nearest to it, inside
-    the piece (every fifth round, or with neither, the midpoint). A piece at
+    which cuts them into pieces; N decreasing across them raises
+    SpectrumCountError. A piece over which N does not step is dropped. In
+    the others, x becomes the Dirichlet point m pi / l_e nearest to the
+    probe at the piece's end, where A has a pole, else the Newton target
+    k - w / w' of vertex_count from that probe nearest to it, inside the
+    piece (every fifth round, or with neither, the midpoint). A piece at
     most 3 ROOT_TOL wide, too narrow to probe again, is a root at x whose
     multiplicity is the step of N: the listing is complete by construction.
     The probes need no budget: each kept piece holds an eigenvalue, so a
@@ -378,8 +378,10 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         n_probe[~sure] = bonds.count(flat[~sure], bonds.phases(flat[~sure]))
         n = np.column_stack((n_lo, n_lo, n_hi, n_hi))
         n[:, 1:3][inside] = n_probe
-        n = np.minimum(np.maximum.accumulate(n, axis=1), n_hi[:, None])
-        i, j = np.nonzero(np.diff(n, axis=1))  # the pieces over which N steps
+        step = np.diff(n, axis=1)
+        if np.any(step < 0):
+            raise SpectrumCountError(f"eigenvalue count of {g.name!r} decreases; eigensolver failed")
+        i, j = np.nonzero(step)  # the pieces over which N steps
         a, b, narrow = ends[i, j], ends[i, j + 1], ends[i, j + 1] - ends[i, j] <= 3.0 * ROOT_TOL
         # The row in flat of each piece's probe: p1, or p2 for (p2, hi] and where p1 is padded.
         q = (np.cumsum(inside) - 1).reshape(inside.shape)[i, ((j == 2) | ~inside[i, 0]).astype(int)]

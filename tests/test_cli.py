@@ -411,6 +411,28 @@ def test_experiment_eps_outside_the_plan_range_exit_2(tmp_path, capsys):
     assert "error: eps_bar must lie in (0, 1/4], got 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--eps", "0.2"], "experiment compare does not read --eps"),
+    (["compare", "--seed", "1"], "experiment compare does not read --seed"),
+    (["compare", "--seeds", "5"], "experiment compare does not read --seeds"),
+    (["compare", "--delta", "0.001"], "experiment compare does not read --delta"),
+    (["table", "--seed", "1"], "experiment table does not read --seed"),
+    (["table", "--seeds", "5"], "experiment table does not read --seeds"),
+    (["table", "--delta", "auto"], "experiment table does not read --delta"),
+    (["table", "--eps", "1.5"], "eps_bar must lie in (0, 1/4], got 1.5"),
+    (["lasso", "--eps", "1.5"], "eps_bar must lie in (0, 1/4], got 1.5"),
+    (["lasso", "--delta", "nan"], "delta must be finite and nonnegative"),
+    (["lasso", "--delta", "inf"], "delta must be finite and nonnegative"),
+    (["lasso", "--delta", "-1"], "delta must be finite and nonnegative"),
+    (["lasso", "--seeds", "0"], "seeds must be at least 1"),
+])
+def test_experiment_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(["experiment", *argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_lasso_outputs(tmp_path, capsys):
     code = main(["experiment", "lasso", "--seeds", "2", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -470,6 +492,15 @@ def test_experiment_custom_graph(tmp_path, capsys):
                  str(tmp_path / "run")])
     assert code == 0
     assert (tmp_path / "run" / "recovery.csv").exists()
+
+
+def test_experiment_graph_file_defaults_to_experiment_custom(tmp_path, monkeypatch, capsys):
+    doc = tmp_path / "loop.json"
+    doc.write_text(to_document(preset("lasso")))
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", str(doc), "--seeds", "1"]) == 0
+    assert "outputs in experiment-custom/" in capsys.readouterr().out
+    assert (tmp_path / "experiment-custom" / "recovery.csv").exists()
 
 
 def test_experiment_unknown_input(tmp_path):

@@ -191,6 +191,7 @@ def test_experiment_makes_at_most_two_evaluations_per_sum(
         return truncated_sum(*args)
 
     monkeypatch.setattr(cli, "truncated_sum", counting_sum)
+    monkeypatch.setattr(estimator, "truncated_sum", counting_sum)
     assert cli.main(["experiment", "lasso", "--seeds", "2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sums

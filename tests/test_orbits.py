@@ -8,14 +8,12 @@ from eulerchar import (
     OrbitBudgetError,
     build_graph,
     cosine_power,
-    enumerate_orbits,
     equilateral_subdivision,
     eval_time,
     interval_graph,
     loop_graph,
     orbit_side,
     preset,
-    scattering_amplitude,
     spectrum_with_count,
     star_graph,
     summarize,
@@ -24,6 +22,7 @@ from eulerchar import (
 )
 from eulerchar import orbits
 from eulerchar.graph import PRESET_NAMES
+from eulerchar.orbits import enumerate_orbits, scattering_amplitude
 from eulerchar.spectrum import secular_spectrum
 
 

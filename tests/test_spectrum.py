@@ -9,6 +9,7 @@ import pytest
 from eulerchar import (
     GraphError,
     Spectrum,
+    SpectrumCountError,
     analytic_spectrum,
     build_graph,
     cli,
@@ -22,7 +23,6 @@ from eulerchar import (
     preset,
     read_spectrum_csv,
     recover_chi,
-    secular_matrix,
     secular_spectrum,
     spectrum_csv_text,
     spectrum_with_count,
@@ -35,7 +35,7 @@ from eulerchar import (
     write_spectrum_csv,
 )
 from eulerchar import spectrum as spectrum_module
-from eulerchar.spectrum import _GRID_ENTRIES, _Bonds, _grid
+from eulerchar.spectrum import _GRID_ENTRIES, _Bonds, _grid, secular_matrix
 
 
 def r2_graph():
@@ -592,6 +592,26 @@ def test_certificate_has_teeth(monkeypatch):
     monkeypatch.setattr(_Bonds, "vertex_count",
                         lambda self, k: (real(self, k)[0], np.ones(k.shape, dtype=bool)))
     assert np.any(bonds.count(k) != by_phases)
+
+
+def test_a_probe_count_out_of_order_raises(monkeypatch):
+    # One certified probe count one too high puts N out of order in its
+    # bracket; the solver must refuse rather than repair it (repaired, k5 to
+    # k = 8 lists 21 values that validate_spectrum accepts).
+    real = _Bonds.vertex_count
+    bumped = []
+
+    def one_too_high(self, k, newton=False):
+        count, sure, *rest = real(self, k, newton)
+        if newton and not bumped:
+            bumped.append(np.flatnonzero(sure)[0])
+            count[bumped[0]] += 1
+        return (count, sure, *rest)
+
+    monkeypatch.setattr(_Bonds, "vertex_count", one_too_high)
+    with pytest.raises(SpectrumCountError, match="eigenvalue count of 'k5' decreases"):
+        secular_spectrum(preset("k5"), 8.0)
+    assert bumped
 
 
 def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
