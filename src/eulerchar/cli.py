@@ -246,18 +246,32 @@ def cmd_verify_trace(args: argparse.Namespace) -> int:
 # Experiments
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+def _figure(stem: Path, title: str, x: tuple[str, np.ndarray], ylabel: str,
+            columns: list[tuple[str, str, np.ndarray]], **plot) -> None:
+    """Write stem.csv and stem.svg from one column table, so a plot cannot drift from its data.
+
+    x is (name, values), the CSV's first column and the plot's x axis; each
+    column is (CSV header, legend label, values). x cells are written :.6g and
+    value cells :.16e; plot takes line_plot's keywords.
+    """
+    x_name, xs = x
+    rows = [",".join([x_name] + [header for header, _, _ in columns])]
+    rows += [f"{xv:.6g}," + ",".join(f"{ys[i]:.16e}" for _, _, ys in columns)
+             for i, xv in enumerate(xs)]
+    stem.with_suffix(".csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    series = [Series(label, [float(xv) for xv in xs], list(ys)) for _, label, ys in columns]
+    line_plot(stem.with_suffix(".svg"), title, x_name, ylabel, series, **plot)
 
 
 def _experiment_table(out: Path, eps_bar: float) -> int:
     plans = [optimal_plan(eps_bar, 0.0, rho / 2.0, 1.0) for rho in TABLE_RHOS]
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     for rho, plan in zip(TABLE_RHOS, plans):
-        rows.append(f"{rho:.16g},{plan.d},{plan.J}")
         print(f"rho={rho:<8g} d*={plan.d} J*-M={plan.J}")
-    _write_csv(out / "table.csv", "rho,d,J_minus_M", rows)
+    (out / "table.csv").write_text(
+        "rho,d,J_minus_M\n" + "".join(f"{rho:.16g},{plan.d},{plan.J}\n"
+                                      for rho, plan in zip(TABLE_RHOS, plans)),
+        encoding="utf-8")
     print(f"wrote {out / 'table.csv'}")
     return EXIT_OK
 
@@ -269,25 +283,12 @@ def _experiment_compare(out: Path) -> int:
     tf = cosine_power(d)
     names = ("k5", "k5-pendant", "k33")
     ts = np.round(np.arange(0.02, 0.701, 0.01), 10)
-    columns = []
-    chis = []
-    for name in names:
-        g = preset(name)
-        chis.append(summarize(g).chi)
-        s = spectrum_with_count(g, J)
-        columns.append(truncated_sum(s, tf, ts, J))
-    rows = [
-        f"{t:.6g}," + ",".join(f"{c[i]:.16e}" for c in columns) for i, t in enumerate(ts)
-    ]
-    _write_csv(out / "compare.csv", "t," + ",".join(n.replace("-", "_") for n in names), rows)
-    line_plot(
-        out / "compare.svg",
-        f"Truncated sums, d={d}, J={J}",
-        "t",
-        "S_J(t)",
-        [Series(n, list(ts), list(c)) for n, c in zip(names, columns)],
-        hlines=tuple(float(c) for c in chis),
-    )
+    graphs = [preset(name) for name in names]
+    chis = [summarize(g).chi for g in graphs]
+    columns = [truncated_sum(spectrum_with_count(g, J), tf, ts, J) for g in graphs]
+    _figure(out / "compare", f"Truncated sums, d={d}, J={J}", ("t", ts), "S_J(t)",
+            [(n.replace("-", "_"), n, c) for n, c in zip(names, columns)],
+            hlines=tuple(float(c) for c in chis))
     for name, chi, col in zip(names, chis, columns):
         at_half = float(col[np.argmin(np.abs(ts - 0.5))])
         print(f"{name}: chi={chi}, S_{J}(0.5)={at_half:.4f}")
@@ -331,11 +332,11 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     exact = recovery_row(s, -1)
     failures = 0
-    noisy_cache: list[Spectrum] = []
+    overlays: list[tuple[str, Spectrum]] = []
     for model in noise:
         noisy = perturb_spectrum(s, model)
-        if len(noisy_cache) < 3:
-            noisy_cache.append(noisy)
+        if len(overlays) < 3:
+            overlays.append((f"S_noisy_seed{model.seed}", noisy))
         failures += recovery_row(noisy, model.seed).chi_hat != chi
     header = "t,J,S,abs_err,bound,seed"
     (out / "recovery.csv").write_text(plan_echo + header + "\n" + "\n".join(rows) + "\n",
@@ -344,42 +345,18 @@ def run_experiment(config: ExperimentConfig) -> int:
     # Sweep of S_J over the time scaling, exact and three noisy overlays.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
     exact_sweep = truncated_sum(s, tf, ts, plan.J)
-    overlays = [truncated_sum(n, tf, ts, plan.J) for n in noisy_cache]
-    sweep_rows = []
-    for i, t in enumerate(ts):
-        cells = [f"{t:.6g}", f"{exact_sweep[i]:.16e}"]
-        cells.extend(f"{o[i]:.16e}" for o in overlays)
-        sweep_rows.append(",".join(cells))
-    overlay_names = [f"S_noisy_seed{config.base_seed + i}" for i in range(len(overlays))]
-    _write_csv(out / "sweep_t.csv", "t,S_exact," + ",".join(overlay_names), sweep_rows)
-    line_plot(
-        out / "sweep_t.svg",
-        f"{g.name}: S_J(t), J={plan.J}, d={plan.d}, delta={delta:.2e}",
-        "t",
-        "S_J(t)",
-        [Series("exact", list(ts), list(exact_sweep))]
-        + [Series(n, list(ts), list(o)) for n, o in zip(overlay_names, overlays)],
-        hlines=(float(chi),),
-    )
+    _figure(out / "sweep_t", f"{g.name}: S_J(t), J={plan.J}, d={plan.d}, delta={delta:.2e}",
+            ("t", ts), "S_J(t)",
+            [("S_exact", "exact", exact_sweep)]
+            + [(name, name, truncated_sum(n, tf, ts, plan.J)) for name, n in overlays],
+            hlines=(float(chi),))
 
     # Cosine power against the triangular function at the same J.
-    psi_sweep = truncated_sum(s, triangular(), ts, plan.J)
-    _write_csv(
-        out / "testfn_compare.csv",
-        "t,S_cosine_power,S_triangular",
-        [f"{t:.6g},{exact_sweep[i]:.16e},{psi_sweep[i]:.16e}" for i, t in enumerate(ts)],
-    )
-    line_plot(
-        out / "testfn_compare.svg",
-        f"{g.name}: test function comparison, J={plan.J}",
-        "t",
-        "S_J(t)",
-        [
-            Series(f"cosine power d={plan.d}", list(ts), list(exact_sweep)),
-            Series("triangular", list(ts), list(psi_sweep)),
-        ],
-        hlines=(float(chi),),
-    )
+    _figure(out / "testfn_compare", f"{g.name}: test function comparison, J={plan.J}",
+            ("t", ts), "S_J(t)",
+            [("S_cosine_power", f"cosine power d={plan.d}", exact_sweep),
+             ("S_triangular", "triangular", truncated_sum(s, triangular(), ts, plan.J))],
+            hlines=(float(chi),))
 
     def sweep_bound(J: int, t: float) -> float:
         """The certified bound at (J, t), NaN outside the tail bound's domain."""
@@ -389,44 +366,19 @@ def run_experiment(config: ExperimentConfig) -> int:
             return math.nan
 
     # Error against certified bound, sweeping t at fixed J.
-    err_t_rows = []
-    errs_t, bounds_t = [], []
-    for i, t in enumerate(ts):
-        err = abs(exact_sweep[i] - chi)
-        b = sweep_bound(plan.J, float(t))
-        errs_t.append(err)
-        bounds_t.append(b)
-        err_t_rows.append(f"{t:.6g},{err:.16e},{b:.16e}")
-    _write_csv(out / "error_vs_t.csv", "t,abs_err,bound", err_t_rows)
-    line_plot(
-        out / "error_vs_t.svg",
-        f"{g.name}: |S_J(t) - chi| vs bound, J={plan.J}",
-        "t",
-        "absolute error",
-        [Series("error", list(ts), errs_t), Series("bound", list(ts), bounds_t)],
-        log_y=True,
-    )
+    _figure(out / "error_vs_t", f"{g.name}: |S_J(t) - chi| vs bound, J={plan.J}",
+            ("t", ts), "absolute error",
+            [("abs_err", "error", np.abs(exact_sweep - chi)),
+             ("bound", "bound", [sweep_bound(plan.J, float(t)) for t in ts])],
+            log_y=True)
 
     # Error against certified bound, sweeping J at the plan's t.
-    js = list(range(2, J_hi + 1))
-    errs_j, bounds_j = [], []
-    err_j_rows = []
-    for J in js:
-        err = abs(truncated_sum(s, tf, plan.t, J) - chi)
-        b = sweep_bound(J, plan.t)
-        errs_j.append(err)
-        bounds_j.append(b)
-        err_j_rows.append(f"{J},{err:.16e},{b:.16e}")
-    _write_csv(out / "error_vs_J.csv", "J,abs_err,bound", err_j_rows)
-    line_plot(
-        out / "error_vs_J.svg",
-        f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
-        "J",
-        "absolute error",
-        [Series("error", [float(j) for j in js], errs_j),
-         Series("bound", [float(j) for j in js], bounds_j)],
-        log_y=True,
-    )
+    js = range(2, J_hi + 1)
+    _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
+            ("J", js), "absolute error",
+            [("abs_err", "error", [abs(truncated_sum(s, tf, plan.t, J) - chi) for J in js]),
+             ("bound", "bound", [sweep_bound(J, plan.t) for J in js])],
+            log_y=True)
 
     print(f"graph {g.name}: chi={chi}, plan d={plan.d}, J={plan.J}, "
           f"t={plan.t:.6g}, delta_max={plan.delta_max:.3e}")

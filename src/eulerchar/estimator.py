@@ -19,7 +19,9 @@ the sums bit for bit equal to one scalar transform call per term.
 Noise is uniform on [-delta, +delta] per positive eigenfrequency, generated
 by an in-repo 64-bit mixing recurrence (the SplitMix64 finalizer) so that
 identical seeds give byte-identical spectra on every platform; numpy's
-generators make no such cross-version promise.
+generators make no such cross-version promise. The recurrence runs in exact
+np.uint64 arithmetic over all indices of a spectrum in one array pass; the
+tests hold it bit for bit equal to the same steps on Python integers.
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ __all__ = [
     "nint",
 ]
 
+# SplitMix64 in np.uint64, whose arithmetic wraps mod 2^64. Every operand is
+# a np.uint64: numpy 1.22 turns uint64 mixed with a Python int into float64.
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE, _S11, _S27, _S30, _S31 = (np.uint64(n) for n in (1, 11, 27, 30, 31))
 
 
 @dataclass(frozen=True)
@@ -61,18 +66,21 @@ class NoiseModel:
         if not 0.0 <= self.delta < math.inf:
             raise ValueError("delta must be finite and nonnegative")
 
-    def sample(self, j: int) -> float:
+    def sample(self, j: int | np.ndarray) -> float | np.ndarray:
         """The perturbation of the j-th eigenfrequency (1-based), in [-delta, delta].
 
-        Each sample mixes seed and index independently, so perturbing a
-        spectrum is order-independent and trivially parallel.
+        j may be an array of indices, which gives an array in one pass; a
+        scalar j gives a float. Each sample mixes seed and index independently,
+        so perturbing a spectrum is order-independent.
         """
-        z = (self.seed + (j + 1) * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        z = z ^ (z >> 31)
-        u = (z >> 11) * 2.0**-53
-        return self.delta * (2.0 * u - 1.0)
+        z = np.atleast_1d(np.asarray(j, dtype=np.uint64))
+        z = np.uint64(self.seed & _MASK64) + (z + _ONE) * _GOLDEN
+        z = (z ^ (z >> _S30)) * _MIX1
+        z = (z ^ (z >> _S27)) * _MIX2
+        z ^= z >> _S31
+        u = (z >> _S11).astype(float) * 2.0**-53
+        x = self.delta * (2.0 * u - 1.0)
+        return float(x[0]) if np.ndim(j) == 0 else x
 
 
 def nint(x: float) -> int:
@@ -155,14 +163,10 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
     should rely on.
     """
-    values = [s.values[0]]
-    for j, k in enumerate(s.values[1:], start=2):
-        if k > 0.0:
-            values.append(max(0.0, k + noise.sample(j)))
-        else:
-            values.append(k)
-    values.sort()
-    return Spectrum(tuple(values), s.k_max_covered, "external", s.tol + noise.delta)
+    k = np.array(s.values[1:])
+    noisy = np.where(k > 0.0, np.maximum(0.0, k + noise.sample(np.arange(2, k.size + 2))), k)
+    values = np.sort(np.concatenate(([s.values[0]], noisy)))
+    return Spectrum(tuple(values.tolist()), s.k_max_covered, "external", s.tol + noise.delta)
 
 
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:

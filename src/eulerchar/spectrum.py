@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MetricGraph, equilateral_subdivision, summarize, two_colouring
+from .graph import MetricGraph, equilateral_subdivision, two_colouring
 
 __all__ = [
     "Spectrum",
@@ -530,12 +530,13 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     """Check a spectrum against a proved estimate and the exact count of g."""
-    summary = summarize(g)
+    bonds = _Bonds(g)
+    M, L = len(g.vertices), bonds.total_length
     messages: list[str] = []
 
     weyl_lower_ok = True
     for j, k in enumerate(s.values, start=1):
-        lower = (j - summary.M) * math.pi / summary.total_length
+        lower = (j - M) * math.pi / L
         if k < lower - s.tol:
             weyl_lower_ok = False
             messages.append(f"k_{j} = {k:.12g} violates the bound (j - M) pi / L = {lower:.12g}")
@@ -548,9 +549,8 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     # Values within tol of their true counterparts, listed completely up to
     # K, leave between N(K - tol) and N(K + tol) of them in (0, K]. N is 0
     # below pi / L, the lowest possible k_2.
-    bonds = _Bonds(g)
     K = s.k_max_covered
-    low, high = (int(bonds.count(k)[0]) if k >= math.pi / summary.total_length else 0
+    low, high = (int(bonds.count(k)[0]) if k >= math.pi / L else 0
                  for k in (K - s.tol - ROOT_TOL, K + s.tol + ROOT_TOL))
     listed = sum(1 for k in s.values[1:] if k <= K)
     count_ok = low <= listed <= high

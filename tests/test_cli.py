@@ -48,6 +48,15 @@ def test_plan_from_graph_priors(capsys):
     assert "t=0.5" in out
 
 
+def test_plan_notes_an_order_boundary_only_near_one(capsys):
+    assert main(["plan", "--M", "2", "--L", "6", "--lmin", "1", "--eps", "0.01"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "note=order boundary: d=3 needs J=83, within 2 of J=81; "
+        "d* is sensitive to rounding in rho near this point")
+    assert main(["plan", "--graph", "lasso"]) == 0
+    assert "note=" not in capsys.readouterr().out
+
+
 def test_plan_missing_arguments(capsys):
     code = main(["plan", "--M", "2"])
     err = capsys.readouterr().err

@@ -352,6 +352,38 @@ def test_perturb_spectrum_properties(lasso_spectrum):
     assert other.values != noisy.values
 
 
+def reference_sample(noise: NoiseModel, j: int) -> float:
+    """The SplitMix64 steps of NoiseModel.sample on Python integers, one index at a time."""
+    mask = (1 << 64) - 1
+    z = (noise.seed + (j + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return noise.delta * (2.0 * ((z >> 11) * 2.0**-53) - 1.0)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
+def test_noise_sample_is_bit_identical_to_the_python_int_recurrence(seed):
+    noise = NoiseModel(delta=2e-3, seed=seed)
+    j = np.arange(1, 5001)
+    expected = [reference_sample(noise, int(i)) for i in j]
+    assert bits(noise.sample(j)) == bits(expected)
+    assert type(noise.sample(5)) is float
+    assert bits([noise.sample(5)]) == bits(expected[4:5])
+
+
+def test_perturb_spectrum_is_bit_identical_to_the_per_value_loop():
+    s = spectrum_with_count(preset("k5"), 500)
+    noise = NoiseModel(delta=K5_PLAN.delta_max, seed=7)
+    expected = [s.values[0]] + [max(0.0, k + reference_sample(noise, j)) if k > 0.0 else k
+                                for j, k in enumerate(s.values[1:], start=2)]
+    assert bits(perturb_spectrum(s, noise).values) == bits(sorted(expected))
+
+
 def test_perturb_zero_delta_is_identity(lasso_spectrum):
     noisy = perturb_spectrum(lasso_spectrum, NoiseModel(delta=0.0, seed=11))
     assert noisy.values == lasso_spectrum.values
