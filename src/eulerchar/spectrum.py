@@ -500,18 +500,16 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
 def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> Spectrum:
     """The first `count` eigenfrequencies by the chosen method.
 
-    k_max is where the exact count first reaches `count`, to pi / (4 L), so
-    at least count + 1 values are listed and k_max_covered falls between
-    two; when the cut splits a cluster of equal values, below the cluster.
+    The method lists everything up to hi = (count + N + 1) pi / L, where
+    Dirichlet bracketing, N(k) >= L k / pi - N - 1, proves N(hi) >= count,
+    so at least count + 1 values are listed with k_1 = 0. The listing is
+    cut after `count` values and k_max_covered falls between the last kept
+    value and the next; when the cut splits a cluster of equal values,
+    below the cluster.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    bonds = _Bonds(g)
-    # Dirichlet bracketing: N(k) >= L k / pi - N - 1, so N(hi) >= count.
-    lo, hi = 0.0, (count + len(g.edges) + 1) * math.pi / bonds.total_length
-    while hi - lo > math.pi / (4.0 * bonds.total_length):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if bonds.count(mid)[0] >= count else (mid, hi)
+    hi = (count + len(g.edges) + 1) * math.pi / g.total_length()
     s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method](g, hi)
     if len(s.values) <= count:
         raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "

@@ -200,7 +200,8 @@ def test_von_below_rejects_lengths_without_a_usable_divisor():
 
 
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
-    # The bisection for k_max counts on the 2-edge lasso, not on its 1,000 pieces.
+    # Listing by von Below builds no _Bonds: not on the lasso's 1,000 pieces,
+    # and, k_max coming from the Dirichlet bound, not on the lasso itself.
     g = LIFTED_GRAPHS["long-lasso"]
     sizes = []
 
@@ -215,7 +216,7 @@ def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys
     doc.write_text(to_document(g))
     assert cli.main(["spectrum", str(doc), "--count", "60", "--method", "von-below"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("60,")
-    assert sizes and max(sizes) == len(g.edges)
+    assert sizes == []
 
 
 def test_von_below_handles_parallel_edges():
@@ -522,6 +523,22 @@ def assert_vertex_count_exact(g, k):
 def planned_j(g):
     info = summarize(g)
     return optimal_plan(0.25, info.M, info.total_length, info.l_min).J
+
+
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
+def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
+    # k_max is the Dirichlet bound, so the grid's is the one count without Newton targets.
+    g = preset(name)
+    flags = []
+    real = _Bonds.vertex_count
+
+    def recorded(self, k, newton=False):
+        flags.append(newton)
+        return real(self, k, newton)
+
+    monkeypatch.setattr(_Bonds, "vertex_count", recorded)
+    spectrum_with_count(g, planned_j(g))
+    assert flags.count(False) == 1
 
 
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8"])
