@@ -268,10 +268,8 @@ def _experiment_table(out: Path, eps_bar: float) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for rho, plan in zip(TABLE_RHOS, plans):
         print(f"rho={rho:<8g} d*={plan.d} J*-M={plan.J}")
-    (out / "table.csv").write_text(
-        "rho,d,J_minus_M\n" + "".join(f"{rho:.16g},{plan.d},{plan.J}\n"
-                                      for rho, plan in zip(TABLE_RHOS, plans)),
-        encoding="utf-8")
+    rows = "".join(f"{rho:.16g},{plan.d},{plan.J}\n" for rho, plan in zip(TABLE_RHOS, plans))
+    (out / "table.csv").write_text("rho,d,J_minus_M\n" + rows, encoding="utf-8")
     print(f"wrote {out / 'table.csv'}")
     return EXIT_OK
 
@@ -280,12 +278,11 @@ def _experiment_compare(out: Path) -> int:
     """Overlay of S_30(t) with d=1 for the three equal-total-chi-gap graphs."""
     out.mkdir(parents=True, exist_ok=True)
     J, d = 30, 1
-    tf = cosine_power(d)
     names = ("k5", "k5-pendant", "k33")
     ts = np.round(np.arange(0.02, 0.701, 0.01), 10)
     graphs = [preset(name) for name in names]
     chis = [summarize(g).chi for g in graphs]
-    columns = [truncated_sum(spectrum_with_count(g, J), tf, ts, J) for g in graphs]
+    columns = [truncated_sum(spectrum_with_count(g, J), cosine_power(d), ts, J) for g in graphs]
     _figure(out / "compare", f"Truncated sums, d={d}, J={J}", ("t", ts), "S_J(t)",
             [(n.replace("-", "_"), n, c) for n, c in zip(names, columns)],
             hlines=tuple(float(c) for c in chis))
@@ -312,9 +309,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     delta = plan.delta_max if config.delta is None else config.delta
     noise = [NoiseModel(delta, config.base_seed + i) for i in range(config.seeds)]
     tf = cosine_power(plan.d)
-
-    J_hi = plan.J + 20
-    s = spectrum_with_count(g, J_hi)
+    s = spectrum_with_count(g, plan.J + 20)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "plan.txt").write_text(plan_block(plan), encoding="utf-8")
@@ -322,7 +317,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     # Noisy recovery sweep; the seed=-1 row is the exact spectrum.
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
-    rows: list[str] = []
+    rows = ["t,J,S,abs_err,bound,seed"]
 
     def recovery_row(spec: Spectrum, seed: int) -> Estimate:
         est = certify(spec, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
@@ -338,9 +333,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         if len(overlays) < 3:
             overlays.append((f"S_noisy_seed{model.seed}", noisy))
         failures += recovery_row(noisy, model.seed).chi_hat != chi
-    header = "t,J,S,abs_err,bound,seed"
-    (out / "recovery.csv").write_text(plan_echo + header + "\n" + "\n".join(rows) + "\n",
-                                      encoding="utf-8")
+    (out / "recovery.csv").write_text(plan_echo + "\n".join(rows) + "\n", encoding="utf-8")
 
     # Sweep of S_J over the time scaling, exact and three noisy overlays.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
@@ -373,7 +366,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             log_y=True)
 
     # Error against certified bound, sweeping J at the plan's t.
-    js = range(2, J_hi + 1)
+    js = range(2, len(s.values) + 1)
     _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
             ("J", js), "absolute error",
             [("abs_err", "error", [abs(truncated_sum(s, tf, plan.t, J) - chi) for J in js]),

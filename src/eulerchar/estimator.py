@@ -52,7 +52,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_ONE, _S11, _S27, _S30, _S31 = (np.uint64(n) for n in (1, 11, 27, 30, 31))
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,11 @@ class NoiseModel:
         so perturbing a spectrum is order-independent.
         """
         z = np.atleast_1d(np.asarray(j, dtype=np.uint64))
-        z = np.uint64(self.seed & _MASK64) + (z + _ONE) * _GOLDEN
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z ^= z >> _S31
-        u = (z >> _S11).astype(float) * 2.0**-53
+        z = np.uint64(self.seed & _MASK64) + (z + np.uint64(1)) * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        z ^= z >> np.uint64(31)
+        u = (z >> np.uint64(11)).astype(float) * 2.0**-53
         x = self.delta * (2.0 * u - 1.0)
         return float(x[0]) if np.ndim(j) == 0 else x
 

@@ -500,12 +500,11 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
 def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> Spectrum:
     """The first `count` eigenfrequencies by the chosen method.
 
-    The method lists everything up to hi = (count + N + 1) pi / L, where
-    Dirichlet bracketing, N(k) >= L k / pi - N - 1, proves N(hi) >= count,
-    so at least count + 1 values are listed with k_1 = 0. The listing is
-    cut after `count` values and k_max_covered falls between the last kept
-    value and the next; when the cut splits a cluster of equal values,
-    below the cluster.
+    The method lists up to hi = (count + N + 1) pi / L, where N(hi) >= count
+    by Dirichlet bracketing, N(k) >= L k / pi - N - 1, so at least count + 1
+    values with k_1 = 0. The cut keeps `count`; k_max_covered falls between
+    the last kept value and the next, or below a cluster of equal values that
+    the cut splits.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
