@@ -500,25 +500,31 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
 def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> Spectrum:
     """The first `count` eigenfrequencies by the chosen method.
 
-    The method lists up to hi = (count + N + 1) pi / L, where N(hi) >= count
-    by Dirichlet bracketing, N(k) >= L k / pi - N - 1, so at least count + 1
-    values with k_1 = 0. The cut keeps `count`; k_max_covered falls between
-    the last kept value and the next, or below a cluster of equal values that
-    the cut splits.
+    Listed up to Weyl's estimate (count + 3 + max(N - M, 0)) pi / L, as N(k)
+    averages L k / pi + (M - N) / 2 - 1 and equilateral complete graphs lag it
+    by up to (N - M) / 2; where that falls short (a star lags more), up to
+    (count + N + 1) pi / L, where Dirichlet bracketing gives N >= count. Both
+    add 1/8, so that grids of step pi / (4 L) miss the Dirichlet points of
+    equilateral graphs, which the vertex count does not certify. k_max_covered
+    is halfway from the last kept value to the next, or to the one below a
+    cluster of equal values that the cut splits.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    hi = (count + len(g.edges) + 1) * math.pi / g.total_length()
-    s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method](g, hi)
-    if len(s.values) <= count:
-        raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
-                                 f"the exact count gives at least {count + 1}")
-    cut = s.values[count - 1]
-    if s.values[count] - cut > s.tol:
-        covered = 0.5 * (cut + s.values[count])
+    n_edges, length = len(g.edges), g.total_length()
+    hi = (count + n_edges + 1.125) * math.pi / length
+    weyl = (count + 3.125 + max(n_edges - len(g.vertices), 0)) * math.pi / length
+    for k_max in sorted({weyl, hi}):
+        s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method](g, k_max)
+        if len(s.values) > count:
+            break
     else:
-        covered = 0.5 * (cut + max(v for v in s.values if v < cut - s.tol))
-    return Spectrum(s.values[:count], covered, s.method, s.tol)
+        raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
+                                 f"the Dirichlet bound gives at least {count + 1}")
+    cut, above = s.values[count - 1], s.values[count]
+    if above - cut <= s.tol:
+        above = max(v for v in s.values if v < cut - s.tol)
+    return Spectrum(s.values[:count], 0.5 * (cut + above), s.method, s.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +565,10 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
 
 def compare_spectra(a: Spectrum, b: Spectrum, count: int | None = None) -> float:
     """Max elementwise |k difference| over the first count shared values."""
-    n = min(len(a.values), len(b.values))
-    if count is not None:
-        n = min(n, count)
+    n = min(len(a.values), len(b.values), len(a.values) if count is None else count)
     if n == 0:
         raise ValueError("no shared values to compare")
-    av = np.array(a.values[:n])
-    bv = np.array(b.values[:n])
-    return float(np.max(np.abs(av - bv)))
+    return float(np.max(np.abs(np.array(a.values[:n]) - np.array(b.values[:n]))))
 
 
 def spectrum_csv_text(s: Spectrum, metadata: dict | None = None) -> str:

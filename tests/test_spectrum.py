@@ -201,7 +201,7 @@ def test_von_below_rejects_lengths_without_a_usable_divisor():
 
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
     # Listing by von Below builds no _Bonds: not on the lasso's 1,000 pieces,
-    # and, k_max coming from the Dirichlet bound, not on the lasso itself.
+    # and, k_max coming from Weyl's estimate, not on the lasso itself.
     g = LIFTED_GRAPHS["long-lasso"]
     sizes = []
 
@@ -527,7 +527,7 @@ def planned_j(g):
 
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
 def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
-    # k_max is the Dirichlet bound, so the grid's is the one count without Newton targets.
+    # k_max is Weyl's estimate, so the grid's is the one count without Newton targets.
     g = preset(name)
     flags = []
     real = _Bonds.vertex_count
@@ -539,6 +539,41 @@ def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
     monkeypatch.setattr(_Bonds, "vertex_count", recorded)
     spectrum_with_count(g, planned_j(g))
     assert flags.count(False) == 1
+
+
+def test_spectrum_with_count_lists_a_long_cycle_near_weyls_estimate(monkeypatch):
+    # A cycle of 1,000 unit edges is a loop of length 1,000: 0, then 2 pi n / 1000
+    # twice. Its grid to Weyl's estimate has 253 points times 2N = 2,000; to the
+    # Dirichlet bound, (60 + 1001) pi / L, it would have 4,245, over the budget.
+    vs = [f"v{i}" for i in range(1000)]
+    g = build_graph("cycle", vs, [(v, vs[i - 1], 1.0) for i, v in enumerate(vs)])
+    seen = []
+
+    def loop_listing(graph, k_max):
+        seen.append(k_max)
+        n = 2 * int(k_max * 1000.0 / (2.0 * math.pi)) + 1
+        return Spectrum(analytic_spectrum("loop", n, length=1000.0).values, k_max, "secular", 1e-10)
+
+    monkeypatch.setattr(spectrum_module, "secular_spectrum", loop_listing)
+    s = spectrum_with_count(g, 60)
+    assert s.values == analytic_spectrum("loop", 60, length=1000.0).values
+    assert seen == [pytest.approx(63.125 * math.pi / 1000.0)]
+    assert (4.0 * 1000.0 * seen[0] / math.pi + 1.0) * 2000 < _GRID_ENTRIES / 8
+
+
+def test_spectrum_with_count_lists_to_the_dirichlet_bound_when_weyls_estimate_falls_short(
+        monkeypatch):
+    # The 19-fold cluster at pi / 2 of a 20-arm star lies beyond Weyl's
+    # estimate for 5 values, (5 + 3.125) pi / 20, so the star is listed twice.
+    g = star_graph(20)
+    seen = []
+    real = spectrum_module.secular_spectrum
+    monkeypatch.setattr(spectrum_module, "secular_spectrum",
+                        lambda graph, k_max: seen.append(k_max) or real(graph, k_max))
+    s = spectrum_with_count(g, 5)
+    assert seen == [pytest.approx(8.125 * math.pi / 20.0), pytest.approx(26.125 * math.pi / 20.0)]
+    assert compare_spectra(s, analytic_spectrum("equilateral-star", 5, arms=20)) < 1e-10
+    assert validate_spectrum(s, g).ok
 
 
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8"])
