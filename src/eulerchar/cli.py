@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import Estimate, NoiseModel, certified_bound, certify, perturb_spectrum, truncated_sum
+from .estimator import (NoiseModel, _truncated_sums, certified_bound, certify, certify_perturbed,
+                        perturb_spectrum, truncated_sum)
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
-    Spectrum,
     SpectrumCountError,
     compare_spectra,
     read_spectrum_csv,
@@ -225,10 +225,9 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 def cmd_verify_trace(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     tf = triangular() if args.psi else cosine_power(1 if args.d is None else args.d)
-    summary = summarize(g)
     kmax = args.kmax
     if kmax is None:
-        kmax = (summary.M + 200) * math.pi / summary.total_length
+        kmax = (len(g.vertices) + 200) * math.pi / g.total_length()
     s = secular_spectrum(g, kmax)
     lhs, rhs, gap, bound = trace_check(g, tf, args.t, s)
     print(f"lhs={lhs:.16g}")
@@ -317,23 +316,14 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     # Noisy recovery sweep; the seed=-1 row is the exact spectrum.
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
-    rows = ["t,J,S,abs_err,bound,seed"]
-
-    def recovery_row(spec: Spectrum, seed: int) -> Estimate:
-        est = certify(spec, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
-        rows.append(f"{plan.t:.16g},{plan.J},{est.S:.16e},{abs(est.S - chi):.16e},"
-                    f"{est.bound:.16e},{seed}")
-        return est
-
-    exact = recovery_row(s, -1)
-    failures = 0
-    overlays: list[tuple[str, Spectrum]] = []
-    for model in noise:
-        noisy = perturb_spectrum(s, model)
-        if len(overlays) < 3:
-            overlays.append((f"S_noisy_seed{model.seed}", noisy))
-        failures += recovery_row(noisy, model.seed).chi_hat != chi
+    exact = certify(s, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
+    noisy = certify_perturbed(s, tf, plan.t, plan.J, plan.M_bar, plan.L_bar, noise)
+    rows = ["t,J,S,abs_err,bound,seed"] + [
+        f"{plan.t:.16g},{plan.J},{est.S:.16e},{abs(est.S - chi):.16e},{est.bound:.16e},{seed}"
+        for seed, est in [(-1, exact)] + [(m.seed, est) for m, est in zip(noise, noisy)]]
+    failures = sum(est.chi_hat != chi for est in noisy)
     (out / "recovery.csv").write_text(plan_echo + "\n".join(rows) + "\n", encoding="utf-8")
+    overlays = [(f"S_noisy_seed{m.seed}", perturb_spectrum(s, m)) for m in noise[:3]]
 
     # Sweep of S_J over the time scaling, exact and three noisy overlays.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
@@ -365,11 +355,12 @@ def run_experiment(config: ExperimentConfig) -> int:
              ("bound", "bound", [sweep_bound(plan.J, float(t)) for t in ts])],
             log_y=True)
 
-    # Error against certified bound, sweeping J at the plan's t.
+    # Error against certified bound, sweeping J at the plan's t; the sums are truncated_sum's for
+    # the J array, taken from its row sums since bench/tracing.py counts J - 1 terms per call.
     js = range(2, len(s.values) + 1)
     _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
             ("J", js), "absolute error",
-            [("abs_err", "error", [abs(truncated_sum(s, tf, plan.t, J) - chi) for J in js]),
+            [("abs_err", "error", np.abs(_truncated_sums(np.array(s.values), tf, plan.t, js) - chi)),
              ("bound", "bound", [sweep_bound(J, plan.t) for J in js])],
             log_y=True)
 

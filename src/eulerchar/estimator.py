@@ -11,17 +11,17 @@ recovers chi exactly once the certified bound drops below 1/2.
 the one place that writes that bound and decides where it applies; ``certify``
 pairs it with the sum in an ``Estimate``, certified iff the bound is below 1/2.
 
-Each sum takes one array evaluation of the transform over all its terms (and
-over all time scalings of a sweep); the terms are then added with math.fsum,
-whose correctly rounded result does not depend on their order. The tests hold
-the sums bit for bit equal to one scalar transform call per term.
+Each sweep takes one array evaluation of the transform over all its terms: over
+all time scalings t, truncations J or noise models at once; each sum adds its
+terms with math.fsum, whose correctly rounded result does not depend on their
+order. The tests hold the sums bit for bit equal to one scalar call per term.
 
 Noise is uniform on [-delta, +delta] per positive eigenfrequency, generated
 by an in-repo 64-bit mixing recurrence (the SplitMix64 finalizer) so that
 identical seeds give byte-identical spectra on every platform; numpy's
 generators make no such cross-version promise. The recurrence runs in exact
-np.uint64 arithmetic over all indices of a spectrum in one array pass; the
-tests hold it bit for bit equal to the same steps on Python integers.
+np.uint64 arithmetic over all (seed, index) pairs in one array pass; the tests
+hold it bit for bit equal to the same steps on Python integers.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "truncated_sum",
     "certified_bound",
     "certify",
+    "certify_perturbed",
     "perturb_spectrum",
     "recover_chi",
     "nint",
@@ -73,13 +74,28 @@ class NoiseModel:
         so perturbing a spectrum is order-independent.
         """
         z = np.atleast_1d(np.asarray(j, dtype=np.uint64))
-        z = np.uint64(self.seed & _MASK64) + (z + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z ^= z >> np.uint64(31)
-        u = (z >> np.uint64(11)).astype(float) * 2.0**-53
-        x = self.delta * (2.0 * u - 1.0)
+        x = _noise(self.delta, np.uint64(self.seed & _MASK64), z)
         return float(x[0]) if np.ndim(j) == 0 else x
+
+
+def _noise(delta, seed, j) -> np.ndarray:
+    """SplitMix64 of seed and index j (both np.uint64) mapped to [-delta, delta], broadcast."""
+    z = seed + (j + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(float) * 2.0**-53
+    return delta * (2.0 * u - 1.0)
+
+
+def _perturbed(values: tuple[float, ...], models: list[NoiseModel]) -> np.ndarray:
+    """One row of values per model: noise on each positive k_j (j >= 2), clamped at 0, sorted."""
+    seeds = np.array([m.seed & _MASK64 for m in models], dtype=np.uint64)[:, None]
+    deltas = np.array([m.delta for m in models])[:, None]
+    k = np.array(values[1:])
+    noise = _noise(deltas, seeds, np.arange(2, k.size + 2, dtype=np.uint64))
+    noisy = np.where(k > 0.0, np.maximum(0.0, k + noise), k)
+    return np.sort(np.concatenate((np.full((len(models), 1), values[0]), noisy), axis=1), axis=1)
 
 
 def nint(x: float) -> int:
@@ -88,34 +104,44 @@ def nint(x: float) -> int:
 
 
 def truncated_sum(
-    s: Spectrum, tf: TestFunction, t: float | np.ndarray, J: int
+    s: Spectrum, tf: TestFunction, t: float | np.ndarray, J: int | np.ndarray
 ) -> float | np.ndarray:
-    """S_J(t) over the first J eigenfrequencies of s, for a scalar t or a 1-D array of t.
+    """S_J(t) over the first J eigenfrequencies of s, for a scalar or a 1-D array of t and of J.
 
-    The j = 1 slot is the exact zero mode contributing 2 f_hat(0) = 2; the
-    rest add 2 Re f_hat(k_j / t). All terms come from one array evaluation of
-    the transform, on the (len(t), J - 1) grid when t is an array, and each
-    sum adds them with math.fsum, so the result is independent of the order
-    or chunking of the evaluation. An array t gives an array of sums. Each t
-    must be positive and finite, and k_J / t finite.
+    The j = 1 slot is the exact zero mode: 2 f_hat(0) is exactly 2 for every
+    test function, so it adds the literal 2.0. The rest add 2 Re f_hat(k_j / t),
+    all from one array evaluation of the transform at the largest J, on the
+    (len(t), J - 1) grid when t is an array; each J then adds its prefix of the
+    terms with math.fsum, so the result is independent of the order or chunking
+    of the evaluation. The result is a float for scalar t and J, else an array
+    of shape t.shape + J.shape. Each t must be positive and finite, each J in
+    1..len(s.values), and k_J / t finite.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D array")
+    return _truncated_sums(np.array(s.values), tf, t, J)
+
+
+def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.ndarray:
+    """truncated_sum over each row of values, of shape values.shape[:-1] + t.shape + J.shape."""
+    ts, Js = np.asarray(t, dtype=float), np.asarray(J)
+    if ts.ndim > 1 or Js.ndim > 1:
+        raise ValueError("t and J must be scalars or 1-D arrays")
     if not np.all((ts > 0.0) & (ts < math.inf)):
         raise ValueError("t must be positive and finite")
-    if J < 1:
+    if np.any(Js < 1):
         raise ValueError("J must be at least 1")
-    if len(s.values) < J:
-        raise ValueError(f"spectrum has {len(s.values)} values, need J = {J}")
-    k = np.asarray(s.values[1:J], dtype=float)
+    J_max = int(Js.max(initial=1))
+    if values.shape[-1] < J_max:
+        raise ValueError(f"spectrum has {values.shape[-1]} values, need J = {J_max}")
+    k = values[..., 1:J_max]
+    k_J = k[..., -1].max() if k.size else 0.0
     with np.errstate(over="ignore"):
-        if k.size and not np.all(np.isfinite(k[-1] / ts)):
-            raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k[-1]:.6g}")
-    terms = re_fourier(tf, k / ts[..., None])
-    head = 2.0 * re_fourier(tf, 0.0)
-    sums = [head + 2.0 * math.fsum(row) for row in np.atleast_2d(terms).tolist()]
-    return sums[0] if ts.ndim == 0 else np.array(sums)
+        if not np.all(np.isfinite(k_J / ts)):
+            raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
+    terms = re_fourier(tf, k[..., None, :] / ts.reshape(-1, 1))
+    rows = terms.reshape(math.prod(terms.shape[:-1]), J_max - 1).tolist()
+    sums = [[2.0 + 2.0 * math.fsum(row[:j - 1]) for j in Js.ravel().tolist()] for row in rows]
+    out = np.array(sums).reshape(values.shape[:-1] + ts.shape + Js.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float, tol: float) -> float:
@@ -154,17 +180,28 @@ def certify(s: Spectrum, tf: TestFunction, t: float, J: int,
     return Estimate(S, nint(S), bound)
 
 
+def certify_perturbed(s: Spectrum, tf: TestFunction, t: float, J: int, M: float | None,
+                      L: float | None, models: list[NoiseModel]) -> list[Estimate]:
+    """[certify(perturb_spectrum(s, m), tf, t, J, M, L) for m in models], bit for bit.
+
+    The noise of every model comes from one (models, index) grid and the sums
+    from one (models, J - 1) evaluation of the transform.
+    """
+    bounds = [math.nan if M is None or L is None else certified_bound(tf, J, M, L, t, s.tol + m.delta)
+              for m in models]
+    sums = _truncated_sums(_perturbed(s.values, models), tf, t, J).tolist()
+    return [Estimate(S, nint(S), bound) for S, bound in zip(sums, bounds)]
+
+
 def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     """Add independent uniform noise to every positive eigenfrequency.
 
     The zero mode is structurally exact and never perturbed. Results are
     clamped at 0 and re-sorted; the provenance becomes `external` and tol
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
-    should rely on.
+    should rely on. certify_perturbed draws the same noise for many models.
     """
-    k = np.array(s.values[1:])
-    noisy = np.where(k > 0.0, np.maximum(0.0, k + noise.sample(np.arange(2, k.size + 2))), k)
-    values = np.sort(np.concatenate(([s.values[0]], noisy)))
+    values = _perturbed(s.values, [noise])[0]
     return Spectrum(tuple(values.tolist()), s.k_max_covered, "external", s.tol + noise.delta)
 
 

@@ -120,7 +120,8 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     (-1)^d (d!)^2 exp(ik/2) sin(k/2) / (pi prod_{j=-d..d}(k/2pi + j)); the
     zeros of the product at k = 2 pi m, |m| <= d, are removable and handled by
     cancelling the vanishing factor against the sine inside a small window.
-    The two branches agree to better than 1e-12 at the crossover.
+    The two branches agree to better than 1e-12 at the crossover. When no
+    argument is inside a window, only the quotient form is evaluated.
     """
     fact2 = float(math.factorial(d)) ** 2
     sign = -1.0 if d % 2 else 1.0
@@ -130,23 +131,25 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     near = (np.abs(u) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
 
     full = np.ones_like(x)
-    reduced = np.ones_like(x)
     # Where full overflows the quotient is 0, the exact term below (d!)^2 / (2 pi 2^1024) < 1e-291.
     with np.errstate(over="ignore"):
         for j in range(-d, d + 1):
-            factor = x + j
-            full = full * factor
-            reduced = reduced * np.where(near & (m != -j), factor, 1.0)
+            full = full * (x + j)
 
     safe_full = np.where(near, 1.0, full)
-    alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
     if real_only:
         smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * safe_full)
-        series = sign * fact2 * np.cos(k / 2.0) * alt * _sinc(u / 2.0) / reduced
-        return np.where(near, series, smooth)
-    phase = np.exp(1j * k / 2.0)
-    smooth = sign * fact2 * phase * np.sin(k / 2.0) / (math.pi * safe_full)
-    series = sign * fact2 * phase * alt * _sinc(u / 2.0) / reduced
+    else:
+        phase = np.exp(1j * k / 2.0)
+        smooth = sign * fact2 * phase * np.sin(k / 2.0) / (math.pi * safe_full)
+    if not near.any():
+        return smooth
+
+    reduced = np.ones_like(x)
+    for j in range(-d, d + 1):
+        reduced = reduced * np.where(near & (m != -j), x + j, 1.0)
+    alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
+    series = sign * fact2 * (np.cos(k / 2.0) if real_only else phase) * alt * _sinc(u / 2.0) / reduced
     return np.where(near, series, smooth)
 
 

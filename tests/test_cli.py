@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import math
+import sys
 
 import pytest
 
@@ -377,6 +378,27 @@ def test_verify_trace_passes(capsys):
         next(ln for ln in out.splitlines() if ln.startswith("certified_bound="))[16:]
     )
     assert gap <= bound + 1e-9
+
+
+VERIFY_TRACE_K5 = """\
+lhs=-1.856762745781209
+rhs=-1.856784866050212
+gap=2.212e-05
+certified_bound=9.524e-04
+trace identity holds within the certified bound
+"""
+
+
+def test_verify_trace_reads_counts_and_length_from_the_graph(monkeypatch, capsys):
+    # summarize's shortest-cycle search is not needed: M, N and L come from the graph.
+    def refuse(g):
+        raise AssertionError("summarize called")
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("eulerchar")]:
+        if getattr(module, "summarize", None) is not None:
+            monkeypatch.setattr(module, "summarize", refuse)
+    assert main(["verify-trace", "--graph", "k5", "--t", "0.3"]) == 0
+    assert capsys.readouterr().out == VERIFY_TRACE_K5
 
 
 def test_verify_trace_triangular(capsys):

@@ -28,7 +28,7 @@ from eulerchar import (
     triangular,
     truncated_sum,
 )
-from eulerchar.estimator import Estimate, certified_bound, certify
+from eulerchar.estimator import Estimate, certified_bound, certify, certify_perturbed
 from eulerchar.planner import PlanError
 from eulerchar.testfn import MAX_POWER
 
@@ -120,6 +120,32 @@ def test_truncated_sum_shapes_follow_t(lasso_spectrum):
     assert truncated_sum(lasso_spectrum, tf, np.array([]), 48).shape == (0,)
 
 
+def test_truncated_sum_over_an_array_of_J_is_bit_identical_to_one_call_per_J(k5_spectrum):
+    s, n = k5_spectrum, len(k5_spectrum.values)
+    js = np.array([n, 1, 2, 17, n - 1, 17])
+    for tf in (cosine_power(1), cosine_power(3), triangular()):
+        for t in (0.5, 1.3):
+            swept = truncated_sum(s, tf, t, js)
+            assert isinstance(swept, np.ndarray) and swept.shape == js.shape
+            assert bits(swept) == bits([scalar_reference(s, tf, t, int(J)) for J in js])
+            assert bits(swept) == bits([truncated_sum(s, tf, t, int(J)) for J in js])
+        grid = truncated_sum(s, tf, SWEEP_TS, js)
+        assert grid.shape == SWEEP_TS.shape + js.shape
+        assert bits(grid) == bits([[scalar_reference(s, tf, float(t), int(J)) for J in js]
+                                   for t in SWEEP_TS])
+    tf = cosine_power(2)
+    assert bits(truncated_sum(s, tf, 0.5, range(2, n + 1))) == bits(
+        [truncated_sum(s, tf, 0.5, J) for J in range(2, n + 1)])
+    assert truncated_sum(s, tf, 0.5, np.array([], dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("js, message", [([3, 0, 5], "at least 1"), ([-2], "at least 1"),
+                                         ([2, 49], "need J = 49"), ([[2, 3]], "1-D")])
+def test_truncated_sum_rejects_bad_J_in_an_array(lasso_spectrum, js, message):
+    with pytest.raises(ValueError, match=message):
+        truncated_sum(lasso_spectrum, cosine_power(1), 1.0, np.array(js))
+
+
 @pytest.mark.parametrize("bad", [math.nan, [0.5, 0.0], [-1.0], [0.2, math.nan], [[0.5]],
                                  math.inf, [0.5, math.inf], 1e-320, [0.5, 1e-320]])
 def test_truncated_sum_rejects_bad_t(lasso_spectrum, bad):
@@ -196,6 +222,16 @@ def test_experiment_makes_at_most_two_evaluations_per_sum(
     capsys.readouterr()
     assert sums
     assert len(re_fourier_calls) <= 2 * len(sums)
+
+
+def test_experiment_transform_evaluations_do_not_grow_with_seeds(tmp_path, capsys, re_fourier_calls):
+    counts = []
+    for seeds in ("3", "60"):
+        re_fourier_calls.clear()
+        assert cli.main(["experiment", "lasso", "--seeds", seeds, "--out", str(tmp_path / seeds)]) == 0
+        counts.append(len(re_fourier_calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] <= 10
 
 
 RECOVER_GRAPHS = ("lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8")
@@ -382,6 +418,40 @@ def test_perturb_spectrum_is_bit_identical_to_the_per_value_loop():
     expected = [s.values[0]] + [max(0.0, k + reference_sample(noise, j)) if k > 0.0 else k
                                 for j, k in enumerate(s.values[1:], start=2)]
     assert bits(perturb_spectrum(s, noise).values) == bits(sorted(expected))
+
+
+BATCH_SEEDS = list(range(-50, 49)) + [2**64 + 5]
+
+
+@pytest.mark.parametrize("name, plan", [("lasso", LASSO_PLAN), ("k5", K5_PLAN)])
+@pytest.mark.parametrize("delta", ["plan", 0.3])
+def test_certify_perturbed_is_bit_identical_to_one_certify_per_model(name, plan, delta):
+    s = spectrum_with_count(preset(name), plan.J + 20)
+    delta = plan.delta_max if delta == "plan" else delta
+    models = [NoiseModel(delta, seed) for seed in BATCH_SEEDS]
+    tf = cosine_power(plan.d)
+    for M, L in ((plan.M_bar, plan.L_bar), (None, None)):
+        expected = [certify(perturb_spectrum(s, m), tf, plan.t, plan.J, M, L) for m in models]
+        got = certify_perturbed(s, tf, plan.t, plan.J, M, L, models)
+        assert [e.chi_hat for e in got] == [e.chi_hat for e in expected]
+        assert bits([e.S for e in got]) == bits([e.S for e in expected])
+        assert bits([e.bound for e in got]) == bits([e.bound for e in expected])
+    chi = summarize(preset(name)).chi
+    wrong = sum(e.chi_hat != chi for e in expected)
+    assert (wrong > 0) == (delta == 0.3)
+    assert certify_perturbed(s, tf, plan.t, plan.J, M, L, []) == []
+
+
+def test_certify_perturbed_mixes_models_and_raises_like_certify(lasso_spectrum):
+    p, tf = LASSO_PLAN, cosine_power(1)
+    models = [NoiseModel(0.0, 3), NoiseModel(1e-3, -1), NoiseModel(0.2, 2**63)]
+    expected = [certify(perturb_spectrum(lasso_spectrum, m), tf, p.t, p.J, p.M_bar, p.L_bar)
+                for m in models]
+    assert certify_perturbed(lasso_spectrum, tf, p.t, p.J, p.M_bar, p.L_bar, models) == expected
+    with pytest.raises(ValueError, match="need J = 49"):
+        certify_perturbed(lasso_spectrum, tf, p.t, 49, None, None, models)
+    with pytest.raises(PlanError):
+        certify_perturbed(lasso_spectrum, tf, p.t, 10, p.M_bar, p.L_bar, models)
 
 
 def test_perturb_zero_delta_is_identity(lasso_spectrum):

@@ -173,6 +173,36 @@ def test_transform_scalar_and_array_agree():
     assert isinstance(fourier(triangular(), 1.0), complex)
 
 
+@pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in range(1, MAX_POWER + 1)],
+                         ids=lambda tf: tf.label())
+def test_zero_mode_transform_is_exactly_one(tf):
+    # The truncated sums add the zero mode as the literal 2.0 = 2 Re f_hat(0).
+    assert re_fourier(tf, 0.0) == 1.0
+    assert fourier(tf, 0.0) == 1.0
+
+
+def _bits(values) -> list[int]:
+    arr = np.asarray(values)
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return [np.asarray(p, dtype=float).view(np.uint64).tolist() for p in parts]
+
+
+@pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
+def test_window_and_far_arguments_mix_bit_for_bit(d):
+    # The quotient-only path (no argument in a window) and the mixed path give the same bits.
+    tf = cosine_power(d)
+    window = []
+    for m in range(-d, d + 1):
+        k0 = 2.0 * math.pi * m
+        window += [k0, k0 + 1e-9, k0 - 1e-9, k0 + 0.9999999e-4, k0 - 0.9999999e-4,
+                   k0 + 1.0000001e-4, k0 - 1.0000001e-4]
+    far = [0.5, 3.7, -11.2, 2.0 * math.pi * (d + 1), 100.3, 1e5, 1e300]
+    ks = np.array(far[:3] + window + far[3:])
+    for evaluate in (re_fourier, fourier):
+        assert _bits(evaluate(tf, ks)) == _bits([evaluate(tf, k) for k in ks.tolist()])
+        assert _bits(evaluate(tf, np.array(far))) == _bits(evaluate(tf, ks)[[0, 1, 2, -4, -3, -2, -1]])
+
+
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
 def test_transform_bounded_by_one(tf):
     ks = np.linspace(0.0, 500.0, 20001)
