@@ -2,13 +2,13 @@
 
 Two independent numerical methods plus closed-form oracles:
 
-* ``secular_spectrum``: works on any graph. The exact count N(k) of
-  eigenfrequencies in (0, k] comes from the vertex Dirichlet-to-Neumann
-  matrix where a rounding-error certificate holds, else from the eigenphases
-  of U(k) = S diag(e^{i k l_b}), S the bond scattering matrix (Kottos and
-  Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013, ch. 2).
-  Roots are bracketed by N on a grid, refined by Newton on the vertex
-  matrix and accepted only where N steps, so the listing is complete.
+* ``secular_spectrum``: works on any graph. The exact count N(k) of eigenfrequencies
+  in (0, k] comes from the vertex Dirichlet-to-Neumann matrix where a rounding-error
+  certificate holds, else from that of the graph cut a quarter wave into each edge,
+  else from the eigenphases of U(k) = S diag(e^{i k l_b}), S the bond scattering
+  matrix (Kottos and Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013,
+  ch. 2). Roots are bracketed by N on a grid, refined by Newton on the vertex matrix
+  and accepted only where N steps, so the listing is complete.
 * ``von_below_spectrum``: commensurate graphs, through their equilateral
   subdivision of piece length a. Eigenvalues mu of the degree-normalized
   adjacency matrix of the discrete graph are lifted through cos(ka) = mu;
@@ -188,8 +188,8 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 
 
 class _Bonds:
-    """The standard vertex conditions of g as the vertex matrix A(k) (see vertex_count)
-    and as the bond scattering matrix S, for counts A cannot certify and for orbit_side.
+    """The standard vertex conditions of g as the vertex matrix A(k) of g or its cut (see
+    vertex_count) and as the bond scattering matrix S, for counts A cannot certify and orbit_side.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -212,8 +212,9 @@ class _Bonds:
         self.total_length = g.total_length()
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
         self.n_vertices = len(g.vertices)
-        self.ends = [(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges]
+        self.ends = np.array([(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges])
         self.loops = np.array([float(e.u == e.v) for e in g.edges])
+        self._pieces: dict[bool, tuple] = {}
 
     def phases(self, k: np.ndarray) -> np.ndarray:
         """Eigenphases in (-pi, pi] of U(k) per k, in batches that bound memory."""
@@ -225,32 +226,53 @@ class _Bonds:
             phase[lo : lo + batch] = np.angle(np.linalg.eigvals(U))
         return phase
 
-    def vertex_matrix(self, k: np.ndarray, derivative: bool = False):
-        """x_e = k l_e, s_e = sin x_e, where (1) of vertex_count holds, and the
-        vertex matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0.
+    def pieces(self, cut: bool):
+        """m, the order of A on the pieces (g's edges, or with cut its quarter-wave cut's,
+        e cut at a new vertex M + e), the entries of A they touch, the constant scatter of
+        the pieces' terms to them, and the ends at each vertex; built on first use."""
+        if cut not in self._pieces:
+            n, m, ends = len(self.ends), self.n_vertices, self.ends
+            if cut:
+                mid, m = m + np.arange(n), m + n
+                ends = np.column_stack((ends[:, 0], mid, mid, ends[:, 1])).reshape(2 * n, 2)
+            (a, b), p = ends.T, ends.shape[0]
+            entry = np.concatenate((a * m + a, a * m + b, b * m + b, b * m + a))
+            touched, column = np.unique(entry, return_inverse=True)
+            scatter = np.zeros((2 * p, touched.size))
+            np.add.at(scatter, (np.arange(4 * p) % (2 * p), column), 1.0)  # both ends of a loop
+            # Every vertex has an edge, so its diagonal entry a (m + 1) is touched.
+            self._pieces[cut] = (m, touched, scatter, scatter[:p, touched % (m + 1) == 0])
+        return self._pieces[cut]
 
-        A_uu = -sum cot x_e over the non-loop edges at u plus 2 tan(x_e / 2) per
-        loop at u; A_uv = sum csc x_e over the edges from u to v. A'(k) =
-        sum_e l_e / s_e^2 [[1 - loop c_e, -(1 - loop) c_e], [., 1 - loop c_e]]
-        on the ends of e, c_e = cos x_e, is positive definite, so every
-        eigenvalue of A rises between poles. Call under np.errstate.
-        """
-        l, loops = self.lengths[::2], self.loops
+    def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
+        """x_p = k l_p, s_p = sin x_p, where (1) of vertex_count holds, and the vertex
+        matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0, of pieces(cut).
+
+        A_uu = -sum cot x_p over the non-loop pieces at u plus 2 tan(x_p / 2) per loop
+        at u; A_uv = sum csc x_p over the pieces from u to v. A'(k) =
+        sum_p l_p / s_p^2 [[1 - loop c_p, -(1 - loop) c_p], [., 1 - loop c_p]] on the
+        ends of p, c_p = cos x_p, is positive definite, so every eigenvalue of A rises
+        between poles. The cut's first piece of e has l_1 = min(pi / (2 k), l_e / 2) rounded
+        down to a multiple of ulp(l_e), so l_e - l_1 is exact; at a Dirichlet point of e
+        both its sines are +-1. Call under np.errstate."""
+        m, touched, scatter, _ = self.pieces(cut)
+        l, loops = self.lengths[::2], 0.0 if cut else self.loops
+        if cut:
+            ulp = np.spacing(l)
+            first = np.floor(np.minimum(0.5 * math.pi / k[:, None], 0.5 * l) / ulp) * ulp
+            l = np.stack((first, l - first), axis=2).reshape(k.shape[0], -1)
         x = k[:, None] * l
         s, c = np.sin(x), np.cos(x)
         far = np.all(np.abs(s) > 16.0 * 2.0**-53 * (1.0 + x), axis=1)
         # Each end of a loop adds tan(x / 2) = (1 - cos x) / sin x, and no csc.
-        diag, off = [(loops - c) / s], [(1.0 - loops) / s]
+        terms = np.empty((1 + derivative, k.shape[0], 2, x.shape[1]))
+        terms[0, :, 0], terms[0, :, 1] = (loops - c) / s, (1.0 - loops) / s
         if derivative:
-            diag, off = diag + [l * (1.0 - loops * c) / s**2], off + [-l * (1.0 - loops) * c / s**2]
-        diag, off = (np.where(far[:, None], np.array(d), 0.0) for d in (diag, off))
-        A = np.zeros((len(diag), k.shape[0], self.n_vertices, self.n_vertices))
-        for e, (a, b) in enumerate(self.ends):
-            A[..., a, a] += diag[..., e]
-            A[..., b, b] += diag[..., e]
-            A[..., a, b] += off[..., e]
-            A[..., b, a] += off[..., e]
-        return (x, s, far, *A)
+            terms[1] = np.stack((l * (1.0 - loops * c), l * (loops - 1.0) * c), 1) / s[:, None]**2
+        terms[:, ~far] = 0.0
+        A = np.zeros((1 + derivative, k.shape[0], m * m))
+        A[..., touched] = terms.reshape(1 + derivative, k.shape[0], -1) @ scatter
+        return (x, s, far, *A.reshape(1 + derivative, k.shape[0], m, m))
 
     def vertex_count(self, k: np.ndarray, newton: bool = False):
         """N(k) per k > 0 from the M x M vertex matrix A(k) (vertex_matrix),
@@ -259,61 +281,80 @@ class _Bonds:
 
         Away from Dirichlet points (sin k l_e = 0) and eigenvalues, N(k) =
         sum_e floor(k l_e / pi) + #{eigenvalues of A(k) > 0} - 1 (Friedlander,
-        ARMA 116, 1991; Berkolaiko, Cox and Marzuola, Lett. Math. Phys. 109, 2019).
+        ARMA 116, 1991; Berkolaiko, Cox and Marzuola, Lett. Math. Phys. 109, 2019), on
+        g or its quarter-wave cut (fallback_count): P = N or 2N pieces, m = M or M + N.
 
-        With u = 2^-53, x_e = fl(k l_e), s_e = fl(sin x_e) and w the eigenvalues
-        of the computed matrix B, the count is certified where
-          (1) |s_e| > 16 u (1 + x_e) for every edge e, and
-          (2) min |w| > 64 u sum_e (1 + N + x_e) / s_e^2 + 16 M u ||B||_F.
-        (1) puts k l_e and x_e, at most u x_e apart, and x_e / pi in one cell
-        between multiples of pi, so the floors are exact, with |sin| > 5/6 |s_e|
-        between k l_e and x_e. An edge's block moves by at most 4 csc^2 per unit
-        of x there, so the argument error, the rounding of the terms and their
-        sums, at most 2N per entry, move A by less than the first term of (2)
-        in norm. eigvalsh and eigh (LAPACK's syevd without and with vectors)
-        return the eigenvalues of B + E with ||E|| <= 8 M (2 u) ||B|| (LAPACK
-        Users' Guide, section 4.7, which bounds every symmetric driver). By
-        Weyl's inequality each eigenvalue of the exact A(k) lies within the
-        right side of (2) of its w, so it has the sign of w and is not zero.
+        With u = 2^-53, x_p = fl(k l_p), s_p = fl(sin x_p), d_a the degree of a and
+        w the eigenvalues of the computed matrix B, the count is certified where
+          (1) |s_p| > 16 u (1 + x_p) for every piece p, and
+          (2) min |w| > 64 u min(sum_p (1 + P + x_p) / s_p^2, max_a sum over the
+              ends at a of (1 + d_a + x_p) / s_p^2) + 16 m u ||B||_F.
+        (1) puts k l_p and x_p, at most u x_p apart, and x_p / pi in one cell between
+        multiples of pi, so the floors are exact, with |sin| > 5/6 |s_p| between k l_p
+        and x_p. A term moves by at most 4 csc^2 per unit of x there, so with sin and
+        cos within 4 units in the last place the terms of a piece at an end are within
+        16 u (1 + x_p) / s_p^2 of exact and at most 2 / s_p^2 in size. The scatter
+        rounds only its sums, of at most P nonzero terms in an entry and d_a in an entry
+        of row a. So the first bound in (2) bounds ||B - A(k)||, and so does the second:
+        B - A(k) is symmetric, so its norm is at most its largest absolute row sum,
+        which the pieces at a bound. eigvalsh and eigh (LAPACK's syevd without and with
+        vectors) return the eigenvalues of B + E with ||E|| <= 8 m (2 u) ||B|| (LAPACK
+        Users' Guide, section 4.7, which bounds every symmetric driver). By Weyl's
+        inequality each eigenvalue of the exact A(k) lies within the right side of (2)
+        of its w, so it has the sign of w and is not zero.
 
         The targets take the slope w' = v^T A'(k) v of each eigenvalue, v its
         unit eigenvector (Hellmann-Feynman); they are 0 / 0 = NaN where (1) fails.
         """
-        n_edges, m, u = len(self.ends), self.n_vertices, 2.0**-53
-        count = np.empty(k.shape[0], dtype=int)
-        sure = np.empty(k.shape[0], dtype=bool)
-        target = np.empty((k.shape[0], m))
-        batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n_edges))
+        return self._index_count(k, False, newton)
+
+    def _index_count(self, k: np.ndarray, cut: bool, newton: bool = False):
+        """vertex_count on the pieces of g or, with cut, of its quarter-wave cut."""
+        n, m, u = (1 + cut) * len(self.ends), self.n_vertices + cut * len(self.ends), 2.0**-53
+        count, sure, target = np.empty(len(k), int), np.empty(len(k), bool), np.empty((len(k), m))
+        batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, k.shape[0], batch):
                 kb = k[lo : lo + batch]
-                x, s, far, A, *dA = self.vertex_matrix(kb, newton)
+                x, s, far, A, *dA = self.vertex_matrix(kb, newton, cut)
                 if newton:
                     w, V = np.linalg.eigh(A)
                     slope = np.sum(V * (dA[0] @ V), axis=1)
                     target[lo : lo + batch] = kb[:, None] - w / slope
                 else:
                     w = np.linalg.eigvalsh(A)
-                err = (64.0 * u * np.sum((1.0 + n_edges + x) / s**2, axis=1)
-                       + 16.0 * m * u * np.linalg.norm(A, axis=(1, 2)))
-                sure[lo : lo + batch] = far & (np.min(np.abs(w), axis=1) > err)
+                gap = np.min(np.abs(w), axis=1) - 16.0 * m * u * np.linalg.norm(A, axis=(1, 2))
+                ok = far & (gap > 64.0 * u * np.sum((1.0 + n + x) / s**2, axis=1))
+                if (redo := far & ~ok).any():  # then try the row sums
+                    ends, inv = self.pieces(cut)[3], 1.0 / s[redo] ** 2
+                    rows = ((1.0 + x[redo]) * inv) @ ends + (inv @ ends) * ends.sum(axis=0)
+                    ok[redo] = gap[redo] > 64.0 * u * rows.max(axis=1)
+                sure[lo : lo + batch] = ok
                 count[lo : lo + batch] = (np.floor(x / math.pi).sum(axis=1)
                                           + np.sum(w > 0.0, axis=1) - 1)
         return (count, sure, target) if newton else (count, sure)
 
+    def fallback_count(self, k: np.ndarray) -> np.ndarray:
+        """N(k) per k > 0 where vertex_count does not certify it: from the quarter-wave cut
+        (degree-2 vertices change nothing) where it certifies, else the eigenphases."""
+        count, sure = self._index_count(k, True)
+        if not sure.all():
+            count[~sure] = self.count(k[~sure], self.phases(k[~sure]))
+        return count
+
     def count(self, k, phase: np.ndarray | None = None) -> np.ndarray:
         """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0.
 
-        From vertex_count where certified, else from the eigenphases of U(k):
-        each rises in k and passes 0 mod 2 pi once per eigenfrequency, so 2 pi
-        N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the wrapped
+        From vertex_count where certified, else fallback_count, or from the given
+        eigenphases of U(k): each rises in k and passes 0 mod 2 pi once per eigenfrequency,
+        so 2 pi N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the wrapped
         one. A fractional part above 1e-6 means the eigensolver failed.
         """
         k = np.atleast_1d(np.asarray(k, dtype=float))
         if phase is None:
             count, sure = self.vertex_count(k)
             if not sure.all():
-                count[~sure] = self.count(k[~sure], self.phases(k[~sure]))
+                count[~sure] = self.fallback_count(k[~sure])
             return count
         wrapped = np.mod(phase, 2.0 * math.pi).sum(axis=1)
         exact = self.total_length * k / math.pi + self.offset - wrapped / (2.0 * math.pi)
@@ -337,21 +378,19 @@ def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
 def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
-    The exact count N on a grid of step pi / (4 L) brackets the roots; a
-    grid of more than _GRID_ENTRIES points times 2N is refused. N comes from
-    the vertex matrix A(k) where its certificate holds, else from the
-    eigenphases. Each round probes all open brackets at once at x -+ ROOT_TOL,
-    which cuts them into pieces; N decreasing across them raises
-    SpectrumCountError. A piece over which N does not step is dropped. In
-    the others, x becomes the Dirichlet point m pi / l_e nearest to the
-    probe at the piece's end, where A has a pole, else the Newton target
-    k - w / w' of vertex_count from that probe nearest to it, inside the
-    piece (every fifth round, or with neither, the midpoint). A piece at
-    most 3 ROOT_TOL wide, too narrow to probe again, is a root at x whose
-    multiplicity is the step of N: the listing is complete by construction.
-    The probes need no budget: each kept piece holds an eigenvalue, so a
-    round has at most 2 N(k_max) probes, about half the grid points, and
-    vertex_count builds their matrices in batches.
+    The exact count N on a grid of step pi / (4 L) brackets the roots; a grid of more
+    than _GRID_ENTRIES points times 2N is refused. N comes from the vertex matrix A(k)
+    where its certificate holds, else from fallback_count (the quarter-wave cut's A,
+    last the eigenphases). Each round probes all open brackets at once at x -+ ROOT_TOL,
+    which cuts them into pieces; N decreasing across them raises SpectrumCountError. A
+    piece over which N does not step is dropped. In the others, x becomes the Dirichlet
+    point m pi / l_e nearest to the probe at the piece's end, where A has a pole, else
+    the Newton target k - w / w' of vertex_count from that probe nearest to it, inside
+    the piece (every fifth round, or with neither, the midpoint). A piece at most 3
+    ROOT_TOL wide, too narrow to probe again, is a root at x whose multiplicity is the
+    step of N: the listing is complete by construction. The probes need no budget: each
+    kept piece holds an eigenvalue, so a round has at most 2 N(k_max) probes, about half
+    the grid points, and vertex_count builds their matrices in batches.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
@@ -375,7 +414,8 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         ends = np.column_stack((lo, np.where(inside, probe, np.column_stack((lo, hi))), hi))
         flat = probe[inside]
         n_probe, sure, target = bonds.vertex_count(flat, newton=True)
-        n_probe[~sure] = bonds.count(flat[~sure], bonds.phases(flat[~sure]))
+        if not sure.all():
+            n_probe[~sure] = bonds.fallback_count(flat[~sure])
         n = np.column_stack((n_lo, n_lo, n_hi, n_hi))
         n[:, 1:3][inside] = n_probe
         step = np.diff(n, axis=1)
@@ -504,10 +544,10 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
     averages L k / pi + (M - N) / 2 - 1 and equilateral complete graphs lag it
     by up to (N - M) / 2; where that falls short (a star lags more), up to
     (count + N + 1) pi / L, where Dirichlet bracketing gives N >= count. Both
-    add 1/8, so that grids of step pi / (4 L) miss the Dirichlet points of
-    equilateral graphs, which the vertex count does not certify. k_max_covered
-    is halfway from the last kept value to the next, or to the one below a
-    cluster of equal values that the cut splits.
+    add 1/8, so that grids of step pi / (4 L) miss the Dirichlet points of equilateral
+    graphs, where the graph's own A(k) is never certified and the count falls back on its
+    quarter-wave cut. k_max_covered is halfway from the last kept value to the next, or
+    to the one below a cluster of equal values that the cut splits.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -667,29 +669,203 @@ def test_a_probe_count_out_of_order_raises(monkeypatch):
 
 
 def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
-    # On the grid and at the refinement probes alike, a k reaches the
-    # eigenphases only where the vertex certificate has just failed there.
+    # On the grid and at the refinement probes alike, a k reaches the quarter-wave
+    # cut only where A(k) has just failed there, and the eigenphases only where the
+    # cut has just failed there too.
     k8 = complete_graph(8)
     k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
     grid = _grid(_Bonds(k8), k_max)[1:]
     events = []
-    real_count, real_phases = _Bonds.vertex_count, _Bonds.phases
+    real_count, real_phases = _Bonds._index_count, _Bonds.phases
 
-    def vertex_count(self, k, newton=False):
-        out = real_count(self, k, newton)
-        events.append(("vertex", k, out[1]))
+    def index_count(self, k, cut, newton=False):
+        out = real_count(self, k, cut, newton)
+        events.append(("cut" if cut else "vertex", k, out[1]))
         return out
 
-    monkeypatch.setattr(_Bonds, "vertex_count", vertex_count)
+    monkeypatch.setattr(_Bonds, "_index_count", index_count)
     monkeypatch.setattr(_Bonds, "phases",
                         lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
     assert np.array_equal(events[0][1], grid)
     assert np.sum(~events[0][2]) <= 0.05 * grid.size
-    assert sum(kind == "vertex" for kind, _k, _sure in events) >= 2  # the grid and the probes
+    secular_spectrum(random_graph(2, 10, 20), 15.0)
+    assert {kind for kind, _k, _sure in events} == {"vertex", "cut", "phases"}
     for (kind, k, _sure), (prev, prev_k, prev_sure) in zip(events[1:], events):
-        if kind == "phases":
-            assert prev == "vertex" and np.array_equal(k, prev_k[~prev_sure])
+        if kind != "vertex":
+            assert prev == {"cut": "vertex", "phases": "cut"}[kind]
+            assert np.array_equal(k, prev_k[~prev_sure])
+
+
+def eigenphase_probes(monkeypatch, listing):
+    """The number of k that listing() sends to the eigenphases."""
+    sent = []
+    real = _Bonds.phases
+    monkeypatch.setattr(_Bonds, "phases", lambda self, k: sent.append(k.size) or real(self, k))
+    listing()
+    monkeypatch.undo()
+    return sum(sent)
+
+
+def test_the_cut_keeps_probes_from_the_eigenphases(monkeypatch):
+    # Measured when the quarter-wave cut came in; before it the eigenphases took
+    # 14 probes of K10 to k = 45, 8, 4, 4 and 8 at the planned J, and 136, 51, 90
+    # and 114 at 500 values. The counts at 500 values hang on LAPACK's last bits,
+    # so they are ceilings.
+    k10 = complete_graph(10)
+    assert eigenphase_probes(monkeypatch, lambda: secular_spectrum(k10, 45.0)) == 0
+    for name, at_500 in (("lasso", 2), ("k5", 0), ("k5-pendant", 4), ("k33", 0)):
+        g = preset(name)
+        j = planned_j(g)
+        assert eigenphase_probes(monkeypatch, lambda: spectrum_with_count(g, j)) == 0
+        assert eigenphase_probes(monkeypatch, lambda: spectrum_with_count(g, 500)) <= at_500
+
+
+def quarter_wave(k, lengths):
+    """The first pieces of the quarter-wave cut: min(pi / (2 k), l_e / 2) rounded down
+    to a multiple of ulp(l_e)."""
+    ulp = np.spacing(lengths)
+    return np.floor(np.minimum(0.5 * math.pi / k[:, None], 0.5 * lengths) / ulp) * ulp
+
+
+def dirichlet_points(g, k_max):
+    """The Dirichlet points m pi / l_e of g in (0, k_max]."""
+    return np.unique(np.concatenate(
+        [np.arange(1, int(k_max * e.length / math.pi) + 1) * math.pi / e.length for e in g.edges]))
+
+
+def test_quarter_wave_cut_is_exactly_the_callers_graph():
+    g = build_graph("odd", ["a", "b", "c"], [("a", "b", math.sqrt(2.0)), ("b", "c", 1e-3),
+                                             ("c", "a", 1e3), ("a", "a", 0.7)])
+    lengths = np.array([e.length for e in g.edges])
+    k = np.concatenate((np.linspace(0.01, 60.0, 2001), [1e3, 12345.678, 1e6]))
+    first = quarter_wave(k, lengths)
+    second = lengths - first
+    assert all(Fraction(a) + Fraction(b) == Fraction(c)
+               for a, b, c in zip(first.ravel(), second.ravel(), np.broadcast_to(lengths, first.shape).ravel()))
+    assert np.all((first > 0.0) & (first <= 0.5 * lengths))
+    # Above the first Dirichlet point the first piece is a quarter wave, to k ulp(l_e).
+    long = k[:, None] * lengths > math.pi
+    slack = k[:, None] * np.spacing(lengths) + 1e-12
+    assert np.all((np.abs(k[:, None] * first - 0.5 * math.pi) <= slack)[long])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = _Bonds(g).vertex_matrix(k, cut=True)[0]
+    assert np.array_equal(x, k[:, None] * np.stack((first, second), axis=2).reshape(k.size, -1))
+
+
+# A graph with parallel edges: a cycle of length 3 whose edge of length 2 has its
+# Dirichlet points at the odd multiples of pi / 2, where the cut of the other one has
+# poles.
+BANANA = build_graph("banana", ["a", "b"], [("a", "b", 1.0), ("a", "b", 2.0)])
+
+
+@pytest.mark.parametrize("g", [preset("k5"), preset("lasso"), BANANA, star_graph(5)] + IRREGULAR_GRAPHS,
+                         ids=lambda g: g.name)
+def test_cut_count_equals_the_eigenphase_count(g):
+    bonds = _Bonds(g)
+    points = dirichlet_points(g, 15.0)
+    k = np.concatenate([_grid(bonds, 15.0)[1:]] + [points + d for d in (-3e-11, -1e-11, 1e-11, 3e-11)])
+    if g.name == "k5":
+        k = np.concatenate((k, K5_DIRICHLET_PROBES))
+    count, sure = bonds._index_count(k, True)
+    by_phases = bonds.count(k, bonds.phases(k))
+    assert np.array_equal(count[sure], by_phases[sure])
+    assert np.array_equal(bonds.fallback_count(k), by_phases)
+    assert np.array_equal(bonds.count(k), by_phases)
+    # Next to a Dirichlet point of an edge the cut is certified unless another edge
+    # puts a pole of the cut there too, as the banana's does at half of them.
+    near = np.isin(k, np.concatenate([points + d for d in (-1e-11, 1e-11)]))
+    assert sure[near].mean() >= (0.5 if g is BANANA else 0.9)
+
+
+PI = Fraction(Decimal("3.14159265358979323846264338327950288419716939937510"))
+
+
+def test_cut_certificate_has_teeth(monkeypatch):
+    # Within 4 ulps of the lattice points m pi, where k5 has eigenvalues and A(k) has
+    # poles, accepting every cut count makes count() wrong. N steps at the exact m pi,
+    # so the side of it on which k lies, read exactly, gives the true count.
+    bonds = _Bonds(preset("k5"))
+    m = np.arange(1, 25)
+    k, lo, hi = [m * math.pi], m * math.pi, m * math.pi
+    for _ in range(4):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        k += [lo, hi]
+    k, m = np.concatenate(k), np.tile(m, 9)
+    above = np.array([Fraction(float(a)) > int(b) * PI for a, b in zip(k, m)])
+    truth = np.where(above, bonds.count(m * math.pi + 1e-9), bonds.count(m * math.pi - 1e-9))
+    count, sure = bonds._index_count(k, True)
+    assert not np.any(sure & (count != truth))
+    real = _Bonds._index_count
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: (
+        (real(self, k, cut)[0], np.ones(k.shape, dtype=bool)) if cut else real(self, k, cut, newton)))
+    assert np.any(bonds.count(k) != truth)
+
+
+def pieces_of(bonds, k, cut):
+    """Lengths per k, ends, loop flags and vertex count of the pieces of bonds' graph
+    or of its quarter-wave cut."""
+    lengths, m = bonds.lengths[::2], bonds.n_vertices
+    ends, loops = [tuple(e) for e in bonds.ends], bonds.loops
+    if cut:
+        first = quarter_wave(k, lengths)
+        lengths = np.stack((first, lengths - first), axis=2).reshape(k.size, -1)
+        ends = [p for e, (a, b) in enumerate(ends) for p in ((a, m + e), (m + e, b))]
+        loops, m = np.zeros(len(ends)), m + len(bonds.ends)
+    return np.broadcast_to(lengths, (k.size, len(ends))), ends, loops, m
+
+
+def extended_vertex_matrix(bonds, k, cut):
+    """A(k) of bonds' graph or of its quarter-wave cut in np.longdouble, entry by entry."""
+    lengths, ends, loops, m = pieces_of(bonds, k, cut)
+    x = k.astype(np.longdouble)[:, None] * lengths.astype(np.longdouble)
+    s, c = np.sin(x), np.cos(x)
+    A = np.zeros((k.size, m, m), dtype=np.longdouble)
+    for p, (a, b) in enumerate(ends):
+        if loops[p]:
+            A[:, a, a] += 2 * (1 - c[:, p]) / s[:, p]
+        else:
+            A[:, a, a] -= c[:, p] / s[:, p]
+            A[:, b, b] -= c[:, p] / s[:, p]
+            A[:, a, b] += 1 / s[:, p]
+            A[:, b, a] += 1 / s[:, p]
+    return A
+
+
+BOUND_CASES = [(preset("k5"), 75.0), (preset("lasso"), 40.0), (complete_graph(10), 45.0)] + [
+    (g, 15.0) for g in IRREGULAR_GRAPHS]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0**-53, reason="no extended precision")
+@pytest.mark.parametrize("g, k_max", BOUND_CASES, ids=[g.name for g, _k_max in BOUND_CASES])
+def test_rounding_bound_of_the_vertex_matrices_holds(g, k_max):
+    # The first term of certificate (2), the smaller of the sum over all pieces and
+    # the largest row sum, bounds ||B - A(k)|| for g and for its quarter-wave cut,
+    # at probes 1e-11 and 3e-12 from Dirichlet points and from eigenvalues, and it
+    # is the term that vertex_count's certificate uses.
+    bonds, u = _Bonds(g), 2.0**-53
+    centres = np.concatenate((dirichlet_points(g, k_max), np.unique(secular_spectrum(g, k_max).values[1:])))
+    k = np.concatenate([centres + d for d in (-1e-11, -3e-12, 3e-12, 1e-11)])
+    for cut in (False, True):
+        _lengths, ends, _loops, m = pieces_of(bonds, k, cut)
+        incidence = np.zeros((len(ends), m))
+        for p, (a, b) in enumerate(ends):
+            incidence[p, a] += 1.0
+            incidence[p, b] += 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x, s, far, B = bonds.vertex_matrix(k, cut=cut)
+            inv = 1.0 / s**2
+            total = np.sum((1.0 + len(ends) + x) / s**2, axis=1)
+            rows = (((1.0 + x) * inv) @ incidence + (inv @ incidence) * incidence.sum(axis=0)).max(axis=1)
+        bound = 64.0 * u * np.minimum(total, rows)
+        error = (B.astype(np.longdouble) - extended_vertex_matrix(bonds, k, cut)).astype(float)
+        assert far.mean() >= 0.9
+        assert np.all(np.linalg.norm(error[far], 2, axis=(1, 2)) <= bound[far])
+        if cut or g.name in ("k5", "k10"):
+            assert np.all(rows[far] < total[far])  # the row sums are what is tested
+        gap = np.min(np.abs(np.linalg.eigvalsh(B)), axis=1) - 16.0 * m * u * np.linalg.norm(B, axis=(1, 2))
+        clear = far & (np.abs(gap - bound) > 1e-9 * bound)
+        assert np.array_equal(bonds._index_count(k, cut)[1][clear], (gap > bound)[clear])
 
 
 @pytest.mark.parametrize("g", IRREGULAR_GRAPHS, ids=lambda g: g.name)
