@@ -188,8 +188,9 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 
 
 class _Bonds:
-    """The standard vertex conditions of g as the vertex matrix A(k) of g or its cut (see
-    vertex_count) and as the bond scattering matrix S, for counts A cannot certify and orbit_side.
+    """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
+    quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S,
+    for counts neither A certifies and for orbit_side.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -200,31 +201,17 @@ class _Bonds:
     """
 
     def __init__(self, g: MetricGraph) -> None:
-        n = 2 * len(g.edges)
-        start = [v for e in g.edges for v in (e.u, e.v)]
-        end = [v for e in g.edges for v in (e.v, e.u)]
-        self.S = np.zeros((n, n))
-        for b in range(n):
-            out = [c for c in range(n) if start[c] == end[b]]
-            self.S[out, b] = 2.0 / len(out)
-            self.S[b ^ 1, b] -= 1.0
+        self.ends = np.array([(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges])
+        start, end = self.ends.ravel(), self.ends[:, ::-1].ravel()
+        self.S = (start[:, None] == end) * (2.0 / np.bincount(start)[end])
+        b = np.arange(start.size)
+        self.S[b ^ 1, b] -= 1.0
         self.lengths = np.repeat([e.length for e in g.edges], 2)
         self.total_length = g.total_length()
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
         self.n_vertices = len(g.vertices)
-        self.ends = np.array([(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges])
         self.loops = np.array([float(e.u == e.v) for e in g.edges])
         self._pieces: dict[bool, tuple] = {}
-
-    def phases(self, k: np.ndarray) -> np.ndarray:
-        """Eigenphases in (-pi, pi] of U(k) per k, in batches that bound memory."""
-        n = self.lengths.shape[0]
-        phase = np.empty((k.shape[0], n))
-        batch = max(1, _BATCH_ENTRIES // (n * n))
-        for lo in range(0, k.shape[0], batch):
-            U = self.S * np.exp(1j * k[lo : lo + batch, None, None] * self.lengths)
-            phase[lo : lo + batch] = np.angle(np.linalg.eigvals(U))
-        return phase
 
     def pieces(self, cut: bool):
         """m, the order of A on the pieces (g's edges, or with cut its quarter-wave cut's,
@@ -245,7 +232,7 @@ class _Bonds:
         return self._pieces[cut]
 
     def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
-        """x_p = k l_p, s_p = sin x_p, where (1) of vertex_count holds, and the vertex
+        """x_p = k l_p, s_p = sin x_p, where (1) of _index_count holds, and the vertex
         matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0, of pieces(cut).
 
         A_uu = -sum cot x_p over the non-loop pieces at u plus 2 tan(x_p / 2) per loop
@@ -274,15 +261,15 @@ class _Bonds:
         A[..., touched] = terms.reshape(1 + derivative, k.shape[0], -1) @ scatter
         return (x, s, far, *A.reshape(1 + derivative, k.shape[0], m, m))
 
-    def vertex_count(self, k: np.ndarray, newton: bool = False):
-        """N(k) per k > 0 from the M x M vertex matrix A(k) (vertex_matrix),
-        where that count is certified and, with newton, the Newton targets
-        k - w / w' of the eigenvalues w of A(k).
+    def _index_count(self, k: np.ndarray, cut: bool, newton: bool = False):
+        """N(k) per k > 0 from the m x m vertex matrix A(k) (vertex_matrix) of g or, with
+        cut, of its quarter-wave cut, whether that count is certified and, with newton, the
+        Newton targets k - w / w' of the eigenvalues w of A(k).
 
         Away from Dirichlet points (sin k l_e = 0) and eigenvalues, N(k) =
-        sum_e floor(k l_e / pi) + #{eigenvalues of A(k) > 0} - 1 (Friedlander,
+        sum_p floor(k l_p / pi) + #{eigenvalues of A(k) > 0} - 1 (Friedlander,
         ARMA 116, 1991; Berkolaiko, Cox and Marzuola, Lett. Math. Phys. 109, 2019), on
-        g or its quarter-wave cut (fallback_count): P = N or 2N pieces, m = M or M + N.
+        g or its quarter-wave cut: P = N or 2N pieces, m = M or M + N.
 
         With u = 2^-53, x_p = fl(k l_p), s_p = fl(sin x_p), d_a the degree of a and
         w the eigenvalues of the computed matrix B, the count is certified where
@@ -306,10 +293,6 @@ class _Bonds:
         The targets take the slope w' = v^T A'(k) v of each eigenvalue, v its
         unit eigenvector (Hellmann-Feynman); they are 0 / 0 = NaN where (1) fails.
         """
-        return self._index_count(k, False, newton)
-
-    def _index_count(self, k: np.ndarray, cut: bool, newton: bool = False):
-        """vertex_count on the pieces of g or, with cut, of its quarter-wave cut."""
         n, m, u = (1 + cut) * len(self.ends), self.n_vertices + cut * len(self.ends), 2.0**-53
         count, sure, target = np.empty(len(k), int), np.empty(len(k), bool), np.empty((len(k), m))
         batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n))
@@ -334,34 +317,35 @@ class _Bonds:
                                           + np.sum(w > 0.0, axis=1) - 1)
         return (count, sure, target) if newton else (count, sure)
 
-    def fallback_count(self, k: np.ndarray) -> np.ndarray:
-        """N(k) per k > 0 where vertex_count does not certify it: from the quarter-wave cut
-        (degree-2 vertices change nothing) where it certifies, else the eigenphases."""
-        count, sure = self._index_count(k, True)
-        if not sure.all():
-            count[~sure] = self.count(k[~sure], self.phases(k[~sure]))
-        return count
-
-    def count(self, k, phase: np.ndarray | None = None) -> np.ndarray:
-        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0.
-
-        From vertex_count where certified, else fallback_count, or from the given
-        eigenphases of U(k): each rises in k and passes 0 mod 2 pi once per eigenfrequency,
-        so 2 pi N(k) is the unwrapped phase sum 2 pi offset + 2 L k minus the wrapped
-        one. A fractional part above 1e-6 means the eigensolver failed.
-        """
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        if phase is None:
-            count, sure = self.vertex_count(k)
-            if not sure.all():
-                count[~sure] = self.fallback_count(k[~sure])
-            return count
-        wrapped = np.mod(phase, 2.0 * math.pi).sum(axis=1)
+    def _phase_count(self, k: np.ndarray) -> np.ndarray:
+        """N(k) per k > 0 from the eigenphases of U(k), in batches that bound memory: each
+        rises in k and passes 0 mod 2 pi once per eigenfrequency, so 2 pi N(k) is the
+        unwrapped phase sum 2 pi offset + 2 L k minus the wrapped one. A fractional part
+        above 1e-6 means the eigensolver failed."""
+        wrapped = np.empty(k.shape[0])
+        batch = max(1, _BATCH_ENTRIES // self.lengths.size**2)
+        for lo in range(0, k.shape[0], batch):
+            U = self.S * np.exp(1j * k[lo : lo + batch, None, None] * self.lengths)
+            phase = np.angle(np.linalg.eigvals(U))
+            wrapped[lo : lo + batch] = np.mod(phase, 2.0 * math.pi).sum(axis=1)
         exact = self.total_length * k / math.pi + self.offset - wrapped / (2.0 * math.pi)
         count = np.rint(exact)
         if np.any(np.abs(exact - count) > 1e-6):
             raise SpectrumCountError("eigenphase count is not an integer; the eigensolver failed")
         return count.astype(int)
+
+    def count(self, k, newton: bool = False):
+        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0,
+        and with newton A(k)'s Newton targets: from A(k) where its certificate holds, else
+        from A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        count, sure, *target = self._index_count(k, False, newton)
+        if not sure.all():
+            rest, cut_sure = self._index_count(k[~sure], True)
+            if not cut_sure.all():
+                rest[~cut_sure] = self._phase_count(k[~sure][~cut_sure])
+            count[~sure] = rest
+        return (count, *target) if newton else count
 
 
 def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
@@ -379,18 +363,18 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
     The exact count N on a grid of step pi / (4 L) brackets the roots; a grid of more
-    than _GRID_ENTRIES points times 2N is refused. N comes from the vertex matrix A(k)
-    where its certificate holds, else from fallback_count (the quarter-wave cut's A,
-    last the eigenphases). Each round probes all open brackets at once at x -+ ROOT_TOL,
+    than _GRID_ENTRIES points times 2N is refused. N comes from _Bonds.count, there and
+    at the probes. Each round probes all open brackets at once at x -+ ROOT_TOL,
     which cuts them into pieces; N decreasing across them raises SpectrumCountError. A
     piece over which N does not step is dropped. In the others, x becomes the Dirichlet
     point m pi / l_e nearest to the probe at the piece's end, where A has a pole, else
-    the Newton target k - w / w' of vertex_count from that probe nearest to it, inside
+    the Newton target k - w / w' of A(k) from that probe nearest to it, inside
     the piece (every fifth round, or with neither, the midpoint). A piece at most 3
     ROOT_TOL wide, too narrow to probe again, is a root at x whose multiplicity is the
-    step of N: the listing is complete by construction. The probes need no budget: each
-    kept piece holds an eigenvalue, so a round has at most 2 N(k_max) probes, about half
-    the grid points, and vertex_count builds their matrices in batches.
+    step of N: the listing is complete by construction. Roots above k_max - 3 ROOT_TOL are
+    dropped, as N(k_max) may count part of their cluster (k5's five at pi, k_max = fl(pi)).
+    The probes need no budget: each kept piece holds an eigenvalue, so a round has at most
+    2 N(k_max) probes, about half the grid points, and count builds their matrices in batches.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
@@ -403,7 +387,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     i = np.nonzero(np.diff(counts))[0]
     lo, hi, n_lo, n_hi = grid[i], grid[i + 1], counts[i], counts[i + 1]
     x = 0.5 * (lo + hi)
-    roots = [np.zeros(1)]  # k_1 = 0
+    roots = [np.zeros(0)]
     spacing = math.pi / bonds.lengths[::2]  # of the Dirichlet points of each edge
     rnd = 0
     while lo.size:
@@ -413,9 +397,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         # Probes outside their bracket are padded with its ends: lo, p1, p2, hi.
         ends = np.column_stack((lo, np.where(inside, probe, np.column_stack((lo, hi))), hi))
         flat = probe[inside]
-        n_probe, sure, target = bonds.vertex_count(flat, newton=True)
-        if not sure.all():
-            n_probe[~sure] = bonds.fallback_count(flat[~sure])
+        n_probe, target = bonds.count(flat, newton=True)
         n = np.column_stack((n_lo, n_lo, n_hi, n_hi))
         n[:, 1:3][inside] = n_probe
         step = np.diff(n, axis=1)
@@ -436,7 +418,9 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
                      np.clip(cand[np.arange(best.size), best], a, b), 0.5 * (a + b))
         roots.append(np.repeat(x[narrow], (n[i, j + 1] - n[i, j])[narrow]))
         lo, hi, n_lo, n_hi, x = (v[~narrow] for v in (a, b, n[i, j], n[i, j + 1], x))
-    return Spectrum(tuple(np.sort(np.concatenate(roots)).tolist()), float(k_max), "secular", 1e-10)
+    found = np.sort(np.concatenate(roots))
+    values = np.concatenate(([0.0], found[found <= k_max - 3.0 * ROOT_TOL]))  # k_1 = 0
+    return Spectrum(tuple(values.tolist()), float(k_max), "secular", 1e-10)
 
 
 # ---------------------------------------------------------------------------

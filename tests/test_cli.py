@@ -115,6 +115,14 @@ def test_spectrum_von_below_rejects_nonfinite_kmax(capsys, kmax):
     assert "error: k_max must be positive and finite" in capsys.readouterr().err
 
 
+def test_spectrum_to_fl_pi_lists_no_part_of_the_cluster_at_pi(capsys):
+    # k5 has five eigenvalues at pi, just above fl(pi); the cross-check compares only the
+    # values listed, so it passed when one of the five was listed.
+    assert main(["spectrum", "k5", "--kmax", repr(math.pi)]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith(("#", "j,"))]
+    assert len(rows) == 5 and rows[-1].startswith("5,1.823")
+
+
 def test_spectrum_csv_output(tmp_path, capsys):
     out = tmp_path / "lasso.csv"
     code = main(["spectrum", "lasso", "--count", "20", "-o", str(out)])

@@ -476,6 +476,17 @@ def test_spectrum_with_count_covers_only_below_a_split_cluster():
     assert validate_spectrum(s, g).ok
 
 
+@pytest.mark.parametrize("name", ["k5", "k33"])
+def test_a_cluster_at_k_max_is_listed_whole_or_not_at_all(name):
+    # Both have five eigenvalues at pi, and fl(pi) lies 1.2e-16 below it, where N(k)
+    # counted one of k5's five: the listing had pi once. k_1 = 0 stays at a tiny k_max.
+    g = preset(name)
+    for k_max, n in ((math.pi, 5), (math.pi + 1e-10, 10), (1e-12, 1)):
+        s = secular_spectrum(g, k_max)
+        assert len(s.values) == n
+        assert validate_spectrum(s, g).ok
+
+
 def test_validate_spectrum_flags_dropped_value():
     g = preset("lasso")
     s = spectrum_with_count(g, 20)
@@ -512,14 +523,29 @@ def scan_k_max(monkeypatch, g, count):
     return seen[0]
 
 
-def assert_vertex_count_exact(g, k):
-    """The certified vertex count and count() equal the eigenphase count at every k."""
+def assert_vertex_count_exact(g, k, truth=None):
+    """The certified vertex count and count() equal the true count at every k, by
+    default the eigenphase count."""
     bonds = _Bonds(g)
-    n, sure = bonds.vertex_count(k)
-    by_phases = bonds.count(k, bonds.phases(k))
-    assert np.array_equal(n[sure], by_phases[sure])
-    assert np.array_equal(bonds.count(k), by_phases)
+    n, sure = bonds._index_count(k, False)
+    truth = bonds._phase_count(k) if truth is None else truth
+    assert np.array_equal(n[sure], truth[sure])
+    assert np.array_equal(bonds.count(k), truth)
     return sure
+
+
+def record_vertex_counts(monkeypatch):
+    """The newton flag of every count on g's own A(k), one per count() call, in order."""
+    flags = []
+    real = _Bonds._index_count
+
+    def recorded(self, k, cut, newton=False):
+        if not cut:
+            flags.append(newton)
+        return real(self, k, cut, newton)
+
+    monkeypatch.setattr(_Bonds, "_index_count", recorded)
+    return flags
 
 
 def planned_j(g):
@@ -531,14 +557,7 @@ def planned_j(g):
 def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
     # k_max is Weyl's estimate, so the grid's is the one count without Newton targets.
     g = preset(name)
-    flags = []
-    real = _Bonds.vertex_count
-
-    def recorded(self, k, newton=False):
-        flags.append(newton)
-        return real(self, k, newton)
-
-    monkeypatch.setattr(_Bonds, "vertex_count", recorded)
+    flags = record_vertex_counts(monkeypatch)
     spectrum_with_count(g, planned_j(g))
     assert flags.count(False) == 1
 
@@ -611,13 +630,18 @@ def test_vertex_count_on_irregular_grids(g):
 
 
 def test_vertex_count_on_k10_to_45():
+    # K10 is equilateral, so von Below's listing, within 1e-10 of the truth and far
+    # from every grid point, gives the exact count there.
     k10 = complete_graph(10)
-    grid = _grid(_Bonds(k10), 45.0)
-    assert grid.size == 2580
-    assert assert_vertex_count_exact(k10, grid[1:]).mean() >= 0.95
+    grid = _grid(_Bonds(k10), 45.0)[1:]
+    assert grid.size == 2579
+    vb = von_below_spectrum(k10, 45.0)
+    assert np.min(np.abs(grid[:, None] - vb.values)) > 2.9e-4
+    truth = np.searchsorted(vb.values, grid, "right") - 1
+    assert assert_vertex_count_exact(k10, grid, truth).mean() >= 0.95
     s = secular_spectrum(k10, 45.0)
     assert len(s.values) == 631
-    assert compare_spectra(s, von_below_spectrum(k10, 45.0)) < 1e-10
+    assert compare_spectra(s, vb) < 1e-10
 
 
 # k5's edges all have length 1: within 3e-11 of n pi every cot and csc is
@@ -630,21 +654,33 @@ def test_count_next_to_dirichlet_points():
     bonds = _Bonds(preset("k5"))
     k = K5_DIRICHLET_PROBES
     assert k.size == 96
-    assert np.array_equal(bonds.count(k), bonds.count(k, bonds.phases(k)))
+    assert np.array_equal(bonds.count(k), bonds._phase_count(k))
     # At the Dirichlet points themselves nothing is certified, and nothing warns.
     dirichlet = np.arange(1, 25) * math.pi
-    assert not bonds.vertex_count(dirichlet)[1].any()
-    assert np.array_equal(bonds.count(dirichlet), bonds.count(dirichlet, bonds.phases(dirichlet)))
+    assert not bonds._index_count(dirichlet, False)[1].any()
+    assert np.array_equal(bonds.count(dirichlet), bonds._phase_count(dirichlet))
+
+
+def test_count_with_newton_targets_is_the_count():
+    # The probes of a refinement round take counts and targets from one call; on k5 next
+    # to and at its Dirichlet points that call runs A(k), the cut and the eigenphases.
+    bonds = _Bonds(preset("k5"))
+    k = np.concatenate((_grid(bonds, 75.0)[1:], K5_DIRICHLET_PROBES, np.arange(1, 25) * math.pi))
+    sure = bonds._index_count(k, False)[1]
+    assert not sure.all() and not bonds._index_count(k[~sure], True)[1].all()
+    count, target = bonds.count(k, newton=True)
+    assert np.array_equal(count, bonds.count(k))
+    assert np.array_equal(target, bonds._index_count(k, False, True)[2], equal_nan=True)
 
 
 def test_certificate_has_teeth(monkeypatch):
     # Accepting every vertex count makes count() wrong next to Dirichlet points.
     bonds = _Bonds(preset("k5"))
     k = K5_DIRICHLET_PROBES
-    by_phases = bonds.count(k, bonds.phases(k))
-    real = _Bonds.vertex_count
-    monkeypatch.setattr(_Bonds, "vertex_count",
-                        lambda self, k: (real(self, k)[0], np.ones(k.shape, dtype=bool)))
+    by_phases = bonds._phase_count(k)
+    real = _Bonds._index_count
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: (
+        real(self, k, cut) if cut else (real(self, k, cut)[0], np.ones(k.shape, dtype=bool))))
     assert np.any(bonds.count(k) != by_phases)
 
 
@@ -652,17 +688,17 @@ def test_a_probe_count_out_of_order_raises(monkeypatch):
     # One certified probe count one too high puts N out of order in its
     # bracket; the solver must refuse rather than repair it (repaired, k5 to
     # k = 8 lists 21 values that validate_spectrum accepts).
-    real = _Bonds.vertex_count
+    real = _Bonds._index_count
     bumped = []
 
-    def one_too_high(self, k, newton=False):
-        count, sure, *rest = real(self, k, newton)
+    def one_too_high(self, k, cut, newton=False):
+        count, sure, *rest = real(self, k, cut, newton)
         if newton and not bumped:
             bumped.append(np.flatnonzero(sure)[0])
             count[bumped[0]] += 1
         return (count, sure, *rest)
 
-    monkeypatch.setattr(_Bonds, "vertex_count", one_too_high)
+    monkeypatch.setattr(_Bonds, "_index_count", one_too_high)
     with pytest.raises(SpectrumCountError, match="eigenvalue count of 'k5' decreases"):
         secular_spectrum(preset("k5"), 8.0)
     assert bumped
@@ -676,7 +712,7 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
     k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
     grid = _grid(_Bonds(k8), k_max)[1:]
     events = []
-    real_count, real_phases = _Bonds._index_count, _Bonds.phases
+    real_count, real_phases = _Bonds._index_count, _Bonds._phase_count
 
     def index_count(self, k, cut, newton=False):
         out = real_count(self, k, cut, newton)
@@ -684,7 +720,7 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
         return out
 
     monkeypatch.setattr(_Bonds, "_index_count", index_count)
-    monkeypatch.setattr(_Bonds, "phases",
+    monkeypatch.setattr(_Bonds, "_phase_count",
                         lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
     assert np.array_equal(events[0][1], grid)
@@ -700,8 +736,8 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
 def eigenphase_probes(monkeypatch, listing):
     """The number of k that listing() sends to the eigenphases."""
     sent = []
-    real = _Bonds.phases
-    monkeypatch.setattr(_Bonds, "phases", lambda self, k: sent.append(k.size) or real(self, k))
+    real = _Bonds._phase_count
+    monkeypatch.setattr(_Bonds, "_phase_count", lambda self, k: sent.append(k.size) or real(self, k))
     listing()
     monkeypatch.undo()
     return sum(sent)
@@ -761,16 +797,20 @@ BANANA = build_graph("banana", ["a", "b"], [("a", "b", 1.0), ("a", "b", 2.0)])
 
 @pytest.mark.parametrize("g", [preset("k5"), preset("lasso"), BANANA, star_graph(5)] + IRREGULAR_GRAPHS,
                          ids=lambda g: g.name)
-def test_cut_count_equals_the_eigenphase_count(g):
+def test_cut_count_equals_the_eigenphase_count(monkeypatch, g):
     bonds = _Bonds(g)
     points = dirichlet_points(g, 15.0)
     k = np.concatenate([_grid(bonds, 15.0)[1:]] + [points + d for d in (-3e-11, -1e-11, 1e-11, 3e-11)])
     if g.name == "k5":
         k = np.concatenate((k, K5_DIRICHLET_PROBES))
     count, sure = bonds._index_count(k, True)
-    by_phases = bonds.count(k, bonds.phases(k))
+    by_phases = bonds._phase_count(k)
     assert np.array_equal(count[sure], by_phases[sure])
-    assert np.array_equal(bonds.fallback_count(k), by_phases)
+    assert np.array_equal(bonds.count(k), by_phases)
+    # The fallback chain alone, the cut then the eigenphases, is exact too.
+    real = _Bonds._index_count
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: (
+        real(self, k, cut) if cut else (real(self, k, cut)[0], np.zeros(k.shape, dtype=bool))))
     assert np.array_equal(bonds.count(k), by_phases)
     # Next to a Dirichlet point of an edge the cut is certified unless another edge
     # puts a pole of the cut there too, as the banana's does at half of them.
@@ -842,7 +882,7 @@ def test_rounding_bound_of_the_vertex_matrices_holds(g, k_max):
     # The first term of certificate (2), the smaller of the sum over all pieces and
     # the largest row sum, bounds ||B - A(k)|| for g and for its quarter-wave cut,
     # at probes 1e-11 and 3e-12 from Dirichlet points and from eigenvalues, and it
-    # is the term that vertex_count's certificate uses.
+    # is the term that _index_count's certificate uses.
     bonds, u = _Bonds(g), 2.0**-53
     centres = np.concatenate((dirichlet_points(g, k_max), np.unique(secular_spectrum(g, k_max).values[1:])))
     k = np.concatenate([centres + d for d in (-1e-11, -3e-12, 3e-12, 1e-11)])
@@ -905,10 +945,7 @@ def test_refinement_takes_few_rounds(monkeypatch, name):
     else:
         g = preset(name)
         k_max = scan_k_max(monkeypatch, g, 500)
-    calls = []
-    real = _Bonds.vertex_count
-    monkeypatch.setattr(_Bonds, "vertex_count",
-                        lambda self, k, newton=False: calls.append(newton) or real(self, k, newton))
+    calls = record_vertex_counts(monkeypatch)
     s = secular_spectrum(g, k_max)
     assert len(s.values) >= 500
     # One call counts the grid, then each round counts and targets all its probes at once.
