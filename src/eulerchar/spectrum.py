@@ -7,8 +7,9 @@ Two independent numerical methods plus closed-form oracles:
   certificate holds, else from that of the graph cut a quarter wave into each edge,
   else from the eigenphases of U(k) = S diag(e^{i k l_b}), S the bond scattering
   matrix (Kottos and Smilansky, Ann. Phys. 274, 1999; Berkolaiko and Kuchment, 2013,
-  ch. 2). Roots are bracketed by N on a grid, refined by Newton on the vertex matrix
-  and accepted only where N steps, so the listing is complete.
+  ch. 2). Roots are bracketed by N on a grid, counted only where N can step, refined
+  by Newton on the vertex matrix and accepted only where N steps, so the listing is
+  complete.
 * ``von_below_spectrum``: commensurate graphs, through their equilateral
   subdivision of piece length a. Eigenvalues mu of the degree-normalized
   adjacency matrix of the discrete graph are lifted through cos(ka) = mu;
@@ -359,14 +360,41 @@ def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
     return np.linspace(0.0, k_max, points)
 
 
+def _grid_counts(bonds: _Bonds, grid: np.ndarray, name: str) -> np.ndarray:
+    """N at every point of a grid from 0 (N(0) = 0), counted at few of them.
+
+    N never decreases, so a cell whose ends have equal counts has that count at every
+    point inside it. count runs on every 4th point and the last, a step of about pi / L,
+    the mean level spacing, then on the inner points of each of those cells whose ends
+    differ; every other point takes the count of the counted point before it. So every
+    pair of adjacent points between which N steps has both ends counted, and the counts
+    equal a count at every point. Computed counts that decrease in k raise
+    SpectrumCountError."""
+    counts, known = np.zeros(grid.size, int), np.zeros(grid.size, bool)
+    known[::4] = known[-1] = True
+    coarse = np.flatnonzero(known)
+    counts[coarse[1:]] = bonds.count(grid[coarse[1:]])
+    inner = (coarse[:-1][np.diff(counts[coarse]) != 0, None] + np.arange(1, 4)).ravel()
+    inner = inner[inner < grid.size - 1]
+    counts[inner], known[inner] = bonds.count(grid[inner]), True
+    if np.any(np.diff(counts[known]) < 0):
+        raise SpectrumCountError(f"eigenvalue count of {name!r} decreases; eigensolver failed")
+    return np.maximum.accumulate(counts)
+
+
 def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
     The exact count N on a grid of step pi / (4 L) brackets the roots; a grid of more
     than _GRID_ENTRIES points times 2N is refused. N comes from _Bonds.count, there and
-    at the probes. Each round probes all open brackets at once at x -+ ROOT_TOL,
-    which cuts them into pieces; N decreasing across them raises SpectrumCountError. A
-    piece over which N does not step is dropped. In the others, x becomes the Dirichlet
+    at the probes. N never decreases, so _grid_counts counts the grid in two passes,
+    on every 4th point and the last, then inside only those cells between them over
+    which N steps: a cell with equal counts at its ends has that count throughout. The
+    brackets, the adjacent grid points between which N steps, are those of a count at
+    every point, and every count either pass computes is checked, in order of k, for a
+    decrease, which raises SpectrumCountError. Each round probes all open brackets at
+    once at x -+ ROOT_TOL, which cuts them into pieces; N decreasing across them raises
+    SpectrumCountError too. A piece over which N does not step is dropped. In the others, x becomes the Dirichlet
     point m pi / l_e nearest to the probe at the piece's end, where A has a pole, else
     the Newton target k - w / w' of A(k) from that probe nearest to it, inside
     the piece (every fifth round, or with neither, the midpoint). A piece at most 3
@@ -380,9 +408,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         raise ValueError("k_max must be positive and finite")
     bonds = _Bonds(g)
     grid = _grid(bonds, k_max)
-    counts = np.concatenate(([0], bonds.count(grid[1:])))
-    if np.any(np.diff(counts) < 0):
-        raise SpectrumCountError(f"eigenvalue count of {g.name!r} decreases; eigensolver failed")
+    counts = _grid_counts(bonds, grid, g.name)
     # Open brackets (lo, hi) with N(lo), N(hi), and their next probe centres x.
     i = np.nonzero(np.diff(counts))[0]
     lo, hi, n_lo, n_hi = grid[i], grid[i + 1], counts[i], counts[i + 1]
@@ -577,8 +603,10 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     # K, leave between N(K - tol) and N(K + tol) of them in (0, K]. N is 0
     # below pi / L, the lowest possible k_2.
     K = s.k_max_covered
-    low, high = (int(bonds.count(k)[0]) if k >= math.pi / L else 0
-                 for k in (K - s.tol - ROOT_TOL, K + s.tol + ROOT_TOL))
+    ends = np.array([K - s.tol - ROOT_TOL, K + s.tol + ROOT_TOL])
+    counted, n = ends >= math.pi / L, np.zeros(2, int)
+    n[counted] = bonds.count(ends[counted])
+    low, high = n.tolist()
     listed = sum(1 for k in s.values[1:] if k <= K)
     count_ok = low <= listed <= high
     if not count_ok:

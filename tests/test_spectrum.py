@@ -37,7 +37,7 @@ from eulerchar import (
     write_spectrum_csv,
 )
 from eulerchar import spectrum as spectrum_module
-from eulerchar.spectrum import _GRID_ENTRIES, _Bonds, _grid, secular_matrix
+from eulerchar.spectrum import ROOT_TOL, _GRID_ENTRIES, _Bonds, _grid, _grid_counts, secular_matrix
 
 
 def r2_graph():
@@ -487,6 +487,35 @@ def test_a_cluster_at_k_max_is_listed_whole_or_not_at_all(name):
         assert validate_spectrum(s, g).ok
 
 
+@pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
+def test_validate_spectrum_counts_both_ends_in_one_call(monkeypatch, name):
+    # The reports are those of counting at K -+ (tol + ROOT_TOL) one end at a time, N
+    # being 0 below pi / L, on listings that pass, miss a value, repeat one, and end
+    # below pi / L or straddle it.
+    g = preset(name)
+    s = spectrum_with_count(g, planned_j(g))
+    bonds, L = _Bonds(g), g.total_length()
+    cases = [s, Spectrum(s.values[:5] + s.values[6:], s.k_max_covered, s.method, s.tol),
+             Spectrum(s.values[:6] + s.values[5:], s.k_max_covered, s.method, s.tol),
+             Spectrum((0.0,), 0.5 * math.pi / L, "external", 1e-10),
+             Spectrum((0.0,), math.pi / L, "external", 1e-10)]
+    calls = []
+    real = _Bonds.count
+    monkeypatch.setattr(_Bonds, "count",
+                        lambda self, k, newton=False: calls.append(k.size) or real(self, k, newton))
+    reports = [validate_spectrum(case, g) for case in cases]
+    assert [report.count_ok for report in reports] == [True, False, False, True, True]
+    assert calls == [2, 2, 2, 0, 1]
+    for case, report in zip(cases, reports):
+        K = case.k_max_covered
+        low, high = (int(real(bonds, k)[0]) if k >= math.pi / L else 0
+                     for k in (K - case.tol - ROOT_TOL, K + case.tol + ROOT_TOL))
+        listed = sum(1 for k in case.values[1:] if k <= K)
+        assert report.count_ok == (low <= listed <= high)
+        if not report.count_ok:
+            assert report.messages[-1].endswith(f"the exact count gives {low} to {high}")
+
+
 def test_validate_spectrum_flags_dropped_value():
     g = preset("lasso")
     s = spectrum_with_count(g, 20)
@@ -523,14 +552,15 @@ def scan_k_max(monkeypatch, g, count):
     return seen[0]
 
 
-def assert_vertex_count_exact(g, k, truth=None):
-    """The certified vertex count and count() equal the true count at every k, by
-    default the eigenphase count."""
-    bonds = _Bonds(g)
+def assert_vertex_count_exact(g, grid, truth=None):
+    """The certified vertex count and count() equal the true count at every k of grid[1:],
+    by default the eigenphase count, and so do the grid's two-pass counts at every point."""
+    bonds, k = _Bonds(g), grid[1:]
     n, sure = bonds._index_count(k, False)
     truth = bonds._phase_count(k) if truth is None else truth
     assert np.array_equal(n[sure], truth[sure])
     assert np.array_equal(bonds.count(k), truth)
+    assert np.array_equal(_grid_counts(bonds, grid, g.name), np.concatenate(([0], truth)))
     return sure
 
 
@@ -555,11 +585,17 @@ def planned_j(g):
 
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
 def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
-    # k_max is Weyl's estimate, so the grid's is the one count without Newton targets.
+    # One scan, to Weyl's estimate, whose grid takes the two counts without Newton targets.
     g = preset(name)
+    seen = []
+    real = spectrum_module.secular_spectrum
+    monkeypatch.setattr(spectrum_module, "secular_spectrum",
+                        lambda graph, k_max: seen.append(k_max) or real(graph, k_max))
     flags = record_vertex_counts(monkeypatch)
-    spectrum_with_count(g, planned_j(g))
-    assert flags.count(False) == 1
+    j, excess = planned_j(g), max(len(g.edges) - len(g.vertices), 0)
+    spectrum_with_count(g, j)
+    assert seen == [pytest.approx((j + 3.125 + excess) * math.pi / g.total_length())]
+    assert flags.count(False) <= 2
 
 
 def test_spectrum_with_count_lists_a_long_cycle_near_weyls_estimate(monkeypatch):
@@ -601,14 +637,14 @@ def test_spectrum_with_count_lists_to_the_dirichlet_bound_when_weyls_estimate_fa
 def test_vertex_count_on_the_recover_grids(monkeypatch, name):
     g = complete_graph(int(name[1:])) if name.startswith("K") else preset(name)
     grid = _grid(_Bonds(g), scan_k_max(monkeypatch, g, planned_j(g)))
-    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+    assert assert_vertex_count_exact(g, grid).mean() >= 0.95
 
 
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
 def test_vertex_count_on_the_grids_to_500_values(monkeypatch, name):
     g = preset(name)
     grid = _grid(_Bonds(g), scan_k_max(monkeypatch, g, 500))
-    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+    assert assert_vertex_count_exact(g, grid).mean() >= 0.95
 
 
 IRREGULAR_GRAPHS = [
@@ -625,7 +661,7 @@ IRREGULAR_GRAPHS = [
 @pytest.mark.parametrize("g", IRREGULAR_GRAPHS, ids=lambda g: g.name)
 def test_vertex_count_on_irregular_grids(g):
     grid = _grid(_Bonds(g), 15.0)
-    assert assert_vertex_count_exact(g, grid[1:]).mean() >= 0.95
+    assert assert_vertex_count_exact(g, grid).mean() >= 0.95
     assert validate_spectrum(secular_spectrum(g, 15.0), g).ok
 
 
@@ -633,11 +669,12 @@ def test_vertex_count_on_k10_to_45():
     # K10 is equilateral, so von Below's listing, within 1e-10 of the truth and far
     # from every grid point, gives the exact count there.
     k10 = complete_graph(10)
-    grid = _grid(_Bonds(k10), 45.0)[1:]
-    assert grid.size == 2579
+    grid = _grid(_Bonds(k10), 45.0)
+    k = grid[1:]
+    assert k.size == 2579
     vb = von_below_spectrum(k10, 45.0)
-    assert np.min(np.abs(grid[:, None] - vb.values)) > 2.9e-4
-    truth = np.searchsorted(vb.values, grid, "right") - 1
+    assert np.min(np.abs(k[:, None] - vb.values)) > 2.9e-4
+    truth = np.searchsorted(vb.values, k, "right") - 1
     assert assert_vertex_count_exact(k10, grid, truth).mean() >= 0.95
     s = secular_spectrum(k10, 45.0)
     assert len(s.values) == 631
@@ -704,27 +741,73 @@ def test_a_probe_count_out_of_order_raises(monkeypatch):
     assert bumped
 
 
+@pytest.mark.parametrize("grid_pass", [0, 1])
+def test_a_grid_count_out_of_order_raises(monkeypatch, grid_pass):
+    # A certified count one too high where N is flat, on every 4th point or inside a
+    # cell, is above the next computed count, so the grid's check refuses it.
+    real = _Bonds._index_count
+    calls, bumped = [], []
+
+    def one_too_high(self, k, cut, newton=False):
+        count, sure, *rest = real(self, k, cut, newton)
+        if not (cut or newton):
+            calls.append(k.size)
+            if len(calls) == grid_pass + 1:
+                bumped.append(np.flatnonzero(sure[:-1] & sure[1:] & (count[:-1] == count[1:]))[0])
+                count[bumped[0]] += 1
+        return (count, sure, *rest)
+
+    monkeypatch.setattr(_Bonds, "_index_count", one_too_high)
+    bonds = _Bonds(preset("k5"))
+    with pytest.raises(SpectrumCountError, match="eigenvalue count of 'k5' decreases"):
+        _grid_counts(bonds, _grid(bonds, 8.0), "k5")
+    assert bumped and len(calls) == 2
+
+
+@pytest.mark.parametrize("name, share", [("k5", 0.45), ("K10", 0.35)])
+def test_grid_counts_skip_the_cells_where_n_is_flat(monkeypatch, name, share):
+    # Measured when the two passes came in: 812 of k5's 2,033 grid points at 500
+    # values, 729 of K10's 2,579 to k = 45.
+    if name == "K10":
+        g, k_max = complete_graph(10), 45.0
+    else:
+        g = preset(name)
+        k_max = scan_k_max(monkeypatch, g, 500)
+    bonds = _Bonds(g)
+    grid = _grid(bonds, k_max)
+    counted = []
+    real = _Bonds.count
+    monkeypatch.setattr(_Bonds, "count",
+                        lambda self, k, newton=False: counted.append(k.size) or real(self, k, newton))
+    _grid_counts(bonds, grid, g.name)
+    assert len(counted) == 2 and sum(counted) <= share * (grid.size - 1)
+
+
 def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
     # On the grid and at the refinement probes alike, a k reaches the quarter-wave
     # cut only where A(k) has just failed there, and the eigenphases only where the
     # cut has just failed there too.
     k8 = complete_graph(8)
     k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
-    grid = _grid(_Bonds(k8), k_max)[1:]
-    events = []
+    grid = _grid(_Bonds(k8), k_max)
+    events, grid_events = [], []
     real_count, real_phases = _Bonds._index_count, _Bonds._phase_count
 
     def index_count(self, k, cut, newton=False):
         out = real_count(self, k, cut, newton)
         events.append(("cut" if cut else "vertex", k, out[1]))
+        if not (cut or newton):  # the grid's
+            grid_events.append((k, out[1]))
         return out
 
     monkeypatch.setattr(_Bonds, "_index_count", index_count)
     monkeypatch.setattr(_Bonds, "_phase_count",
                         lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
-    assert np.array_equal(events[0][1], grid)
-    assert np.sum(~events[0][2]) <= 0.05 * grid.size
+    # The grid is counted on every 4th point and the last, and on some of the others.
+    k, sure = (np.concatenate(a) for a in zip(*grid_events))
+    assert np.all(np.isin(k, grid[1:])) and np.all(np.isin(np.append(grid[4::4], grid[-1]), k))
+    assert np.sum(~sure) <= 0.05 * k.size
     secular_spectrum(random_graph(2, 10, 20), 15.0)
     assert {kind for kind, _k, _sure in events} == {"vertex", "cut", "phases"}
     for (kind, k, _sure), (prev, prev_k, prev_sure) in zip(events[1:], events):
@@ -948,9 +1031,11 @@ def test_refinement_takes_few_rounds(monkeypatch, name):
     calls = record_vertex_counts(monkeypatch)
     s = secular_spectrum(g, k_max)
     assert len(s.values) >= 500
-    # One call counts the grid, then each round counts and targets all its probes at once.
-    assert calls[0] is False and all(calls[1:])
-    assert 1 <= len(calls) - 1 <= 8
+    # At most two calls count the grid, then each round counts and targets all its probes
+    # at once.
+    grid_calls = calls.index(True)
+    assert 1 <= grid_calls <= 2 and not any(calls[:grid_calls]) and all(calls[grid_calls:])
+    assert 1 <= len(calls) - grid_calls <= 8
 
 
 def test_grid_budget_refuses_before_allocating(monkeypatch):
