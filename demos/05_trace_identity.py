@@ -27,13 +27,13 @@ def main():
     print("= Both sides of the identity on the lasso, order-2 cosine power =")
     spectrum = spectrum_with_count(lasso, 80)
     f = cosine_power(2)
-    print("t      orbit side       spectral side    gap        bound")
+    print("t       orbit side       spectral side    gap        bound")
     n = len(spectrum.values)
-    for t in (0.3, 0.5, 0.8, 1.25):
+    for t in (0.005, 0.01, 0.3, 0.5, 0.8, 1.25):
         lhs = orbit_side(lasso, f, t)
         rhs = truncated_sum(spectrum, f, t, n)
         bound = certified_bound(f, n, info.M, info.total_length, t, spectrum.tol)
-        print(f"{t:4.2f}   {lhs:+.10f}    {rhs:+.10f}    {abs(lhs - rhs):.2e}   {bound:.2e}")
+        print(f"{t:5.3f}   {lhs:+.10f}    {rhs:+.10f}    {abs(lhs - rhs):.2e}   {bound:.2e}")
     print("(gap <= bound: the identity holds to the certified truncation and tol error)")
 
     print()

@@ -7,6 +7,7 @@ import pytest
 from eulerchar import (
     OrbitBudgetError,
     build_graph,
+    complete_graph,
     cosine_power,
     equilateral_subdivision,
     eval_time,
@@ -197,11 +198,11 @@ WALK_GRAPHS = {
 }
 
 
-# Listing the orbits of k5, k5-pendant and k33 below 1/0.15 takes too long.
+# Listing the orbits of k5, k5-pendant and k33 below 1/0.15, or of odd below 1/0.1, takes too long.
 @pytest.mark.parametrize("name,t", [
     (name, t) for name in WALK_GRAPHS for t in (0.15, 0.25, 0.4, 0.7)
     if t > 0.15 or name not in ("k5", "k5-pendant", "k33")
-])
+] + [(name, t) for name in ("loop", "interval", "star3", "lasso") for t in (0.1, 0.07)])
 def test_orbit_side_equals_the_orbit_listing(name, t):
     g = WALK_GRAPHS[name]
     listing = enumerate_orbits(g, 1.0 / t)
@@ -212,22 +213,37 @@ def test_orbit_side_equals_the_orbit_listing(name, t):
         assert orbit_side(g, tf, t) == pytest.approx(oracle, abs=1e-12)
 
 
-def test_trace_check_does_not_list_orbits(monkeypatch):
+@pytest.mark.parametrize("name,t", [("lasso", 0.06), ("lasso", 0.002), ("odd", 0.03)])
+def test_trace_check_does_not_list_orbits(monkeypatch, name, t):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_orbits called")
 
     monkeypatch.setattr(orbits, "enumerate_orbits", refuse)
-    g = preset("lasso")
+    g = WALK_GRAPHS[name]
     info = summarize(g)
     s = secular_spectrum(g, (info.M + 200) * math.pi / info.total_length)
-    _lhs, _rhs, gap, bound = trace_check(g, cosine_power(2), 0.06, s)
+    _lhs, _rhs, gap, bound = trace_check(g, cosine_power(2), t, s)
     assert gap <= bound + 1e-9
 
 
+def test_orbit_side_closes_each_length_once(monkeypatch):
+    # Lasso's walk lengths are the whole numbers below 1/0.002: 499 of them, each
+    # closed once however many numbers of bonds reach it.
+    seen = []
+
+    def counting(tf, x):
+        seen.append(len(x))
+        return eval_time(tf, x)
+
+    monkeypatch.setattr(orbits, "eval_time", counting)
+    orbit_side(preset("lasso"), cosine_power(2), 0.002)
+    assert seen == [499]
+
+
 def test_orbit_side_walk_budget(monkeypatch):
-    g = _incommensurate_graph()
+    # K10 at t = 0.002: 499 lengths x 90^2 entries.
     with pytest.raises(OrbitBudgetError):
-        orbit_side(g, cosine_power(2), 0.03)
+        orbit_side(complete_graph(10), cosine_power(2), 0.002)
     monkeypatch.setattr(orbits, "MAX_WALK_ENTRIES", 1000)
     with pytest.raises(OrbitBudgetError):
         orbit_side(preset("k5"), cosine_power(2), 0.2)
