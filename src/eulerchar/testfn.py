@@ -120,8 +120,8 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     (-1)^d (d!)^2 exp(ik/2) sin(k/2) / (pi prod_{j=-d..d}(k/2pi + j)); the
     zeros of the product at k = 2 pi m, |m| <= d, are removable and handled by
     cancelling the vanishing factor against the sine inside a small window.
-    The two branches agree to better than 1e-12 at the crossover. When no
-    argument is inside a window, only the quotient form is evaluated.
+    The two branches agree to better than 1e-12 at the crossover. The limit
+    form is evaluated only on the arguments inside a window.
     """
     fact2 = float(math.factorial(d)) ** 2
     sign = -1.0 if d % 2 else 1.0
@@ -145,12 +145,16 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     if not near.any():
         return smooth
 
+    x, m, u, k = x[near], m[near], u[near], k[near]
     reduced = np.ones_like(x)
     for j in range(-d, d + 1):
-        reduced = reduced * np.where(near & (m != -j), x + j, 1.0)
+        reduced = reduced * np.where(m != -j, x + j, 1.0)
     alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
-    series = sign * fact2 * (np.cos(k / 2.0) if real_only else phase) * alt * _sinc(u / 2.0) / reduced
-    return np.where(near, series, smooth)
+    factor = np.cos(k / 2.0) if real_only else phase[near]
+    # smooth is a numpy scalar for a scalar k; asarray makes it assignable.
+    smooth = np.asarray(smooth)
+    smooth[near] = sign * fact2 * factor * alt * _sinc(u / 2.0) / reduced
+    return smooth
 
 
 def fourier(tf: TestFunction, k) -> np.ndarray | complex:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import math
+import shutil
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from eulerchar import (
     write_spectrum_csv,
 )
 from eulerchar.cli import main
+from eulerchar.estimator import Estimate
 
 PLAN_BLOCK_LASSO = """\
 eps_bar=0.25
@@ -510,6 +512,57 @@ def test_experiment_deterministic(tmp_path):
     assert main(["experiment", "lasso", "--seeds", "2", "--out", str(b_dir)]) == 0
     for name in ("recovery.csv", "sweep_t.csv", "sweep_t.svg", "error_vs_J.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+def test_experiment_uncertified_noisy_misses_exit_0_with_a_note(tmp_path, capsys):
+    # delta = 0.5 is far beyond lasso's delta_max: every noisy bound is 48.2, so no miss is certified.
+    code = main(["experiment", "lasso", "--delta", "0.5", "--seeds", "20", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "12/20 correct\nnote=20/20 noisy bounds do not certify a unique integer\n" in captured.out
+    rows = [ln.split(",") for ln in (tmp_path / "recovery.csv").read_text().splitlines()
+            if not ln.startswith("#")][2:]
+    assert len(rows) == 20 and all(float(row[4]) >= 0.5 for row in rows)
+
+
+def test_experiment_certified_miss_exits_1(tmp_path, capsys, monkeypatch):
+    certify_perturbed = cli.certify_perturbed
+
+    def one_wrong(*args):
+        first, *rest = certify_perturbed(*args)
+        assert first.certified
+        return [Estimate(first.S, first.chi_hat + 1, first.bound)] + rest
+
+    monkeypatch.setattr(cli, "certify_perturbed", one_wrong)
+    code = main(["experiment", "lasso", "--seeds", "3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "2/3 correct" in captured.out and "note=" not in captured.out
+    assert "recovery failed inside its certified regime" in captured.err
+
+
+def test_cached_parser_is_reentrant(tmp_path, capsys):
+    out = tmp_path / "exp"
+    runs = [(["experiment"], 2), (["--help"], 0),
+            (["experiment", "lasso", "--seeds", "2", "--out", str(out)], 0),
+            (["spectrum", "lasso", "--count", "5"], 0)]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+        return code, captured.out, captured.err, files
+
+    first = []
+    for argv, code in runs:
+        cli._build_parser.cache_clear()
+        first.append(run(argv))
+        assert first[-1][0] == code
+    shutil.rmtree(out)
+    cli._build_parser.cache_clear()
+    assert cli._build_parser() is cli._build_parser()
+    assert [run(argv) for argv, _ in runs] == first
 
 
 def test_experiment_compare(tmp_path, capsys):

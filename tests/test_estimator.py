@@ -170,20 +170,31 @@ def test_trace_check_rhs_is_the_truncated_sum():
 
 
 def test_experiment_sweep_matches_scalar_terms(tmp_path, capsys):
-    assert cli.main(["experiment", "lasso", "--seeds", "1", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    g = preset("lasso")
-    info = summarize(g)
-    plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
-    s = spectrum_with_count(g, plan.J + 20)
-    tf = cosine_power(plan.d)
-    ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
-    lines = (tmp_path / "sweep_t.csv").read_text().splitlines()[1:]
-    assert len(lines) == len(ts)
-    for line, t in zip(lines, ts):
-        t_cell, exact_cell = line.split(",")[:2]
-        assert t_cell == f"{t:.6g}"
-        assert exact_cell == f"{scalar_reference(s, tf, float(t), plan.J):.16e}"
+    for name in ("lasso", "k5"):
+        out = tmp_path / name
+        assert cli.main(["experiment", name, "--seeds", "3", "--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        g = preset(name)
+        info = summarize(g)
+        plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+        s = spectrum_with_count(g, plan.J + 20)
+        noisy = [perturb_spectrum(s, NoiseModel(plan.delta_max, seed)) for seed in (5, 6, 7)]
+        tf = cosine_power(plan.d)
+        ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
+        header, *lines = (out / "sweep_t.csv").read_text().splitlines()
+        assert header == "t,S_exact,S_noisy_seed5,S_noisy_seed6,S_noisy_seed7"
+        assert len(lines) == len(ts)
+        for line, t in zip(lines, ts):
+            t_cell, *cells = line.split(",")
+            assert t_cell == f"{t:.6g}"
+            assert cells == [f"{scalar_reference(x, tf, float(t), plan.J):.16e}" for x in [s] + noisy]
+        header, *lines = (out / "testfn_compare.csv").read_text().splitlines()
+        assert header == "t,S_cosine_power,S_triangular"
+        assert len(lines) == len(ts)
+        for line, t in zip(lines, ts):
+            assert line.split(",") == [
+                f"{t:.6g}", f"{scalar_reference(s, tf, float(t), plan.J):.16e}",
+                f"{scalar_reference(s, triangular(), float(t), plan.J):.16e}"]
 
 
 @pytest.fixture
@@ -210,14 +221,17 @@ def test_truncated_sum_evaluates_each_sum_in_one_array_call(lasso_spectrum, re_f
 def test_experiment_makes_at_most_two_evaluations_per_sum(
     tmp_path, capsys, monkeypatch, re_fourier_calls
 ):
+    # A sum is one _truncated_sums call, the batched evaluation behind truncated_sum,
+    # certify_perturbed and the experiment's sweeps.
     sums = []
+    batched = estimator._truncated_sums
 
     def counting_sum(*args):
         sums.append(args)
-        return truncated_sum(*args)
+        return batched(*args)
 
-    monkeypatch.setattr(cli, "truncated_sum", counting_sum)
-    monkeypatch.setattr(estimator, "truncated_sum", counting_sum)
+    monkeypatch.setattr(cli, "_truncated_sums", counting_sum)
+    monkeypatch.setattr(estimator, "_truncated_sums", counting_sum)
     assert cli.main(["experiment", "lasso", "--seeds", "2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sums
@@ -231,7 +245,7 @@ def test_experiment_transform_evaluations_do_not_grow_with_seeds(tmp_path, capsy
         assert cli.main(["experiment", "lasso", "--seeds", seeds, "--out", str(tmp_path / seeds)]) == 0
         counts.append(len(re_fourier_calls))
     capsys.readouterr()
-    assert counts[0] == counts[1] <= 10
+    assert counts[0] == counts[1] <= 5
 
 
 RECOVER_GRAPHS = ("lasso", "k5", "k5-pendant", "k33", "K6", "K7", "K8")

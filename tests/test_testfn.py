@@ -189,18 +189,27 @@ def _bits(values) -> list[int]:
 
 @pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
 def test_window_and_far_arguments_mix_bit_for_bit(d):
-    # The quotient-only path (no argument in a window) and the mixed path give the same bits.
+    # The quotient-only path (no argument in a window) and the mixed path give the same bits,
+    # and the limit form, evaluated on the window points alone, lands on each point's own
+    # scalar bits in a 1-, 2- or 3-D array.
     tf = cosine_power(d)
     window = []
     for m in range(-d, d + 1):
         k0 = 2.0 * math.pi * m
-        window += [k0, k0 + 1e-9, k0 - 1e-9, k0 + 0.9999999e-4, k0 - 0.9999999e-4,
-                   k0 + 1.0000001e-4, k0 - 1.0000001e-4]
-    far = [0.5, 3.7, -11.2, 2.0 * math.pi * (d + 1), 100.3, 1e5, 1e300]
+        window += [k0, k0 + 1e-9, k0 - 1e-9, k0 + 5e-5, k0 - 5e-5, k0 + 0.9999999e-4,
+                   k0 - 0.9999999e-4, k0 + 1.0000001e-4, k0 - 1.0000001e-4]
+    edge = 2.0 * math.pi * (d + 1)
+    far = [0.5, 3.7, -11.2, edge, edge + 5e-5, -edge - 5e-5, 100.3, 1e5, 1e300]
     ks = np.array(far[:3] + window + far[3:])
-    for evaluate in (re_fourier, fourier):
-        assert _bits(evaluate(tf, ks)) == _bits([evaluate(tf, k) for k in ks.tolist()])
-        assert _bits(evaluate(tf, np.array(far))) == _bits(evaluate(tf, ks)[[0, 1, 2, -4, -3, -2, -1]])
+    for evaluate, kind in ((re_fourier, float), (fourier, complex)):
+        scalar = [evaluate(tf, k) for k in ks.tolist()]
+        assert all(type(v) is kind for v in scalar)
+        assert _bits(evaluate(tf, ks)) == _bits(scalar)
+        assert _bits(evaluate(tf, np.array(far))) == _bits(scalar[:3] + scalar[-6:])
+        for shape in ((3, -1), (3, 1, -1)):
+            got = evaluate(tf, ks[::-1].reshape(shape))
+            assert got.ndim == len(shape)
+            assert _bits(got.ravel()) == _bits(scalar[::-1])
 
 
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
