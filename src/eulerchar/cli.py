@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (NoiseModel, _perturbed, _truncated_sums, certified_bound, certify,
+from .estimator import (NoiseModel, _truncated_sums, certified_bound, certify,
                         certify_perturbed, perturb_spectrum, truncated_sum)
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan
@@ -333,7 +333,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     # Sweep of S_J over the time scaling, exact and three noisy overlays, as one (4, len(t), J - 1)
     # grid; its noisy rows are perturb_spectrum's for the first three noise models.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
-    sweeps = _truncated_sums(np.vstack((s.values, _perturbed(s.values, noise[:3]))), tf, ts, plan.J)
+    rows = np.vstack([s.values] + [perturb_spectrum(s, m).values for m in noise[:3]])
+    sweeps = _truncated_sums(rows, tf, ts, plan.J)
     exact_sweep = sweeps[0]
     names = [f"S_noisy_seed{m.seed}" for m in noise[:3]]
     _figure(out / "sweep_t", f"{g.name}: S_J(t), J={plan.J}, d={plan.d}, delta={delta:.2e}",

@@ -137,8 +137,6 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(k_J / ts)):
             raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
-    if values.ndim == 1 and ts.ndim == 0 and Js.ndim == 0:
-        return 2.0 + 2.0 * math.fsum(re_fourier(tf, k / ts).tolist())
     terms = re_fourier(tf, k[..., None, :] / ts.reshape(-1, 1))
     rows = terms.reshape(math.prod(terms.shape[:-1]), J_max - 1).tolist()
     sums = [[2.0 + 2.0 * math.fsum(row[:j - 1]) for j in Js.ravel().tolist()] for row in rows]
@@ -146,12 +144,14 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     return float(out) if out.ndim == 0 else out
 
 
-def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float, tol: float) -> float:
+def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float,
+                    tol: float | np.ndarray) -> float | np.ndarray:
     """Certified bound on |S_J(t) - chi| from the priors M (vertices) and L (length).
 
     The tail envelope beyond J, which raises PlanError where it does not apply
     (J - M <= 2 L t d, or J <= M for the tent), plus 2 tol J / t, the most a
     per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t.
+    Elementwise in tol: an array of tol gives an array of bounds.
     """
     if not 0.0 <= M < math.inf:
         raise PlanError(f"M must be finite and nonnegative, got {M!r}")
@@ -187,11 +187,13 @@ def certify_perturbed(s: Spectrum, tf: TestFunction, t: float, J: int, M: float 
     """[certify(perturb_spectrum(s, m), tf, t, J, M, L) for m in models], bit for bit.
 
     The noise of every model comes from one (models, index) grid and the sums
-    from one (models, J - 1) evaluation of the transform; the tail part of the
-    bound, which no model changes, is evaluated once.
+    from one (models, J - 1) evaluation of the transform; the bounds come from
+    one certified_bound call over the models' tol, so the tail is evaluated once.
     """
-    tail = math.nan if M is None or L is None or not models else certified_bound(tf, J, M, L, t, 0.0)
-    bounds = [tail + 2.0 * (s.tol + m.delta) * J / t for m in models]
+    if M is None or L is None or not models:
+        bounds = [math.nan] * len(models)
+    else:
+        bounds = certified_bound(tf, J, M, L, t, s.tol + np.array([m.delta for m in models])).tolist()
     sums = _truncated_sums(_perturbed(s.values, models), tf, t, J).tolist()
     return [Estimate(S, nint(S), bound) for S, bound in zip(sums, bounds)]
 
