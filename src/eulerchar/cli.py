@@ -29,7 +29,7 @@ import numpy as np
 from .estimator import (NoiseModel, _truncated_sums, certified_bound, certify,
                         certify_perturbed, perturb_spectrum, truncated_sum)
 from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
-from .planner import PlanError, RecoveryPlan, epsilon, optimal_plan
+from .planner import PlanError, RecoveryPlan, beta_continuous, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
     SpectrumCountError,
@@ -42,7 +42,7 @@ from .spectrum import (
     von_below_spectrum,
     write_spectrum_csv,
 )
-from .svgplot import Series, line_plot
+from .svgplot import line_plot
 from .testfn import cosine_power, triangular
 
 __all__ = ["main", "ExperimentConfig", "run_experiment", "plan_block"]
@@ -108,8 +108,6 @@ def plan_block(plan: RecoveryPlan) -> str:
 
 def _order_boundary_note(plan: RecoveryPlan) -> str | None:
     """A note when a neighboring order nearly ties J*, so d* is rounding-sensitive."""
-    from .planner import beta_continuous
-
     for d in (plan.d - 1, plan.d + 1):
         if d < 1:
             continue
@@ -261,8 +259,8 @@ def _figure(stem: Path, title: str, x: tuple[str, np.ndarray], ylabel: str,
     rows += [f"{xv:.6g}," + ",".join(f"{v:.16e}" for v in row)
              for xv, *row in zip(xs, *cols, strict=True)]
     stem.with_suffix(".csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    series = [Series(label, xs, ys) for (_, label, _), ys in zip(columns, cols)]
-    line_plot(stem.with_suffix(".svg"), title, x_name, ylabel, series, **plot)
+    line_plot(stem.with_suffix(".svg"), title, x_name, ylabel, xs,
+              [(label, ys) for (_, label, _), ys in zip(columns, cols)], **plot)
 
 
 def _experiment_table(out: Path, eps_bar: float) -> int:

@@ -1,18 +1,21 @@
 """Minimal deterministic SVG line plots.
 
-Just enough plotting for the experiment outputs: polylines over linear or
-log10 y axes, 1-2-5 tick ladders, dashed horizontal reference lines, and a
-legend. Output is plain text with fixed number formatting, so a rerun with
-identical data produces an identical file; every plot ships next to a CSV
-with the same numbers, the SVG is never the only record.
+Just enough plotting for the experiment outputs: columns of y values drawn
+as polylines over one shared x column, on linear or log10 y axes, with 1-2-5
+tick ladders, dashed horizontal reference lines, and a legend. Each point is
+filtered, transformed and scaled once. Output is plain text with fixed number
+formatting, so a rerun with identical data produces an identical file; every
+plot ships next to a CSV with the same numbers, the SVG is never the only
+record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from itertools import groupby
 
-__all__ = ["Series", "line_plot"]
+__all__ = ["line_plot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -22,15 +25,6 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 34.0
 _MARGIN_B = 46.0
-
-
-@dataclass
-class Series:
-    """One polyline: a label for the legend and matching x/y sequences."""
-
-    label: str
-    xs: list[float] = field(default_factory=list)
-    ys: list[float] = field(default_factory=list)
 
 
 def _nice_step(span: float) -> float:
@@ -66,38 +60,41 @@ def line_plot(
     title: str,
     xlabel: str,
     ylabel: str,
-    series: list[Series],
+    xs: Sequence[float],
+    columns: Sequence[tuple[str, Sequence[float]]],
     *,
     log_y: bool = False,
     hlines: tuple[float, ...] = (),
 ) -> None:
-    """Write an SVG line plot of the given series.
+    """Write an SVG line plot of (legend label, ys) columns over one x column xs.
 
     With log_y the y axis shows log10 of the values and only positive finite
-    points are drawn; non-finite points split a polyline into segments either
-    way. Horizontal dashed lines mark the hlines values (skipped when outside
-    the data range after padding).
+    points are drawn; undrawn points split a column into runs, and a run of one
+    point is a dot. Dashed lines mark the drawable hlines values; on a linear
+    axis they widen the data range, and a line outside the padded range is skipped.
     """
-    pts_x: list[float] = []
-    pts_y: list[float] = []
-    for s in series:
-        if len(s.xs) != len(s.ys):
-            raise ValueError(f"series {s.label!r} has mismatched lengths")
-        for x, y in zip(s.xs, s.ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y and y <= 0.0:
-                continue
-            pts_x.append(x)
-            pts_y.append(math.log10(y) if log_y else y)
-    if not pts_x:
-        raise ValueError("nothing to plot: no finite data points")
-    for h in hlines:
-        if not log_y:
-            pts_y.append(h)
 
-    x_lo, x_hi = min(pts_x), max(pts_x)
-    y_lo, y_hi = min(pts_y), max(pts_y)
+    def plotted(y: float) -> float | None:
+        """y on the plot's y axis, or None where it is not drawn."""
+        if not math.isfinite(y) or (log_y and y <= 0.0):
+            return None
+        return math.log10(y) if log_y else y
+
+    runs: list[list[list[tuple[int, float]]]] = []  # per column, runs of (index, plotted y)
+    for label, ys in columns:
+        if len(ys) != len(xs):
+            raise ValueError(f"column {label!r} has {len(ys)} values for {len(xs)} x values")
+        cells = [(i, plotted(y) if math.isfinite(x) else None) for i, (x, y) in enumerate(zip(xs, ys))]
+        runs.append([list(run) for drawn, run in groupby(cells, lambda c: c[1] is not None) if drawn])
+    points = [p for col_runs in runs for run in col_runs for p in run]
+    if not points:
+        raise ValueError("nothing to plot: no finite data points")
+    marks = [v for v in map(plotted, hlines) if v is not None]
+
+    x_drawn = [xs[i] for i, _ in points]
+    y_range = [y for _, y in points] + ([] if log_y else marks)
+    x_lo, x_hi = min(x_drawn), max(x_drawn)
+    y_lo, y_hi = min(y_range), max(y_range)
     if x_hi - x_lo < 1e-12:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi - y_lo < 1e-12:
@@ -157,13 +154,7 @@ def line_plot(
             f'font-size="11" text-anchor="middle">{_fmt(v)}</text>'
         )
 
-    for h in hlines:
-        hv = math.log10(h) if log_y and h > 0.0 else h
-        if log_y and h <= 0.0:
-            continue
-        if hv < y_lo or hv > y_hi:
-            continue
-        y = sy(hv)
+    for y in [sy(hv) for hv in marks if y_lo <= hv <= y_hi]:
         out.append(
             f'<line x1="{_MARGIN_L:.1f}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R:.1f}" '
             f'y2="{y:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>'
@@ -174,34 +165,22 @@ def line_plot(
         f'height="{plot_h:.1f}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    for idx, s in enumerate(series):
+    px = [f"{sx(x):.2f}" for x in xs]
+    for idx, col_runs in enumerate(runs):
         color = _PALETTE[idx % len(_PALETTE)]
-        segment: list[str] = []
-        chunks: list[list[str]] = []
-        for x, y in zip(s.xs, s.ys):
-            usable = math.isfinite(x) and math.isfinite(y) and not (log_y and y <= 0.0)
-            if not usable:
-                if segment:
-                    chunks.append(segment)
-                    segment = []
-                continue
-            yy = math.log10(y) if log_y else y
-            segment.append(f"{sx(x):.2f},{sy(yy):.2f}")
-        if segment:
-            chunks.append(segment)
-        for chunk in chunks:
-            if len(chunk) == 1:
-                cx, cy = chunk[0].split(",")
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
+        for run in col_runs:
+            if len(run) == 1:
+                (i, y), = run
+                out.append(f'<circle cx="{px[i]}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>')
             else:
                 out.append(
-                    f'<polyline points="{" ".join(chunk)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
+                    f'<polyline points="{" ".join(f"{px[i]},{sy(y):.2f}" for i, y in run)}" '
+                    f'fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
 
     legend_x = _MARGIN_L + plot_w - 150.0
     legend_y = _MARGIN_T + 10.0
-    for idx, s in enumerate(series):
+    for idx, (label, _) in enumerate(columns):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + 16.0 * idx
         out.append(
@@ -210,7 +189,7 @@ def line_plot(
         )
         out.append(
             f'<text x="{legend_x + 28:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11">{_escape(s.label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
 
     out.append(
