@@ -183,23 +183,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     s, _meta = read_spectrum_csv(args.spectrum)
-    if args.graph:
-        report = validate_spectrum(s, _resolve_graph(args.graph))
+    g = _resolve_graph(args.graph) if args.graph else None
+    if g is not None:
+        report = validate_spectrum(s, g)
         if not report.ok:
             print(f"error: {'; '.join(report.messages)}", file=sys.stderr)
             return EXIT_BOUND_VIOLATION
     if (args.t is None) != (args.J is None) or (args.d is not None and args.t is None):
         raise ValueError("--t and --J must be given together, and --d only with them")
     if args.t is not None:
-        est = certify(s, cosine_power(1 if args.d is None else args.d),
-                      args.t, args.J, args.M, args.L)
+        if (args.M is None) != (args.L is None):
+            raise ValueError("--M and --L must be given together")
+        M, L = args.M, args.L
+        if M is None and g is not None:  # the graph supplies the priors not given
+            info = summarize(g)
+            M, L = info.M, info.total_length
+        est = certify(s, cosine_power(1 if args.d is None else args.d), args.t, args.J, M, L)
     else:
         plan = _plan_from_args(args)
         est = certify(s, cosine_power(plan.d), plan.t, plan.J, plan.M_bar, plan.L_bar)
     print(f"S={est.S:.16g}")
     print(f"chi_hat={est.chi_hat}")
     print(f"bound={est.bound:.16g}")
-    if est.bound >= 0.5:
+    if not est.certified:
         print("note=bound does not certify a unique integer")
     if abs(est.S - est.chi_hat) > est.bound:
         print("bound violation: the truncated sum is farther from every integer "

@@ -7,7 +7,6 @@ Graphs are immutable value objects; editing operations return new graphs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import math
@@ -90,7 +89,12 @@ class GraphSummary:
 
     chi is the Euler characteristic M - N, beta1 = 1 - chi the number of
     independent cycles, and l_min the length of the shortest periodic orbit,
-    which equals min(shortest cycle length, 2 * shortest edge length).
+    which equals min(2m, shortest loop length) for m the shortest edge
+    length. The out-and-back walk on the shortest edge has length 2m, and a
+    loop is an orbit of its own length. Any other closed walk has k >= 2
+    steps and is at least k times its own shortest edge, so never below 2m;
+    in floats too, a sum of terms each >= m rounds to at least
+    fl(m + m) = 2m. So no cycle of two or more edges is ever the minimum.
     """
 
     M: int
@@ -192,54 +196,12 @@ def to_document(g: MetricGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _shortest_path_avoiding(g: MetricGraph, source: str, target: str, skip_edge: int) -> float:
-    """Dijkstra distance from source to target ignoring edge index skip_edge."""
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in g.vertices}
-    for i, e in enumerate(g.edges):
-        if i == skip_edge or e.u == e.v:
-            continue
-        adj[e.u].append((e.v, e.length))
-        adj[e.v].append((e.u, e.length))
-    dist = {source: 0.0}
-    queue = [(0.0, source)]
-    while queue:
-        d, v = heapq.heappop(queue)
-        if v == target:
-            return d
-        if d > dist.get(v, math.inf):
-            continue
-        for w, length in adj[v]:
-            nd = d + length
-            if nd < dist.get(w, math.inf):
-                dist[w] = nd
-                heapq.heappush(queue, (nd, w))
-    return math.inf
-
-
-def _shortest_cycle(g: MetricGraph) -> float:
-    """Length of the shortest cycle (inf for trees).
-
-    Loops count with their own length; every other edge e = (u, v) closes the
-    shortest cycle through it at length(e) + dist(u, v) in the graph minus e.
-    Parallel edges are covered by that formula (the path may use the twin).
-    """
-    best = math.inf
-    for i, e in enumerate(g.edges):
-        if e.u == e.v:
-            best = min(best, e.length)
-        else:
-            back = _shortest_path_avoiding(g, e.u, e.v, i)
-            best = min(best, e.length + back)
-    return best
-
-
 def summarize(g: MetricGraph) -> GraphSummary:
     """Counts, Euler characteristic, total length, shortest orbit length."""
     M = len(g.vertices)
     N = len(g.edges)
     chi = M - N
-    shortest_edge = min(e.length for e in g.edges)
-    l_min = min(2.0 * shortest_edge, _shortest_cycle(g))
+    l_min = min(e.length if e.u == e.v else 2.0 * e.length for e in g.edges)
     return GraphSummary(
         M=M,
         N=N,

@@ -95,7 +95,6 @@ def enumerate_orbits(
     g: MetricGraph,
     l_max: float,
     *,
-    include_zero_amplitude: bool = False,
     max_orbits: int = 10_000_000,
 ) -> list[PeriodicOrbit]:
     """Every periodic orbit of length <= l_max, modulo cyclic rotation.
@@ -105,7 +104,7 @@ def enumerate_orbits(
     class is generated from its minimal step only; a canonical-rotation set
     removes the remaining duplicates from repeated minimal steps. Branches
     whose scattering amplitude is already 0 (back-reflection at a degree-2
-    vertex) are pruned unless include_zero_amplitude asks for them.
+    vertex) are pruned.
     """
     if l_max <= 0.0:
         raise ValueError("l_max must be positive")
@@ -122,7 +121,7 @@ def enumerate_orbits(
 
     def record(path: list[Step], length: float, amplitude: float) -> None:
         closing = S[_bond(path[0])][_bond(path[-1])]
-        if closing == 0.0 and not include_zero_amplitude:
+        if closing == 0.0:
             return
         canon = _canonical_rotation(tuple(path))
         if canon in seen:
@@ -154,7 +153,7 @@ def enumerate_orbits(
             if length + step_len > l_max:
                 continue
             coeff = S[_bond(nxt)][_bond(path[-1])]
-            if coeff == 0.0 and not include_zero_amplitude:
+            if coeff == 0.0:
                 continue
             path.append(nxt)
             descend(root, path, length + step_len, amplitude * coeff)

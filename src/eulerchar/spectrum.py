@@ -483,27 +483,16 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     colour = two_colouring(g)
     bipartite = all(colour[e.u] != colour[e.v] for e in g.edges)
 
-    values = [0.0]
-    for m in mu[int(bipartite) : -1]:
-        phi = math.acos(float(m))
-        n_branch = 0
-        while True:
-            k_up = (phi + 2.0 * math.pi * n_branch) / a
-            k_down = (2.0 * math.pi * (n_branch + 1) - phi) / a
-            if k_up > k_max and k_down > k_max:
-                break
-            if k_up <= k_max:
-                values.append(k_up)
-            if k_down <= k_max:
-                values.append(k_down)
-            n_branch += 1
+    phi = np.array([math.acos(float(m)) for m in mu[int(bipartite) : -1]])[:, None]
+    # Branch and lattice indices run past the last k <= k_max; the filter drops the rest.
+    n = np.arange(int(k_max * a / (2.0 * math.pi)) + 3)
+    lattice = np.arange(1, int(k_max * a / math.pi) + 3)
     n_minus_m = len(g.edges) - len(g.vertices)
-    lattice = 1
-    while lattice * math.pi / a <= k_max:
-        k = lattice * math.pi / a
-        values.extend([k] * (n_minus_m + 2 if bipartite or lattice % 2 == 0 else n_minus_m))
-        lattice += 1
-    values.sort()
+    multiplicity = np.where(bipartite | (lattice % 2 == 0), n_minus_m + 2, n_minus_m)
+    k = np.concatenate([[0.0], ((phi + 2.0 * math.pi * n) / a).ravel(),
+                        ((2.0 * math.pi * (n + 1) - phi) / a).ravel(),
+                        np.repeat(lattice * math.pi / a, multiplicity)])
+    values = np.sort(k[k <= k_max]).tolist()
     return Spectrum(tuple(values), float(k_max), "von-below", 1e-10)
 
 

@@ -308,6 +308,48 @@ def test_estimate_explicit_parameters(tmp_path, capsys):
     assert "chi_hat=0" in out
 
 
+def test_estimate_explicit_parameters_take_the_priors_from_the_graph(tmp_path, capsys):
+    # Like the plan path, --graph supplies M = 2 and L = 6, so the bound is the one --M 2 --L 6 gives;
+    # priors given explicitly still take precedence.
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    explicit = ["estimate", "--spectrum", str(csv), "--t", "1", "--J", "48", "--d", "1"]
+    assert main([*explicit, "--M", "2", "--L", "6"]) == 0
+    from_priors = capsys.readouterr().out
+    assert main([*explicit, "--graph", "lasso"]) == 0
+    from_graph = capsys.readouterr().out
+    assert from_graph == from_priors
+    assert "bound=0.237906360519373\n" in from_graph
+    assert "note=" not in from_graph
+    assert main([*explicit, "--M", "20", "--L", "6"]) == 0
+    from_wide_priors = capsys.readouterr().out
+    assert main([*explicit, "--graph", "lasso", "--M", "20", "--L", "6"]) == 0
+    assert capsys.readouterr().out == from_wide_priors != from_graph
+
+
+@pytest.mark.parametrize("lone", [["--M", "2"], ["--L", "6"]])
+def test_estimate_explicit_parameters_refuse_a_lone_prior(tmp_path, capsys, lone):
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    args = ["estimate", "--spectrum", str(csv), "--t", "1", "--J", "48", "--d", "1", *lone]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --M and --L must be given together\n"
+
+
+def test_estimate_without_a_bound_is_noted(tmp_path, capsys):
+    # A NaN bound certifies nothing, so it carries the same note as a bound of 1/2 or more.
+    csv = tmp_path / "lasso.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(csv), "--t", "1", "--J", "48", "--d", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("bound=nan\nnote=bound does not certify a unique integer\n")
+
+
 @pytest.mark.parametrize("explicit", [["--t", "0.3"], ["--J", "10"], ["--d", "7"],
                                       ["--d", "1", "--J", "48"]])
 def test_estimate_explicit_parameters_need_t_and_J(tmp_path, capsys, explicit):

@@ -1,6 +1,8 @@
 """Tests for metric graph construction, summaries, and subdivision."""
 
+import heapq
 import math
+import random
 
 import pytest
 
@@ -22,6 +24,7 @@ from eulerchar import (
     to_document,
 )
 from eulerchar.graph import PRESET_NAMES
+from test_spectrum import IRREGULAR_GRAPHS
 
 
 def test_build_graph_basic():
@@ -338,3 +341,110 @@ def test_chi_equals_vertices_minus_edges_everywhere():
         assert math.isclose(
             s.total_length, sum(e.length for e in g.edges), rel_tol=1e-15
         )
+
+
+# ---------------------------------------------------------------------------
+# l_min against a search over every cycle
+
+
+def _shortest_path_avoiding(g, source, target, skip_edge):
+    """Dijkstra distance from source to target ignoring edge index skip_edge and every loop."""
+    adj = {v: [] for v in g.vertices}
+    for i, e in enumerate(g.edges):
+        if i == skip_edge or e.u == e.v:
+            continue
+        adj[e.u].append((e.v, e.length))
+        adj[e.v].append((e.u, e.length))
+    dist = {source: 0.0}
+    queue = [(0.0, source)]
+    while queue:
+        d, v = heapq.heappop(queue)
+        if v == target:
+            return d
+        if d > dist.get(v, math.inf):
+            continue
+        for w, length in adj[v]:
+            nd = d + length
+            if nd < dist.get(w, math.inf):
+                dist[w] = nd
+                heapq.heappush(queue, (nd, w))
+    return math.inf
+
+
+def oracle_l_min(g):
+    """min(2 * shortest edge, shortest cycle): loops at their own length, every other
+    edge (u, v) closing its shortest cycle with the shortest u-v path avoiding it."""
+    cycles = [e.length if e.u == e.v else e.length + _shortest_path_avoiding(g, e.u, e.v, i)
+              for i, e in enumerate(g.edges)]
+    return min(2.0 * min(e.length for e in g.edges), *cycles)
+
+
+LENGTHS = (1 / 3, 0.1 + 0.2, math.sqrt(2.0), 1e-3, 1e3, 0.7, 2.5, 1.0)
+
+
+def random_multigraph(seed):
+    """A random tree on 1-8 vertices, then up to 8 more edges: loops, parallel
+    edges or random pairs, of lengths from LENGTHS or uniform in (0.01, 3)."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+
+    def length():
+        return rng.choice(LENGTHS) if rng.random() < 0.5 else rng.uniform(0.01, 3.0)
+
+    edges = [(vs[i], vs[rng.randrange(i)], length()) for i in range(1, len(vs))]
+    extra = rng.choice((0, 0, 1, 2, 4, 8))
+    if not edges:  # a single vertex needs a loop
+        extra = max(extra, 1)
+    for _ in range(extra):
+        kind = rng.random()
+        if kind < 0.3 or not edges:
+            u = rng.choice(vs)
+            edges.append((u, u, length()))
+        elif kind < 0.6:
+            u, v, _ = rng.choice(edges)
+            edges.append((u, v, length()))
+        else:
+            edges.append((rng.choice(vs), rng.choice(vs), length()))
+    return build_graph(f"multi-{seed}", vs, edges)
+
+
+def assert_l_min_is_the_oracles(g):
+    assert summarize(g).l_min.hex() == oracle_l_min(g).hex(), g.name
+
+
+@pytest.mark.parametrize("g", [preset(name) for name in PRESET_NAMES] + IRREGULAR_GRAPHS
+                         + [complete_graph(n) for n in range(6, 11)], ids=lambda g: g.name)
+def test_l_min_matches_the_cycle_search(g):
+    assert_l_min_is_the_oracles(g)
+
+
+def test_l_min_matches_the_cycle_search_on_random_multigraphs():
+    graphs = [random_multigraph(seed) for seed in range(300)]
+    # The sample holds every kind of edge the formula has to handle.
+    assert sum(any(e.u == e.v for e in g.edges) for g in graphs) >= 50
+    assert sum(len({(e.u, e.v) for e in g.edges}) < len(g.edges) for g in graphs) >= 50
+    assert sum(len(g.edges) == len(g.vertices) - 1 for g in graphs) >= 50
+    for g in graphs:
+        assert_l_min_is_the_oracles(g)
+
+
+def test_l_min_matches_the_cycle_search_with_many_more_edges_than_vertices():
+    rng = random.Random(7)
+    vs = [f"v{i}" for i in range(10)]
+    edges = [(vs[i], vs[i - 1], rng.choice(LENGTHS)) for i in range(1, 10)]
+    edges += [(rng.choice(vs), rng.choice(vs), rng.uniform(0.01, 3.0)) for _ in range(291)]
+    assert_l_min_is_the_oracles(build_graph("dense", vs, edges))
+
+
+@pytest.mark.parametrize("edges, l_min", [
+    # Two parallel shortest edges: their cycle and the out-and-back walk both have length 0.6.
+    ([("a", "b", 0.3), ("a", "b", 0.3), ("b", "c", 0.5)], 0.6),
+    # A loop shorter than twice the shortest edge is the shortest orbit ...
+    ([("a", "b", 0.4), ("b", "c", 1 / 3), ("a", "a", 0.5)], 0.5),
+    # ... and one longer than that is not.
+    ([("a", "b", 0.4), ("b", "c", 1 / 3), ("c", "c", 0.7)], 2.0 / 3),
+])
+def test_l_min_of_parallel_edges_and_loops(edges, l_min):
+    g = build_graph("g", ["a", "b", "c"], edges)
+    assert summarize(g).l_min == l_min
+    assert_l_min_is_the_oracles(g)

@@ -36,12 +36,11 @@ def test_loop_orbits():
         assert o.prim_length == 1.0  # doubles are repetitions of the primitive
 
 
-def test_loop_zero_amplitude_orbit():
-    orbits = enumerate_orbits(loop_graph(1.0), 2.0, include_zero_amplitude=True)
-    assert len(orbits) == 5
-    zero = [o for o in orbits if o.s_v == 0.0]
-    assert len(zero) == 1
-    assert zero[0].length == 2.0  # out-and-back with a degree-2 reflection
+def test_loop_zero_amplitude_orbit_is_pruned():
+    # Out and back around the loop has length 2 but a degree-2 reflection, of amplitude 0.
+    orbits = enumerate_orbits(loop_graph(1.0), 2.0)
+    assert ((0, -1), (0, 1)) not in [o.steps for o in orbits]
+    assert all(o.s_v != 0.0 for o in orbits)
 
 
 def test_interval_bounce():

@@ -32,6 +32,7 @@ from eulerchar import (
     subdivide_edge,
     summarize,
     to_document,
+    two_colouring,
     validate_spectrum,
     von_below_spectrum,
     write_spectrum_csv,
@@ -199,6 +200,52 @@ def test_von_below_rejects_lengths_without_a_usable_divisor():
     g = build_graph("lasso", ["a", "b"], [("a", "a", 1.0), ("a", "b", 5.000000001)])
     with pytest.raises(GraphError, match="common divisor too small"):
         von_below_spectrum(g, 5.0)
+
+
+def von_below_by_loops(g, k_max):
+    """von Below's lift with a loop per branch and per lattice point, each run until
+    it passes k_max: the reference for the array form in von_below_spectrum."""
+    g, a = equilateral_subdivision(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adjacency = np.zeros((len(index), len(index)))
+    for e in g.edges:
+        adjacency[index[e.u], index[e.v]] += 1.0
+        adjacency[index[e.v], index[e.u]] += 1.0
+    scale = 1.0 / np.sqrt(adjacency.sum(axis=1))
+    mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
+    colour = two_colouring(g)
+    bipartite = all(colour[e.u] != colour[e.v] for e in g.edges)
+    values = [0.0]
+    for m in mu[int(bipartite) : -1]:
+        phi = math.acos(float(m))
+        n = 0
+        while (phi + 2.0 * math.pi * n) / a <= k_max or (2.0 * math.pi * (n + 1) - phi) / a <= k_max:
+            values += [k for k in ((phi + 2.0 * math.pi * n) / a, (2.0 * math.pi * (n + 1) - phi) / a)
+                       if k <= k_max]
+            n += 1
+    n_minus_m = len(g.edges) - len(g.vertices)
+    lattice = 1
+    while lattice * math.pi / a <= k_max:
+        multiplicity = n_minus_m + 2 if bipartite or lattice % 2 == 0 else n_minus_m
+        values += [lattice * math.pi / a] * multiplicity
+        lattice += 1
+    return tuple(sorted(values))
+
+
+@pytest.mark.parametrize("g, k_max", [
+    *((preset(name), k_max) for name in ("lasso", "k5", "k5-pendant", "k33")
+      for k_max in (3.0, math.pi, 25.0, 170.0, 300.0)),
+    *((complete_graph(n), k_max) for n in (6, 8, 10) for k_max in (5 * math.pi, 45.0)),
+    *((g, k_max) for g in (star_graph(5), interval_graph(0.7), loop_graph(0.3),
+                           build_graph("banana", ["a", "b"], [("a", "b", 1.0), ("a", "b", 2.0)]),
+                           build_graph("lasso-1.5", ["a", "b"], [("a", "a", 1.5), ("a", "b", 5.0)]),
+                           build_graph("double-triangle", ["a", "b", "c"],
+                                       [("a", "b", 1.0), ("b", "c", 1.3), ("c", "a", 0.8),
+                                        ("a", "b", 1.1)]))
+      for k_max in (2 * math.pi, 30.0)),
+], ids=lambda x: x.name if hasattr(x, "name") else f"{x:.6g}")
+def test_von_below_equals_its_loop_form(g, k_max):
+    assert von_below_spectrum(g, k_max).values == von_below_by_loops(g, k_max)
 
 
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
