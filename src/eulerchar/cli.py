@@ -162,18 +162,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _plan_from_args(args: argparse.Namespace) -> RecoveryPlan:
-    if args.graph:
-        g = _resolve_graph(args.graph)
-        summary = summarize(g)
-        return optimal_plan(args.eps, summary.M, summary.total_length, summary.l_min)
-    if args.M is None or args.L is None or args.lmin is None:
+def _priors(args: argparse.Namespace) -> tuple:
+    """The graph of --graph and its (M, L, lmin), or None and each prior's option (None if not given)."""
+    if not args.graph:
+        return None, args.M, args.L, args.lmin
+    given = [f"--{name}" for name in ("M", "L", "lmin") if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"--graph and {', '.join(given)} cannot be given together: "
+                         "the graph supplies M, L and lmin")
+    g = _resolve_graph(args.graph)
+    summary = summarize(g)
+    return g, summary.M, summary.total_length, summary.l_min
+
+
+def _plan(eps: float | None, M: float | None, L: float | None, lmin: float | None) -> RecoveryPlan:
+    if None in (M, L, lmin):
         raise PlanError("give either --graph or all of --M, --L, --lmin")
-    return optimal_plan(args.eps, args.M, args.L, args.lmin)
+    return optimal_plan(0.25 if eps is None else eps, M, L, lmin)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    plan = _plan_from_args(args)
+    plan = _plan(args.eps, *_priors(args)[1:])
     sys.stdout.write(plan_block(plan))
     note = _order_boundary_note(plan)
     if note:
@@ -182,26 +191,26 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if (args.t is None) != (args.J is None) or (args.d is not None and args.t is None):
+        raise ValueError("--t and --J must be given together, and --d only with them")
+    if args.t is not None:
+        for option, value in (("--lmin", args.lmin), ("--eps", args.eps)):
+            if value is not None:
+                raise ValueError(f"estimate with --t and --J does not read {option}")
+        if (args.M is None) != (args.L is None):
+            raise ValueError("--M and --L must be given together")
+    g, M, L, lmin = _priors(args)
+    d, t, J = 1 if args.d is None else args.d, args.t, args.J
+    if t is None:
+        plan = _plan(args.eps, M, L, lmin)
+        d, t, J, M, L = plan.d, plan.t, plan.J, plan.M_bar, plan.L_bar
     s, _meta = read_spectrum_csv(args.spectrum)
-    g = _resolve_graph(args.graph) if args.graph else None
     if g is not None:
         report = validate_spectrum(s, g)
         if not report.ok:
             print(f"error: {'; '.join(report.messages)}", file=sys.stderr)
             return EXIT_BOUND_VIOLATION
-    if (args.t is None) != (args.J is None) or (args.d is not None and args.t is None):
-        raise ValueError("--t and --J must be given together, and --d only with them")
-    if args.t is not None:
-        if (args.M is None) != (args.L is None):
-            raise ValueError("--M and --L must be given together")
-        M, L = args.M, args.L
-        if M is None and g is not None:  # the graph supplies the priors not given
-            info = summarize(g)
-            M, L = info.M, info.total_length
-        est = certify(s, cosine_power(1 if args.d is None else args.d), args.t, args.J, M, L)
-    else:
-        plan = _plan_from_args(args)
-        est = certify(s, cosine_power(plan.d), plan.t, plan.J, plan.M_bar, plan.L_bar)
+    est = certify(s, cosine_power(d), t, J, M, L)
     print(f"S={est.S:.16g}")
     print(f"chi_hat={est.chi_hat}")
     print(f"bound={est.bound:.16g}")
@@ -428,24 +437,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", default="", help="output file")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("plan", help="certified recovery parameters from priors")
-    p.add_argument("--M", type=float, help="upper bound on the vertex count")
-    p.add_argument("--L", type=float, help="upper bound on the total length")
-    p.add_argument("--lmin", type=float, help="lower bound on the shortest orbit")
-    p.add_argument("--graph", default="", help="read the priors off this graph instead")
-    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
+    priors = argparse.ArgumentParser(add_help=False)
+    priors.add_argument("--M", type=float, help="upper bound on the vertex count")
+    priors.add_argument("--L", type=float, help="upper bound on the total length")
+    priors.add_argument("--lmin", type=float, help="lower bound on the shortest orbit")
+    priors.add_argument("--graph", default="", help="read all three priors off this graph instead")
+    priors.add_argument("--eps", type=float, help="target bound eps_bar, in (0, 0.25] (default 0.25)")
+
+    p = sub.add_parser("plan", parents=[priors], help="certified recovery parameters from priors")
     p.set_defaults(fn=cmd_plan)
 
-    p = sub.add_parser("estimate", help="recover chi from a spectrum CSV")
+    p = sub.add_parser("estimate", parents=[priors], help="recover chi from a spectrum CSV")
     p.add_argument("--spectrum", required=True, help="spectrum CSV file")
     p.add_argument("--t", type=float, help="time scaling (with --J)")
     p.add_argument("--d", type=int, help="cosine power order, with --t and --J (default 1)")
     p.add_argument("--J", type=int, help="number of eigenfrequencies to use (with --t)")
-    p.add_argument("--M", type=float, help="vertex bound (for the certified bound)")
-    p.add_argument("--L", type=float, help="length bound (for the certified bound)")
-    p.add_argument("--lmin", type=float, help="shortest orbit lower bound")
-    p.add_argument("--graph", default="", help="read the priors off this graph instead")
-    p.add_argument("--eps", type=float, default=0.25, help="target bound eps_bar, in (0, 0.25]")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("perturb", help="add seeded uniform noise to a spectrum CSV")

@@ -79,9 +79,6 @@ class MetricGraph:
     def total_length(self) -> float:
         return math.fsum(e.length for e in self.edges)
 
-    def vertex_index(self, vertex: str) -> int:
-        return self.vertices.index(vertex)
-
 
 @dataclass(frozen=True)
 class GraphSummary:

@@ -27,6 +27,7 @@ numerically) and repeats eigenfrequencies by multiplicity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +60,8 @@ ROOT_TOL = 1e-11
 # Batches of U(k), or of the vertex matrix A(k) and A'(k), hold at most this many entries each.
 _BATCH_ENTRIES = 1 << 18
 
-# secular_spectrum refuses a grid whose points times 2N exceed this.
+# secular_spectrum refuses a grid whose points times 2N exceed this, von_below_spectrum a lift
+# that would build more values.
 _GRID_ENTRIES = 1 << 22
 
 
@@ -190,8 +192,8 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 
 class _Bonds:
     """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
-    quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S,
-    for counts neither A certifies and for orbit_side.
+    quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S, built
+    on first use, for counts neither A certifies and for orbit_side.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -202,17 +204,22 @@ class _Bonds:
     """
 
     def __init__(self, g: MetricGraph) -> None:
-        self.ends = np.array([(g.vertex_index(e.u), g.vertex_index(e.v)) for e in g.edges])
-        start, end = self.ends.ravel(), self.ends[:, ::-1].ravel()
-        self.S = (start[:, None] == end) * (2.0 / np.bincount(start)[end])
-        b = np.arange(start.size)
-        self.S[b ^ 1, b] -= 1.0
+        index = {v: i for i, v in enumerate(g.vertices)}
+        self.ends = np.array([(index[e.u], index[e.v]) for e in g.edges])
         self.lengths = np.repeat([e.length for e in g.edges], 2)
         self.total_length = g.total_length()
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
         self.n_vertices = len(g.vertices)
         self.loops = np.array([float(e.u == e.v) for e in g.edges])
         self._pieces: dict[bool, tuple] = {}
+
+    @functools.cached_property
+    def S(self) -> np.ndarray:
+        start, end = self.ends.ravel(), self.ends[:, ::-1].ravel()
+        S = (start[:, None] == end) * (2.0 / np.bincount(start)[end])
+        b = np.arange(start.size)
+        S[b ^ 1, b] -= 1.0
+        return S
 
     def pieces(self, cut: bool):
         """m, the order of A on the pieces (g's edges, or with cut its quarter-wave cut's,
@@ -353,7 +360,7 @@ def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
     """The bracketing grid of step pi / (4 L) on [0, k_max], refused before it
     is allocated when its points times 2N exceed _GRID_ENTRIES."""
     steps = k_max / (math.pi / (4.0 * bonds.total_length))
-    points = math.ceil(steps) + 1 if steps < _GRID_ENTRIES else math.inf
+    points = math.ceil(steps) + 1 if steps < _GRID_ENTRIES else steps + 1.0
     if points * bonds.lengths.shape[0] > _GRID_ENTRIES:
         raise ValueError(f"k_max = {k_max:.6g} needs {points:.6g} grid points, times "
                          f"2N = {bonds.lengths.shape[0]} above the budget of {_GRID_ENTRIES}")
@@ -464,7 +471,8 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     all eigenvalues but the top one, mu = 1 (simple, g being connected), and,
     when g is bipartite, the bottom one, mu = -1, so they are dropped by
     position. The lattice points k = n pi / a have multiplicity N - M + 2,
-    except N - M at odd n when g is not bipartite (von Below 1985).
+    except N - M at odd n when g is not bipartite (von Below 1985). A lift that would
+    generate more than _GRID_ENTRIES values is refused before any of them is built.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
@@ -485,9 +493,15 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
 
     phi = np.array([math.acos(float(m)) for m in mu[int(bipartite) : -1]])[:, None]
     # Branch and lattice indices run past the last k <= k_max; the filter drops the rest.
-    n = np.arange(int(k_max * a / (2.0 * math.pi)) + 3)
-    lattice = np.arange(1, int(k_max * a / math.pi) + 3)
+    branches, lattice_points = int(k_max * a / (2.0 * math.pi)) + 3, int(k_max * a / math.pi) + 2
     n_minus_m = len(g.edges) - len(g.vertices)
+    odd = 0 if bipartite else (lattice_points + 1) // 2
+    lifted = 1 + 2 * phi.shape[0] * branches + (n_minus_m + 2) * lattice_points - 2 * odd
+    if lifted > _GRID_ENTRIES:
+        raise ValueError(f"k_max = {k_max:.6g} needs {lifted:.6g} lifted values, "
+                         f"above the budget of {_GRID_ENTRIES}")
+    n = np.arange(branches)
+    lattice = np.arange(1, lattice_points + 1)
     multiplicity = np.where(bipartite | (lattice % 2 == 0), n_minus_m + 2, n_minus_m)
     k = np.concatenate([[0.0], ((phi + 2.0 * math.pi * n) / a).ravel(),
                         ((2.0 * math.pi * (n + 1) - phi) / a).ravel(),

@@ -290,6 +290,17 @@ def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
     assert "above the budget of" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kmax", "1e7"], "k_max = 1e+07 needs 7.63944e+07 grid points, times 2N = 4"),
+    (["--method", "von-below", "--kmax", "1e12"], "k_max = 1e+12 needs 1.90986e+12 lifted values,"),
+], ids=["grid", "von-below"])
+def test_spectrum_kmax_over_a_budget_names_its_size(capsys, argv, message):
+    assert main(["spectrum", "lasso", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} above the budget of 4194304\n"
+
+
 def test_plan_refuses_eps_above_a_quarter(capsys):
     assert main(["plan", "--graph", "lasso", "--eps", "0.4"]) == 2
     assert "error: eps_bar must lie in (0, 1/4], got 0.4" in capsys.readouterr().err
@@ -310,7 +321,7 @@ def test_estimate_explicit_parameters(tmp_path, capsys):
 
 def test_estimate_explicit_parameters_take_the_priors_from_the_graph(tmp_path, capsys):
     # Like the plan path, --graph supplies M = 2 and L = 6, so the bound is the one --M 2 --L 6 gives;
-    # priors given explicitly still take precedence.
+    # priors given explicitly as well are refused, not let override the graph.
     csv = tmp_path / "lasso.csv"
     assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
     capsys.readouterr()
@@ -322,10 +333,60 @@ def test_estimate_explicit_parameters_take_the_priors_from_the_graph(tmp_path, c
     assert from_graph == from_priors
     assert "bound=0.237906360519373\n" in from_graph
     assert "note=" not in from_graph
-    assert main([*explicit, "--M", "20", "--L", "6"]) == 0
-    from_wide_priors = capsys.readouterr().out
-    assert main([*explicit, "--graph", "lasso", "--M", "20", "--L", "6"]) == 0
-    assert capsys.readouterr().out == from_wide_priors != from_graph
+    assert main([*explicit, "--graph", "lasso", "--M", "20", "--L", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --graph and --M, --L cannot be given together: "
+                            "the graph supplies M, L and lmin\n")
+
+
+@pytest.fixture(scope="module")
+def lasso_48(tmp_path_factory):
+    csv = tmp_path_factory.mktemp("lasso") / "lasso-48.csv"
+    assert main(["spectrum", "lasso", "--count", "48", "-o", str(csv)]) == 0
+    return str(csv)
+
+
+EXPLICIT = ["--t", "1", "--J", "48", "--d", "1"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["plan", "--graph", "lasso", "--M", "100", "--lmin", "0.001"],
+     "--graph and --M, --lmin cannot be given together: the graph supplies M, L and lmin"),
+    (["estimate", "--graph", "lasso", "--M", "100"],
+     "--graph and --M cannot be given together: the graph supplies M, L and lmin"),
+    (["estimate", *EXPLICIT, "--graph", "lasso", "--M", "20", "--L", "6"],
+     "--graph and --M, --L cannot be given together: the graph supplies M, L and lmin"),
+    (["estimate", *EXPLICIT, "--graph", "lasso", "--M", "0", "--L", "1"],
+     "--graph and --M, --L cannot be given together: the graph supplies M, L and lmin"),
+    (["estimate", *EXPLICIT, "--M", "2", "--L", "6", "--lmin", "9"],
+     "estimate with --t and --J does not read --lmin"),
+    (["estimate", *EXPLICIT, "--M", "2", "--L", "6", "--eps", "0.1"],
+     "estimate with --t and --J does not read --eps"),
+], ids=["plan-graph-and-priors", "estimate-graph-and-M", "explicit-graph-and-wide-priors",
+        "explicit-graph-and-tight-priors", "explicit-lmin", "explicit-eps"])
+def test_priors_come_from_the_graph_or_the_options_never_both(lasso_48, capsys, argv, reason):
+    if argv[0] == "estimate":
+        argv = [*argv, "--spectrum", lasso_48]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("options", [
+    ["--graph", "lasso", "--lmin", "1"],
+    [*EXPLICIT, "--M", "2", "--L", "6", "--lmin", "1"],
+    [*EXPLICIT, "--M", "2"],
+    ["--t", "0.3"],
+    ["--M", "2"],
+])
+def test_option_errors_exit_2_before_the_spectrum_is_read(tmp_path, capsys, options):
+    # The file does not exist, so reading it first would exit 2 with another message.
+    assert main(["estimate", "--spectrum", str(tmp_path / "none.csv"), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file" not in captured.err and "error: " in captured.err
 
 
 @pytest.mark.parametrize("lone", [["--M", "2"], ["--L", "6"]])

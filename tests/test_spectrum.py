@@ -38,6 +38,7 @@ from eulerchar import (
     write_spectrum_csv,
 )
 from eulerchar import spectrum as spectrum_module
+from eulerchar.graph import PRESET_NAMES
 from eulerchar.spectrum import ROOT_TOL, _GRID_ENTRIES, _Bonds, _grid, _grid_counts, secular_matrix
 
 
@@ -246,6 +247,24 @@ def von_below_by_loops(g, k_max):
 ], ids=lambda x: x.name if hasattr(x, "name") else f"{x:.6g}")
 def test_von_below_equals_its_loop_form(g, k_max):
     assert von_below_spectrum(g, k_max).values == von_below_by_loops(g, k_max)
+
+
+@pytest.mark.parametrize("g", [
+    *(preset(name) for name in PRESET_NAMES), interval_graph(1.0), star_graph(4), loop_graph(1.0),
+    build_graph("triangle", ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]),
+], ids=lambda g: g.name)
+def test_von_below_budget_is_the_size_of_the_lift(monkeypatch, g):
+    # The count checked against the budget is that of the values the lift builds before
+    # it drops those above k_max: the budget is exact.
+    built, concatenate = [], np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda arrays: built.append(concatenate(arrays)) or built[-1])
+    s = von_below_spectrum(g, 30.0)
+    size = built[-1].size
+    monkeypatch.setattr(spectrum_module, "_GRID_ENTRIES", size)
+    assert von_below_spectrum(g, 30.0) == s
+    monkeypatch.setattr(spectrum_module, "_GRID_ENTRIES", size - 1)
+    with pytest.raises(ValueError, match=f"needs {size} lifted values, above the budget of {size - 1}"):
+        von_below_spectrum(g, 30.0)
 
 
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
@@ -1083,6 +1102,21 @@ def test_refinement_takes_few_rounds(monkeypatch, name):
     grid_calls = calls.index(True)
     assert 1 <= grid_calls <= 2 and not any(calls[:grid_calls]) and all(calls[grid_calls:])
     assert 1 <= len(calls) - grid_calls <= 8
+
+
+def test_bonds_build_the_scattering_matrix_only_for_its_readers():
+    # A refused grid and counts that A certifies never read S, so it is not built.
+    vs = [f"v{i}" for i in range(3000)]
+    bonds = _Bonds(build_graph("cycle", vs, [(v, vs[i - 1], 1.0) for i, v in enumerate(vs)]))
+    with pytest.raises(ValueError, match="needs 3.81972e\\+09 grid points"):
+        _grid(bonds, 1e6)
+    assert "S" not in vars(bonds)
+    bonds, k = _Bonds(preset("lasso")), np.array([0.5, 1.3, 2.7, 10.1])
+    assert bonds._index_count(k, False)[1].all()
+    assert list(bonds.count(k)) == [0, 2, 4, 18]
+    assert "S" not in vars(bonds)
+    bonds._phase_count(k)
+    assert "S" in vars(bonds)
 
 
 def test_grid_budget_refuses_before_allocating(monkeypatch):
