@@ -32,6 +32,7 @@ from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivisio
 from .planner import PlanError, RecoveryPlan, beta_continuous, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
+    _GRID_ENTRIES,
     SpectrumCountError,
     compare_spectra,
     read_spectrum_csv,
@@ -322,9 +323,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     chi = summary.chi
     plan = optimal_plan(config.eps_bar, summary.M, summary.total_length, summary.l_min)
     delta = plan.delta_max if config.delta is None else config.delta
+    # Each seed takes a noise model, a noisy copy of the listing and J - 1 transform terms.
+    listed = plan.J + 20
+    if config.seeds * listed > _GRID_ENTRIES:
+        raise ValueError(f"{config.seeds} seeds need {config.seeds * listed} noisy values, {listed} "
+                         f"per seed, above the budget of {_GRID_ENTRIES}")
     noise = [NoiseModel(delta, config.base_seed + i) for i in range(config.seeds)]
     tf = cosine_power(plan.d)
-    s = spectrum_with_count(g, plan.J + 20)
+    s = spectrum_with_count(g, listed)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "plan.txt").write_text(plan_block(plan), encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Compactly supported test functions and their Fourier transforms in closed form.
+"""Compactly supported test functions and the real parts of their Fourier transforms.
 
 Two families, both probability densities supported on [0, 1]:
 
@@ -9,8 +9,10 @@ Two families, both probability densities supported on [0, 1]:
   decays like 1/k^(2d+1), which is what makes short truncated sums work.
 
 Transforms follow the convention f_hat(k) = integral f(l) exp(i k l) dl, so
-f_hat(0) = 1 for both families. All evaluators accept scalars or numpy arrays
-and return matching shapes; a scalar gets the same bits as in an array.
+f_hat(0) = 1 for both families. f is real, so the spectral side of the trace
+formula adds only Re f_hat, which ``re_fourier`` gives in closed form. All
+evaluators accept scalars or numpy arrays and return matching shapes; a scalar
+gets the same bits as in an array.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "cosine_power",
     "normalization",
     "eval_time",
-    "fourier",
     "re_fourier",
     "majorant",
     "MAX_POWER",
@@ -113,15 +114,15 @@ def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
     return vals if np.ndim(ell) else float(vals[0])
 
 
-def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
-    """Closed-form transform of the order-d cosine power.
+def _cosine_power_fourier(d: int, k: np.ndarray):
+    """Closed-form real part of the transform of the order-d cosine power.
 
     Away from the integer lattice the quotient form is
-    (-1)^d (d!)^2 exp(ik/2) sin(k/2) / (pi prod_{j=-d..d}(k/2pi + j)); the
-    zeros of the product at k = 2 pi m, |m| <= d, are removable and handled by
-    cancelling the vanishing factor against the sine inside a small window.
-    The two branches agree to better than 1e-12 at the crossover. The limit
-    form is evaluated only on the arguments inside a window.
+    (-1)^d (d!)^2 sin(k) / (2 pi prod_{j=-d..d}(k/2pi + j)); the zeros of the
+    product at k = 2 pi m, |m| <= d, are removable and handled by cancelling
+    the vanishing factor against the sine inside a small window. The two
+    branches agree to better than 1e-12 at the crossover. The limit form is
+    evaluated only on the arguments inside a window.
     """
     fact2 = float(math.factorial(d)) ** 2
     sign = -1.0 if d % 2 else 1.0
@@ -136,12 +137,7 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
         for j in range(-d, d + 1):
             full = full * (x + j)
 
-    safe_full = np.where(near, 1.0, full)
-    if real_only:
-        smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * safe_full)
-    else:
-        phase = np.exp(1j * k / 2.0)
-        smooth = sign * fact2 * phase * np.sin(k / 2.0) / (math.pi * safe_full)
+    smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * np.where(near, 1.0, full))
     if not near.any():
         return smooth
 
@@ -150,35 +146,24 @@ def _cosine_power_fourier(d: int, k: np.ndarray, real_only: bool):
     for j in range(-d, d + 1):
         reduced = reduced * np.where(m != -j, x + j, 1.0)
     alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
-    factor = np.cos(k / 2.0) if real_only else phase[near]
     # smooth is a numpy scalar for a scalar k; asarray makes it assignable.
     smooth = np.asarray(smooth)
-    smooth[near] = sign * fact2 * factor * alt * _sinc(u / 2.0) / reduced
+    smooth[near] = sign * fact2 * np.cos(k / 2.0) * alt * _sinc(u / 2.0) / reduced
     return smooth
 
 
-def fourier(tf: TestFunction, k) -> np.ndarray | complex:
-    """The transform f_hat(k) = integral_0^1 f(l) exp(ikl) dl, complex valued."""
-    arr = np.asarray(k, dtype=float)
-    if tf.kind == "triangular":
-        vals = np.exp(1j * arr / 2.0) * _sinc(arr / 4.0) ** 2
-    else:
-        vals = _cosine_power_fourier(tf.d, arr, real_only=False)
-    return vals if np.ndim(k) else complex(vals)
-
-
 def re_fourier(tf: TestFunction, k) -> np.ndarray | float:
-    """Real part of the transform, the quantity the truncated sums add up."""
+    """Re f_hat(k) = integral_0^1 f(l) cos(kl) dl, the quantity the truncated sums add up."""
     arr = np.asarray(k, dtype=float)
     if tf.kind == "triangular":
         vals = np.cos(arr / 2.0) * _sinc(arr / 4.0) ** 2
     else:
-        vals = _cosine_power_fourier(tf.d, arr, real_only=True)
+        vals = _cosine_power_fourier(tf.d, arr)
     return vals if np.ndim(k) else float(vals)
 
 
 def majorant(tf: TestFunction, k) -> np.ndarray | float:
-    """A nonincreasing bound dominating sup_{y >= k} |f_hat(y)| on the decay range.
+    """A nonincreasing bound dominating sup_{y >= k} |Re f_hat(y)| on the decay range.
 
     For the order-d cosine power the bound is
     (d!)^2 / (2 pi (k/2pi - d)^(2d+1)), valid for k > 2 pi d; asking below

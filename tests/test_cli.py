@@ -291,11 +291,21 @@ def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--kmax", "1e7"], "k_max = 1e+07 needs 7.63944e+07 grid points, times 2N = 4"),
-    (["--method", "von-below", "--kmax", "1e12"], "k_max = 1e+12 needs 1.90986e+12 lifted values,"),
-], ids=["grid", "von-below"])
-def test_spectrum_kmax_over_a_budget_names_its_size(capsys, argv, message):
-    assert main(["spectrum", "lasso", *argv]) == 2
+    (["lasso", "--kmax", "1e7"], "k_max = 1e+07 needs 7.63944e+07 grid points, times 2N = 4"),
+    (["lasso", "--method", "von-below", "--kmax", "1e12"],
+     "k_max = 1e+12 needs 1.90986e+12 lifted values,"),
+    (["lasso", "--kmax", "1e308"],
+     "k_max = 1e+308 needs too many grid points to count in a float, times 2N = 4"),
+    (["lasso", "--method", "von-below", "--kmax", "1e308"],
+     "k_max = 1e+308 needs too many lifted values to count in a float,"),
+    (["edge.json", "--method", "von-below", "--kmax", "1e308"],
+     "k_max = 1e+308 needs too many lifted values to count in a float,"),
+], ids=["grid", "von-below", "grid-1e308", "von-below-1e308", "von-below-1e308-edge"])
+def test_spectrum_kmax_over_a_budget_names_its_size(tmp_path, monkeypatch, capsys, argv, message):
+    # The edge of length 4 is one piece of the lift, and k_max times its length overflows a float.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edge.json").write_text(to_document(build_graph("edge", ["a", "b"], [("a", "b", 4.0)])))
+    assert main(["spectrum", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message} above the budget of 4194304\n"
@@ -575,6 +585,26 @@ def test_experiment_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
     assert main(["experiment", *argv, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_seeds_over_the_budget_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch):
+    # Each seed perturbs the J + 20 = 68 listed values of the lasso: --seeds 100 needs 6,800.
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "_GRID_ENTRIES", 6799)
+    assert main(["experiment", "lasso", "--seeds", "100", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 100 seeds need 6800 noisy values, 68 per seed, above the budget of 6799\n"
+    assert not out.exists()
+
+    def listing_reached(*args):
+        raise SpectrumCountError("listing reached")
+
+    # At the budget the run passes the check and goes on to the listing.
+    monkeypatch.setattr(cli, "_GRID_ENTRIES", 6800)
+    monkeypatch.setattr(cli, "spectrum_with_count", listing_reached)
+    assert main(["experiment", "lasso", "--seeds", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: listing reached\n"
 
 
 def test_experiment_lasso_outputs(tmp_path, capsys):

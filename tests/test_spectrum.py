@@ -267,6 +267,18 @@ def test_von_below_budget_is_the_size_of_the_lift(monkeypatch, g):
         von_below_spectrum(g, 30.0)
 
 
+def test_von_below_refuses_before_the_discrete_spectrum(monkeypatch):
+    # The budget is checked before the adjacency matrix of the 999 pieces is built and solved.
+    g = build_graph("fine", ["a", "b"], [("a", "b", 0.5), ("a", "b", 0.499)])
+
+    def eigvalsh(matrix):
+        raise AssertionError("eigvalsh ran on a refused lift")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(ValueError, match="needs 3.17992e[+]11 lifted values, above the budget"):
+        von_below_spectrum(g, 1e12)
+
+
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
     # Listing by von Below builds no _Bonds: not on the lasso's 1,000 pieces,
     # and, k_max coming from Weyl's estimate, not on the lasso itself.

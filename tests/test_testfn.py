@@ -1,8 +1,8 @@
 """Tests for the compactly supported test functions and their transforms.
 
 Expected transform values were frozen from independent quadrature of
-integral(f(l) exp(i k l), l=0..1); the quadrature cross-check itself is
-repeated below on a coarser grid.
+integral(f(l) cos(k l), l=0..1), the real part of the transform; the
+quadrature cross-check itself is repeated below on a coarser grid.
 """
 
 import math
@@ -16,7 +16,6 @@ from eulerchar import (
     TestFunction,
     cosine_power,
     eval_time,
-    fourier,
     majorant,
     normalization,
     re_fourier,
@@ -101,37 +100,34 @@ def test_transform_frozen_values():
     assert re_fourier(p2, 3.0) == pytest.approx(0.06461298708155593, abs=1e-14)
     assert re_fourier(p1, math.pi) == pytest.approx(0.0, abs=1e-15)
     # Removable singularities: value at k = 2 pi m is finite and exact.
-    assert fourier(p1, 2 * math.pi) == pytest.approx(-0.5, abs=1e-13)
-    assert fourier(p2, 2 * math.pi) == pytest.approx(-2.0 / 3.0, abs=1e-13)
-    assert fourier(p3, 0.0) == pytest.approx(1.0, abs=0.0)
+    assert re_fourier(p1, 2 * math.pi) == pytest.approx(-0.5, abs=1e-13)
+    assert re_fourier(p2, 2 * math.pi) == pytest.approx(-2.0 / 3.0, abs=1e-13)
+    assert re_fourier(p3, 0.0) == pytest.approx(1.0, abs=0.0)
     assert re_fourier(t, 2 * math.pi) == pytest.approx(-4 / math.pi**2, rel=1e-13)
-    assert abs(fourier(t, 4 * math.pi)) < 1e-30
+    assert abs(re_fourier(t, 4 * math.pi)) < 1e-30
     # Transform at zero is the total mass for every order.
     for d in range(1, 7):
-        assert fourier(cosine_power(d), 0.0) == pytest.approx(1.0, abs=1e-14)
-    assert fourier(t, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert re_fourier(cosine_power(d), 0.0) == pytest.approx(1.0, abs=1e-14)
+    assert re_fourier(t, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_tent_transform_closed_form():
     t = triangular()
     for k in (0.5, 1.0, 3.7, 11.0, 200.0):
-        expected = np.exp(1j * k / 2) * (math.sin(k / 4) / (k / 4)) ** 2
-        assert fourier(t, k) == pytest.approx(expected, abs=1e-14)
+        expected = math.cos(k / 2) * (math.sin(k / 4) / (k / 4)) ** 2
+        assert re_fourier(t, k) == pytest.approx(expected, abs=1e-14)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
 def test_transform_matches_quadrature(d):
+    # Far arguments take the quotient form, those within the window of 2 pi m, |m| <= d, the limit form.
     tf = cosine_power(d)
-    for k in np.geomspace(0.1, 1000.0, 25):
+    window = [2 * math.pi * m + e for m in range(d + 1) for e in (-5e-5, 0.0, 5e-5)]
+    for k in [*np.geomspace(0.1, 1000.0, 25), *window]:
         re_val, _ = quad(
             lambda x: eval_time(tf, x), 0.0, 1.0, weight="cos", wvar=k, limit=400
         )
-        im_val, _ = quad(
-            lambda x: eval_time(tf, x), 0.0, 1.0, weight="sin", wvar=k, limit=400
-        )
-        got = fourier(tf, k)
-        assert got.real == pytest.approx(re_val, abs=1e-10)
-        assert got.imag == pytest.approx(im_val, abs=1e-10)
+        assert re_fourier(tf, k) == pytest.approx(re_val, abs=1e-10)
 
 
 def test_tent_transform_matches_quadrature():
@@ -152,25 +148,22 @@ def test_transform_near_singularity_continuous():
             if m > d:
                 continue
             k0 = 2 * math.pi * m
-            inside = fourier(tf, k0 + 0.9999999e-4)
-            outside = fourier(tf, k0 + 1.0000001e-4)
+            inside = re_fourier(tf, k0 + 0.9999999e-4)
+            outside = re_fourier(tf, k0 + 1.0000001e-4)
             assert abs(inside - outside) < 1e-9
-            inside = fourier(tf, k0 - 0.9999999e-4)
-            outside = fourier(tf, k0 - 1.0000001e-4)
+            inside = re_fourier(tf, k0 - 0.9999999e-4)
+            outside = re_fourier(tf, k0 - 1.0000001e-4)
             assert abs(inside - outside) < 1e-9
 
 
 def test_transform_scalar_and_array_agree():
     ks = np.array([0.3, 2 * math.pi, 17.0])
     for tf in (triangular(), cosine_power(2)):
-        batch = fourier(tf, ks)
+        batch = re_fourier(tf, ks)
         assert batch.shape == (3,)
         for i, k in enumerate(ks):
-            assert fourier(tf, float(k)) == pytest.approx(batch[i], abs=1e-15)
-        rb = re_fourier(tf, ks)
-        assert rb == pytest.approx(batch.real, abs=1e-14)
+            assert re_fourier(tf, float(k)) == pytest.approx(batch[i], abs=1e-15)
     assert isinstance(re_fourier(triangular(), 1.0), float)
-    assert isinstance(fourier(triangular(), 1.0), complex)
 
 
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in range(1, MAX_POWER + 1)],
@@ -178,13 +171,10 @@ def test_transform_scalar_and_array_agree():
 def test_zero_mode_transform_is_exactly_one(tf):
     # The truncated sums add the zero mode as the literal 2.0 = 2 Re f_hat(0).
     assert re_fourier(tf, 0.0) == 1.0
-    assert fourier(tf, 0.0) == 1.0
 
 
 def _bits(values) -> list[int]:
-    arr = np.asarray(values)
-    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
-    return [np.asarray(p, dtype=float).view(np.uint64).tolist() for p in parts]
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
@@ -201,21 +191,20 @@ def test_window_and_far_arguments_mix_bit_for_bit(d):
     edge = 2.0 * math.pi * (d + 1)
     far = [0.5, 3.7, -11.2, edge, edge + 5e-5, -edge - 5e-5, 100.3, 1e5, 1e300]
     ks = np.array(far[:3] + window + far[3:])
-    for evaluate, kind in ((re_fourier, float), (fourier, complex)):
-        scalar = [evaluate(tf, k) for k in ks.tolist()]
-        assert all(type(v) is kind for v in scalar)
-        assert _bits(evaluate(tf, ks)) == _bits(scalar)
-        assert _bits(evaluate(tf, np.array(far))) == _bits(scalar[:3] + scalar[-6:])
-        for shape in ((3, -1), (3, 1, -1)):
-            got = evaluate(tf, ks[::-1].reshape(shape))
-            assert got.ndim == len(shape)
-            assert _bits(got.ravel()) == _bits(scalar[::-1])
+    scalar = [re_fourier(tf, k) for k in ks.tolist()]
+    assert all(type(v) is float for v in scalar)
+    assert _bits(re_fourier(tf, ks)) == _bits(scalar)
+    assert _bits(re_fourier(tf, np.array(far))) == _bits(scalar[:3] + scalar[-6:])
+    for shape in ((3, -1), (3, 1, -1)):
+        got = re_fourier(tf, ks[::-1].reshape(shape))
+        assert got.ndim == len(shape)
+        assert _bits(got.ravel()) == _bits(scalar[::-1])
 
 
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
 def test_transform_bounded_by_one(tf):
     ks = np.linspace(0.0, 500.0, 20001)
-    vals = np.abs(fourier(tf, ks))
+    vals = np.abs(re_fourier(tf, ks))
     assert np.all(vals <= 1.0 + 1e-12)
 
 
@@ -251,10 +240,10 @@ def test_majorant_dominates_real_part(d):
 
 
 def test_majorant_dominates_tent():
-    # For the tent the bound holds for the full modulus, not just Re.
+    # For the tent the bound holds for every k > 0, not just on a decay range.
     t = triangular()
     ks = np.geomspace(1e-3, 1e4, 12000)
-    assert np.all(np.abs(fourier(t, ks)) <= majorant(t, ks) * (1 + 1e-9))
+    assert np.all(np.abs(re_fourier(t, ks)) <= majorant(t, ks) * (1 + 1e-9))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
