@@ -57,6 +57,11 @@ METHODS = ("von-below", "secular", "analytic", "external")
 # than this are listed as one value with their combined multiplicity.
 ROOT_TOL = 1e-11
 
+# A bracket is probed on both sides of its next x, to cut the root out, only once Newton has
+# converged there: its target lies less than this from the probe it came from. Before that
+# both probes give the same target, so one is enough.
+PAIR_STEP = 1e-4
+
 # Batches of U(k), or of the vertex matrix A(k) and A'(k), hold at most this many entries each.
 _BATCH_ENTRIES = 1 << 18
 
@@ -390,6 +395,15 @@ def _grid_counts(bonds: _Bonds, grid: np.ndarray, name: str) -> np.ndarray:
     return np.maximum.accumulate(counts)
 
 
+def _probes(lo: np.ndarray, hi: np.ndarray, x: np.ndarray, paired: np.ndarray):
+    """The probes x -+ ROOT_TOL of the brackets (lo, hi) and which of them are used: both
+    where paired, else x - ROOT_TOL, or x + ROOT_TOL where only that one lies inside."""
+    probe = x[:, None] + np.array([-ROOT_TOL, ROOT_TOL])
+    inside = (probe > lo[:, None]) & (probe < hi[:, None])
+    inside[:, 1] &= paired | ~inside[:, 0]
+    return probe, inside
+
+
 def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """All eigenfrequencies in [0, k_max] with multiplicities, any graph.
 
@@ -401,34 +415,41 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     brackets, the adjacent grid points between which N steps, are those of a count at
     every point, and every count either pass computes is checked, in order of k, for a
     decrease, which raises SpectrumCountError. Each round probes all open brackets at
-    once at x -+ ROOT_TOL, which cuts them into pieces; N decreasing across them raises
-    SpectrumCountError too. A piece over which N does not step is dropped. In the others, x becomes the Dirichlet
-    point m pi / l_e nearest to the probe at the piece's end, where A has a pole, else
-    the Newton target k - w / w' of A(k) from that probe nearest to it, inside
-    the piece (every fifth round, or with neither, the midpoint). A piece at most 3
-    ROOT_TOL wide, too narrow to probe again, is a root at x whose multiplicity is the
-    step of N: the listing is complete by construction. Roots above k_max - 3 ROOT_TOL are
-    dropped, as N(k_max) may count part of their cluster (k5's five at pi, k_max = fl(pi)).
-    The probes need no budget: each kept piece holds an eigenvalue, so a round has at most
-    2 N(k_max) probes, about half the grid points, and count builds their matrices in batches.
+    once, each at x - ROOT_TOL, or at x + ROOT_TOL where only that one lies inside it, and
+    at both where x has converged: a Dirichlet point, or a Newton target less than
+    PAIR_STEP from its probe, where the pair cuts the root out. Never at x itself, where
+    a root leaves every certificate uncertified. The probes cut the brackets into pieces;
+    N decreasing across them raises SpectrumCountError too. A piece over which N does not
+    step is dropped. In the others, x becomes the Dirichlet point m pi / l_e nearest to
+    the probe at the piece's end, where A has a pole, else the Newton target k - w / w' of
+    A(k) from that probe nearest to it, inside the piece (every fifth round, or with
+    neither, the midpoint). A piece at most 3 ROOT_TOL wide, too narrow to probe again, is
+    a root at x whose multiplicity is the step of N: the listing is complete by
+    construction. Roots above k_max - 3 ROOT_TOL are dropped, as N(k_max) may count part of
+    their cluster (k5's five at pi, k_max = fl(pi)). The probes need no budget: each kept
+    piece holds an eigenvalue, so a round has at most 2 N(k_max) probes, about half the
+    grid points, and one per open bracket until its x has converged; count builds their
+    matrices in batches.
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
     bonds = _Bonds(g)
     grid = _grid(bonds, k_max)
     counts = _grid_counts(bonds, grid, g.name)
-    # Open brackets (lo, hi) with N(lo), N(hi), and their next probe centres x.
+    # Open brackets (lo, hi) with N(lo), N(hi), their next probe centres x, and whether x
+    # has converged, so that both of its probes are used.
     i = np.nonzero(np.diff(counts))[0]
     lo, hi, n_lo, n_hi = grid[i], grid[i + 1], counts[i], counts[i + 1]
-    x = 0.5 * (lo + hi)
+    x, paired = 0.5 * (lo + hi), np.zeros(lo.size, bool)
     roots = [np.zeros(0)]
     spacing = math.pi / bonds.lengths[::2]  # of the Dirichlet points of each edge
     rnd = 0
     while lo.size:
         rnd += 1
-        probe = x[:, None] + np.array([-ROOT_TOL, ROOT_TOL])
-        inside = (probe > lo[:, None]) & (probe < hi[:, None])
-        # Probes outside their bracket are padded with its ends: lo, p1, p2, hi.
+        probe, inside = _probes(lo, hi, x, paired)
+        if not inside.any(axis=1).all():
+            raise SpectrumCountError(f"a bracket of {g.name!r} has no probe inside it")
+        # Probes outside their bracket, or unused, are padded with its ends: lo, p1, p2, hi.
         ends = np.column_stack((lo, np.where(inside, probe, np.column_stack((lo, hi))), hi))
         flat = probe[inside]
         n_probe, target = bonds.count(flat, newton=True)
@@ -448,10 +469,12 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         ok = (cand > a[:, None] - ROOT_TOL) & (cand < b[:, None] + ROOT_TOL)
         ok[:, 2 * spacing.size :] &= ~ok[:, : 2 * spacing.size].any(axis=1, keepdims=True)
         best = np.argmin(np.where(ok, np.abs(cand - p), np.inf), axis=1)
-        x = np.where(ok.any(axis=1) & ((rnd % 5 != 0) | narrow),
-                     np.clip(cand[np.arange(best.size), best], a, b), 0.5 * (a + b))
+        targeted = ok.any(axis=1) & ((rnd % 5 != 0) | narrow)  # else the midpoint
+        x = np.where(targeted, np.clip(cand[np.arange(best.size), best], a, b), 0.5 * (a + b))
+        paired = targeted & ((best < 2 * spacing.size) | (np.abs(x - p[:, 0]) < PAIR_STEP))
         roots.append(np.repeat(x[narrow], (n[i, j + 1] - n[i, j])[narrow]))
-        lo, hi, n_lo, n_hi, x = (v[~narrow] for v in (a, b, n[i, j], n[i, j + 1], x))
+        lo, hi, n_lo, n_hi, x, paired = (v[~narrow]
+                                         for v in (a, b, n[i, j], n[i, j + 1], x, paired))
     found = np.sort(np.concatenate(roots))
     values = np.concatenate(([0.0], found[found <= k_max - 3.0 * ROOT_TOL]))  # k_1 = 0
     return Spectrum(tuple(values.tolist()), float(k_max), "secular", 1e-10)

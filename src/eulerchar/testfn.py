@@ -132,12 +132,12 @@ def _cosine_power_fourier(d: int, k: np.ndarray):
     near = (np.abs(u) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
 
     full = np.ones_like(x)
-    # Where full overflows the quotient is 0, the exact term below (d!)^2 / (2 pi 2^1024) < 1e-291.
+    # Where full, or 2 pi times it, overflows the quotient is 0, the exact term below
+    # (d!)^2 / 2^1024 < 1e-290.
     with np.errstate(over="ignore"):
         for j in range(-d, d + 1):
             full = full * (x + j)
-
-    smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * np.where(near, 1.0, full))
+        smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * np.where(near, 1.0, full))
     if not near.any():
         return smooth
 

@@ -3,6 +3,7 @@
 import math
 import shutil
 import sys
+import warnings
 
 import pytest
 
@@ -281,6 +282,19 @@ def test_estimate_with_t_too_small_for_k_J_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: k_J / t overflows a float: t is too small for k_J = 25.1327\n"
+
+
+def test_estimate_with_t_where_2_pi_times_the_product_overflows_is_silent(lasso_48, capsys):
+    # k_48 / 1e-102 is about 2.5e103: the cosine power's product of factors is finite there
+    # and 2 pi times it overflows, so the terms are 0 and nothing may warn on stderr.
+    args = ["estimate", "--spectrum", lasso_48, "--t", "1e-102", "--J", "48", "--d", "1",
+            "--M", "2", "--L", "6"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 0
+    captured = capsys.readouterr()
+    assert not caught and captured.err == ""
+    assert captured.out.startswith("S=2\nchi_hat=2\n")
 
 
 def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):

@@ -1100,7 +1100,9 @@ def test_the_solver_makes_no_complex_eig_call(monkeypatch):
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33", "K10"])
 def test_refinement_takes_few_rounds(monkeypatch, name):
     # Bisection alone would need about 33 rounds to cut a grid cell of
-    # pi / (4 L) down to ROOT_TOL.
+    # pi / (4 L) down to ROOT_TOL. The ceilings are the rounds taken when every
+    # bracket was probed on both sides every round.
+    rounds = {"lasso": 5, "k5": 4, "k5-pendant": 4, "k33": 3, "K10": 3}[name]
     if name == "K10":
         g, k_max = complete_graph(10), 45.0
     else:
@@ -1113,7 +1115,80 @@ def test_refinement_takes_few_rounds(monkeypatch, name):
     # at once.
     grid_calls = calls.index(True)
     assert 1 <= grid_calls <= 2 and not any(calls[:grid_calls]) and all(calls[grid_calls:])
-    assert 1 <= len(calls) - grid_calls <= 8
+    assert 1 <= len(calls) - grid_calls <= rounds
+
+
+def newton_probes(monkeypatch, listing):
+    """The number of probes and of rounds, one count with Newton targets each, that listing()
+    refines with."""
+    sizes = []
+    real = _Bonds._index_count
+
+    def recorded(self, k, cut, newton=False):
+        if newton and not cut:
+            sizes.append(k.size)
+        return real(self, k, cut, newton)
+
+    monkeypatch.setattr(_Bonds, "_index_count", recorded)
+    listing()
+    monkeypatch.undo()
+    return sum(sizes), len(sizes)
+
+
+@pytest.mark.parametrize("name, at_j, at_500, rounds", [
+    ("lasso", 230, 2350, 5), ("k5", 40, 430, 4), ("k5-pendant", 96, 990, 4), ("k33", 34, 410, 3)])
+def test_refinement_probes_once_per_bracket_until_newton_has_converged(
+        monkeypatch, name, at_j, at_500, rounds):
+    # Probing every open bracket on both sides every round took 340, 54, 129 and 46
+    # probes at the planned J, and 3,419, 584, 1,327 and 560 at 500 values, in the same
+    # rounds; one probe per bracket until Newton has converged took 222, 39, 92 and 32,
+    # and 2,254, 417, 951 and 392. The counts hang on LAPACK's last bits, so they are
+    # ceilings, each at most 3/4 of the two-sided count.
+    g = preset(name)
+    for count, most in ((planned_j(g), at_j), (500, at_500)):
+        probes, taken = newton_probes(monkeypatch, lambda: spectrum_with_count(g, count))
+        assert probes <= most and taken <= rounds
+
+
+def test_a_bracket_is_probed_above_x_where_below_it_falls_outside():
+    lo, hi = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.5, 2.5, 3.5, 4.5])
+    x = np.array([1.0 + 0.5 * ROOT_TOL, 2.25, 3.25, 4.5 - 0.5 * ROOT_TOL])
+    probe, inside = spectrum_module._probes(lo, hi, x, np.array([False, False, True, True]))
+    assert np.array_equal(probe, x[:, None] + [-ROOT_TOL, ROOT_TOL])
+    assert inside.tolist() == [[False, True], [True, False], [True, True], [True, False]]
+    # Paired or not, a bracket whose x lies at its lower end is probed above it only.
+    assert spectrum_module._probes(lo, hi, x, np.ones(4, bool))[1][0].tolist() == [False, True]
+
+
+def test_the_one_sided_probe_lists_lasso_to_500(monkeypatch):
+    # At 500 values some brackets of the lasso have x within ROOT_TOL of their lower end.
+    one_sided = []
+    real = spectrum_module._probes
+
+    def probes(lo, hi, x, paired):
+        probe, inside = real(lo, hi, x, paired)
+        one_sided.append(int(np.sum(~inside[:, 0] & inside[:, 1])))
+        return probe, inside
+
+    monkeypatch.setattr(spectrum_module, "_probes", probes)
+    s = spectrum_with_count(preset("lasso"), 500)
+    assert sum(one_sided) >= 1
+    assert validate_spectrum(s, preset("lasso")).ok
+
+
+def test_a_bracket_without_a_probe_raises(monkeypatch):
+    # Every open bracket is wider than 3 ROOT_TOL, so one of x -+ ROOT_TOL lies inside it;
+    # a bracket without a probe would otherwise read another bracket's count.
+    real = spectrum_module._probes
+
+    def none_in_the_first(lo, hi, x, paired):
+        probe, inside = real(lo, hi, x, paired)
+        inside[0] = False
+        return probe, inside
+
+    monkeypatch.setattr(spectrum_module, "_probes", none_in_the_first)
+    with pytest.raises(SpectrumCountError, match="a bracket of 'k5' has no probe inside it"):
+        secular_spectrum(preset("k5"), 8.0)
 
 
 def test_bonds_build_the_scattering_matrix_only_for_its_readers():

@@ -201,6 +201,18 @@ def test_window_and_far_arguments_mix_bit_for_bit(d):
         assert _bits(got.ravel()) == _bits(scalar[::-1])
 
 
+@pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
+def test_transform_is_zero_where_2_pi_times_the_product_overflows(d):
+    # At k = 2 pi 2^(1022 / (2d + 1)) the product of the 2d + 1 factors k / 2 pi + j is
+    # about 2^1022, finite, and 2 pi times it is not; the term is below 1e-290, so +-0,
+    # and no overflow warning (an error under the test settings) escapes.
+    k = 2.0 * math.pi * 2.0 ** (1022 / (2 * d + 1))
+    assert re_fourier(cosine_power(d), k) == 0.0
+    assert re_fourier(cosine_power(d), np.array([-k, k])).tolist() == [0.0, 0.0]
+    if d == 1:
+        assert re_fourier(cosine_power(1), 2.5e103) == 0.0
+
+
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
 def test_transform_bounded_by_one(tf):
     ks = np.linspace(0.0, 500.0, 20001)
