@@ -84,18 +84,17 @@ def _noise(delta, seed, j) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(float) * 2.0**-53
-    return delta * (2.0 * u - 1.0)
+    # 2 u - 1 for u = (z >> 11) 2^-53: z >> 11 < 2^53 is a float exactly, and so is 2^-52 times it.
+    return delta * ((z >> np.uint64(11)) * 2.0**-52 - 1.0)
 
 
 def _perturbed(values: tuple[float, ...], models: list[NoiseModel]) -> np.ndarray:
-    """One row of values per model: noise on each positive k_j (j >= 2), clamped at 0, sorted."""
+    """One row of values per model: noise j on each positive k_j, clamped at 0, sorted."""
     seeds = np.array([m.seed & _MASK64 for m in models], dtype=np.uint64)[:, None]
     deltas = np.array([m.delta for m in models])[:, None]
-    k = np.array(values[1:])
-    noise = _noise(deltas, seeds, np.arange(2, k.size + 2, dtype=np.uint64))
-    noisy = np.where(k > 0.0, np.maximum(0.0, k + noise), k)
-    return np.sort(np.concatenate((np.full((len(models), 1), values[0]), noisy), axis=1), axis=1)
+    k = np.fromiter(values, float, len(values))
+    noise = _noise(deltas, seeds, np.arange(1, k.size + 1, dtype=np.uint64))
+    return np.sort(np.where(k > 0.0, np.maximum(0.0, k + noise), k), axis=1)
 
 
 def nint(x: float) -> int:
@@ -117,7 +116,7 @@ def truncated_sum(
     of shape t.shape + J.shape. Each t must be positive and finite, each J in
     1..len(s.values), and k_J / t finite.
     """
-    return _truncated_sums(np.array(s.values), tf, t, J)
+    return _truncated_sums(np.fromiter(s.values, float, len(s.values)), tf, t, J)
 
 
 def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.ndarray:
@@ -125,23 +124,26 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     ts, Js = np.asarray(t, dtype=float), np.asarray(J)
     if ts.ndim > 1 or Js.ndim > 1:
         raise ValueError("t and J must be scalars or 1-D arrays")
-    if not np.all((ts > 0.0) & (ts < math.inf)):
+    tl, js = ts.ravel().tolist(), Js.ravel().tolist()  # Python numbers check fastest
+    # numpy holds an integer beyond 64 bits in an object array.
+    if Js.dtype.kind not in "iuO" or not all(type(j) is int for j in js):
+        raise ValueError(f"J must be an integer or a 1-D array of integers, got J = {J!r}")
+    if not all(0.0 < x < math.inf for x in tl):
         raise ValueError("t must be positive and finite")
-    if np.any(Js < 1):
+    if min(js, default=1) < 1:
         raise ValueError("J must be at least 1")
-    J_max = int(Js.max(initial=1))
+    J_max = max(js, default=1)
     if values.shape[-1] < J_max:
         raise ValueError(f"spectrum has {values.shape[-1]} values, need J = {J_max}")
-    k = values[..., 1:J_max]
-    k_J = k[..., -1].max() if k.size else 0.0
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(k_J / ts)):
-            raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
-    terms = re_fourier(tf, k[..., None, :] / ts.reshape(-1, 1))
+    # Rows are sorted, so k_J / t peaks at column J and the smallest t (as inf, no warning).
+    k_J = max(values[..., J_max - 1].ravel().tolist(), default=0.0)
+    if not math.isfinite(k_J / min(tl, default=math.inf)):
+        raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
+    terms = re_fourier(tf, values[..., None, 1:J_max] / ts.reshape(-1, 1))
     rows = terms.reshape(math.prod(terms.shape[:-1]), J_max - 1).tolist()
-    sums = [[2.0 + 2.0 * math.fsum(row[:j - 1]) for j in Js.ravel().tolist()] for row in rows]
-    out = np.array(sums).reshape(values.shape[:-1] + ts.shape + Js.shape)
-    return float(out) if out.ndim == 0 else out
+    sums = [[2.0 + 2.0 * math.fsum(row[:j - 1]) for j in js] for row in rows]
+    shape = values.shape[:-1] + ts.shape + Js.shape
+    return np.array(sums).reshape(shape) if shape else sums[0][0]
 
 
 def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float,

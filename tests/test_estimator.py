@@ -1,5 +1,6 @@
 """Tests for the truncated spectral sum, noise model, and chi recovery."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -140,10 +141,16 @@ def test_truncated_sum_over_an_array_of_J_is_bit_identical_to_one_call_per_J(k5_
 
 
 @pytest.mark.parametrize("js, message", [([3, 0, 5], "at least 1"), ([-2], "at least 1"),
-                                         ([2, 49], "need J = 49"), ([[2, 3]], "1-D")])
-def test_truncated_sum_rejects_bad_J_in_an_array(lasso_spectrum, js, message):
-    with pytest.raises(ValueError, match=message):
-        truncated_sum(lasso_spectrum, cosine_power(1), 1.0, np.array(js))
+                                         ([2, 49], "need J = 49"), ([[2, 3]], "1-D"),
+                                         (48.0, "J must be"), (np.float64(48.0), "J must be"),
+                                         (2.5, "J must be"), ([2, 48.0], "J must be"),
+                                         (True, "J must be"), ([], "J must be"),
+                                         ([2, None], "J must be"), (10**30, "need J = 10{30}$")])
+def test_truncated_sum_rejects_bad_J_in_an_array(lasso_spectrum, js, message, re_fourier_calls):
+    for J in (js, np.array(js)):
+        with pytest.raises(ValueError, match=message):
+            truncated_sum(lasso_spectrum, cosine_power(1), 1.0, J)
+    assert re_fourier_calls == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, [0.5, 0.0], [-1.0], [0.2, math.nan], [[0.5]],
@@ -484,6 +491,25 @@ def test_noise_sensitivity_bound(lasso_spectrum, seed):
     # Lipschitz bound: each of the J-1 nonzero terms moves by at most
     # 2 delta / t in argument and the transforms have slope below 1.
     assert abs(S_noisy - S) <= 2 * delta * J / t
+
+
+# sha256 of certify's (S, bound) over the exact and 20 perturbed spectra of each graph at its
+# plan, and of the perturbed values, in the little-endian float64 bytes.
+RECOVER_DIGEST = "af35741e5ebdacc83b8b685381fdd3aeff769aac532f6bd81c4a982e0a3254af"
+
+
+def test_recover_path_bits_are_frozen():
+    digest = hashlib.sha256()
+    graphs = [preset(name) for name in ("lasso", "k5", "k5-pendant", "k33")]
+    for g in graphs + [complete_graph(n) for n in (6, 7, 8)]:
+        info = summarize(g)
+        plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+        s = spectrum_with_count(g, plan.J)
+        tf = cosine_power(plan.d)
+        for p in [s] + [perturb_spectrum(s, NoiseModel(plan.delta_max, seed)) for seed in range(20)]:
+            est = certify(p, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
+            digest.update(np.array([*p.values, est.S, est.bound], dtype="<f8").tobytes())
+    assert digest.hexdigest() == RECOVER_DIGEST
 
 
 def test_recover_chi_exact(lasso_spectrum, k5_spectrum):

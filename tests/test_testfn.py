@@ -5,6 +5,7 @@ integral(f(l) cos(k l), l=0..1), the real part of the transform; the
 quadrature cross-check itself is repeated below on a coarser grid.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from eulerchar import (
     re_fourier,
     triangular,
 )
-from eulerchar.testfn import MAX_POWER
+from eulerchar import testfn
+from eulerchar.testfn import _SINGULAR_WINDOW, MAX_POWER, _sinc
 
 
 def test_constructor_validation():
@@ -211,6 +213,93 @@ def test_transform_is_zero_where_2_pi_times_the_product_overflows(d):
     assert re_fourier(cosine_power(d), np.array([-k, k])).tolist() == [0.0, 0.0]
     if d == 1:
         assert re_fourier(cosine_power(1), 2.5e103) == 0.0
+
+
+def loop_cosine_power_fourier(d: int, k: np.ndarray):
+    """The order-d transform with one array pass per factor of each product: the oracle.
+
+    The quotient's product and the window's reduced product are formed one factor at a time,
+    left to right over j = -d..d, with the vanishing factor of a window point replaced by 1.
+    """
+    fact2 = float(math.factorial(d)) ** 2
+    sign = -1.0 if d % 2 else 1.0
+    x = k / (2.0 * math.pi)
+    m = np.rint(x)
+    u = k - 2.0 * math.pi * m
+    near = (np.abs(u) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
+    full = np.ones_like(x)
+    with np.errstate(over="ignore"):
+        for j in range(-d, d + 1):
+            full = full * (x + j)
+        smooth = sign * fact2 * np.sin(k) / (2.0 * math.pi * np.where(near, 1.0, full))
+    if not near.any():
+        return smooth
+    x, m, u, k = x[near], m[near], u[near], k[near]
+    reduced = np.ones_like(x)
+    for j in range(-d, d + 1):
+        reduced = reduced * np.where(m != -j, x + j, 1.0)
+    alt = np.where(np.mod(m, 2.0) == 0.0, 1.0, -1.0)
+    smooth = np.asarray(smooth)
+    smooth[near] = sign * fact2 * np.cos(k / 2.0) * alt * _sinc(u / 2.0) / reduced
+    return smooth
+
+
+def transform_corpus(d: int) -> np.ndarray:
+    """2 pi m + offsets across each window edge for |m| <= d + 1, far points, 1e300 and
+    arguments whose product overflows, or whose product times 2 pi does (for d = 0, the
+    tent, the points of d = 1)."""
+    offsets = (0.0, 1e-9, -1e-9, 5e-5, -5e-5, 0.9999999e-4, -0.9999999e-4,
+               1.0000001e-4, -1.0000001e-4)
+    window = [2.0 * math.pi * m + o for m in range(-d - 1, d + 2) for o in offsets]
+    edge = 2.0 * math.pi * 2.0 ** (1022 / (2 * max(d, 1) + 1))
+    far = [0.5, 3.7, -11.2, 100.3, -2500.25, 1e5, 1e300, -1e300, edge, -edge, 2.5e103, 1e200]
+    return np.array(window + far)
+
+
+CORPUS_FUNCTIONS = [triangular()] + [cosine_power(d) for d in range(1, MAX_POWER + 1)]
+
+# sha256 of re_fourier over transform_corpus for every function above, as 0-d, 1-D and 2-D
+# arrays, in the little-endian float64 bytes; frozen from the per-factor loop.
+TRANSFORM_DIGEST = "8695c254b5aacb6dd78cf8aa5c81eb0ea0027ceb32facc47a3fe0f6029f0bba1"
+
+
+def _corpus_outputs(tf: TestFunction) -> list[np.ndarray]:
+    ks = transform_corpus(tf.d)
+    grid = np.stack([ks, ks[::-1]])
+    scalars = [re_fourier(tf, np.asarray(k)) for k in ks.tolist()]
+    assert all(type(v) is float for v in scalars)
+    return [np.array(scalars), re_fourier(tf, ks), re_fourier(tf, grid)]
+
+
+def test_transform_bits_are_frozen_over_the_corpus():
+    digest = hashlib.sha256()
+    for tf in CORPUS_FUNCTIONS:
+        for out in _corpus_outputs(tf):
+            digest.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+    assert digest.hexdigest() == TRANSFORM_DIGEST
+
+
+@pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
+def test_transform_is_the_per_factor_loop_bit_for_bit(d):
+    ks = transform_corpus(d)
+    scalars, got_1d, got_2d = _corpus_outputs(cosine_power(d))
+    assert _bits(scalars) == _bits([loop_cosine_power_fourier(d, np.asarray(k)) for k in ks])
+    assert _bits(got_1d) == _bits(loop_cosine_power_fourier(d, ks))
+    grid = np.stack([ks, ks[::-1]])
+    assert _bits(got_2d.ravel()) == _bits(loop_cosine_power_fourier(d, grid).ravel())
+    spread = np.random.default_rng(d).uniform(-2.0 * math.pi * (d + 2), 400.0, (4, 250))
+    assert _bits(re_fourier(cosine_power(d), spread).ravel()) == _bits(
+        loop_cosine_power_fourier(d, spread).ravel())
+
+
+@pytest.mark.parametrize("d", [1, 2, MAX_POWER])
+def test_window_points_reduced_in_blocks_keep_their_bits(d, monkeypatch):
+    # The grid holds 14 (2d + 1) window points; blocks of 4 leave the last one short.
+    grid = np.stack([transform_corpus(d), transform_corpus(d)[::-1]])
+    whole = re_fourier(cosine_power(d), grid)
+    monkeypatch.setattr(testfn, "_WINDOW_BLOCK", 4)
+    assert _bits(re_fourier(cosine_power(d), grid).ravel()) == _bits(whole.ravel())
+    assert _bits(whole.ravel()) == _bits(loop_cosine_power_fourier(d, grid).ravel())
 
 
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
