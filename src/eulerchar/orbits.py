@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import certified_bound, truncated_sum
-from .graph import MetricGraph, length_units
-from .spectrum import Spectrum, _Bonds
+from .graph import MetricGraph
+from .spectrum import Spectrum, _bonds_of
 from .testfn import TestFunction, eval_time
 
 __all__ = [
@@ -108,7 +108,7 @@ def enumerate_orbits(
     """
     if l_max <= 0.0:
         raise ValueError("l_max must be positive")
-    S = _Bonds(g).S.tolist()
+    S = _bonds_of(g).S.tolist()
     steps_from: dict[str, list[Step]] = {v: [] for v in g.vertices}
     for i, e in enumerate(g.edges):
         steps_from[e.u].append((i, 1))
@@ -175,7 +175,7 @@ def scattering_amplitude(orbit: PeriodicOrbit, g: MetricGraph) -> float:
     Independent of the amplitude accumulated during enumeration; tests compare
     the two.
     """
-    S = _Bonds(g).S.tolist()
+    S = _bonds_of(g).S.tolist()
     bonds = [_bond(step) for step in orbit.steps]
     return math.prod(S[c][b] for b, c in zip(bonds, bonds[1:] + bonds[:1]))
 
@@ -188,16 +188,13 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     that length, whatever their number of bonds, from bond a to bond b. The
     shortest length is popped, its walks closed with sum(l[:, None] * S * P)
     and extended by P @ S.T onto each unit while t L < 1. Every walk extends a
-    shorter one, so a popped length is complete.
+    shorter one, so a popped length is complete. S, l[:, None] * S, the units and their
+    masks come from g's table, built once per graph object, so only the walks depend on t.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    bonds = _Bonds(g)
-    S, weight = bonds.S, bonds.lengths[:, None] * bonds.S
-    edge_units, D = length_units(g)
-    units = [u for u in edge_units for _ in (0, 1)]
-    masks = {u: np.array([v == u for v in units], dtype=float) for u in dict.fromkeys(units)}
-    walks = {u: np.diag(m) for u, m in masks.items() if t * (u / D) < 1.0}
+    S, weight, D, masks = _bonds_of(g).walk(g)
+    walks = {u: np.diag(m) for u, m in masks if t * (u / D) < 1.0}
     closed_length, closed_weight = [], []
     while walks:
         if (len(closed_length) + 1) * S.size > MAX_WALK_ENTRIES:
@@ -207,7 +204,7 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
         closed_length.append(length / D)
         closed_weight.append(np.vdot(weight, P))
         Q = P @ S.T
-        for u, m in masks.items():
+        for u, m in masks:
             if t * ((length + u) / D) < 1.0:
                 walks[length + u] = walks.get(length + u, 0.0) + Q * m
     terms = np.array(closed_weight) * t * eval_time(tf, t * np.array(closed_length))

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MetricGraph, equilateral_subdivision, two_colouring
+from .graph import MetricGraph, equilateral_subdivision, length_units, two_colouring
 
 __all__ = [
     "Spectrum",
@@ -196,10 +197,17 @@ def secular_matrix(g: MetricGraph, k) -> np.ndarray:
 # Bond scattering and the exact eigenvalue count
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class _Bonds:
     """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
     quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S, built
-    on first use, for counts neither A certifies and for orbit_side.
+    on first use, for counts neither A certifies and for orbit_side. It depends on g alone:
+    _bonds_of builds it once per graph object, shares it among equal graphs and drops it with
+    g. Its arrays are read-only, so a stray write raises.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -211,13 +219,14 @@ class _Bonds:
 
     def __init__(self, g: MetricGraph) -> None:
         index = {v: i for i, v in enumerate(g.vertices)}
-        self.ends = np.array([(index[e.u], index[e.v]) for e in g.edges])
-        self.lengths = np.repeat([e.length for e in g.edges], 2)
+        self.ends = _read_only(np.array([(index[e.u], index[e.v]) for e in g.edges]))
+        self.lengths = _read_only(np.repeat([e.length for e in g.edges], 2))
         self.total_length = g.total_length()
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
         self.n_vertices = len(g.vertices)
-        self.loops = np.array([float(e.u == e.v) for e in g.edges])
+        self.loops = _read_only(np.array([float(e.u == e.v) for e in g.edges]))
         self._pieces: dict[bool, tuple] = {}
+        self._walk: tuple | None = None
 
     @functools.cached_property
     def S(self) -> np.ndarray:
@@ -225,12 +234,12 @@ class _Bonds:
         S = (start[:, None] == end) * (2.0 / np.bincount(start)[end])
         b = np.arange(start.size)
         S[b ^ 1, b] -= 1.0
-        return S
+        return _read_only(S)
 
     def pieces(self, cut: bool):
         """m, the order of A on the pieces (g's edges, or with cut its quarter-wave cut's,
         e cut at a new vertex M + e), the entries of A they touch, the constant scatter of
-        the pieces' terms to them, and the ends at each vertex; built on first use."""
+        the pieces' terms to them, the ends at each vertex, their count and each length's ulp."""
         if cut not in self._pieces:
             n, m, ends = len(self.ends), self.n_vertices, self.ends
             if cut:
@@ -242,8 +251,21 @@ class _Bonds:
             scatter = np.zeros((2 * p, touched.size))
             np.add.at(scatter, (np.arange(4 * p) % (2 * p), column), 1.0)  # both ends of a loop
             # Every vertex has an edge, so its diagonal entry a (m + 1) is touched.
-            self._pieces[cut] = (m, touched, scatter, scatter[:p, touched % (m + 1) == 0])
+            ends = scatter[:p, touched % (m + 1) == 0]
+            self._pieces[cut] = (m, *map(_read_only, (touched, scatter, ends, ends.sum(axis=0),
+                                                      np.spacing(self.lengths[::2]))))
         return self._pieces[cut]
+
+    def walk(self, g: MetricGraph):
+        """orbit_side's tables of g, these bonds' graph: S, the weights l_b S[c, b], D of
+        graph.length_units and, per distinct bond length u / D, u and the mask of its bonds."""
+        if self._walk is None:
+            edge_units, D = length_units(g)
+            units = [u for u in edge_units for _ in (0, 1)]
+            masks = tuple((u, _read_only(np.array([v == u for v in units], dtype=float)))
+                          for u in dict.fromkeys(units))
+            self._walk = (self.S, _read_only(self.lengths[:, None] * self.S), D, masks)
+        return self._walk
 
     def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
         """x_p = k l_p, s_p = sin x_p, where (1) of _index_count holds, and the vertex
@@ -256,10 +278,9 @@ class _Bonds:
         between poles. The cut's first piece of e has l_1 = min(pi / (2 k), l_e / 2) rounded
         down to a multiple of ulp(l_e), so l_e - l_1 is exact; at a Dirichlet point of e
         both its sines are +-1. Call under np.errstate."""
-        m, touched, scatter, _ = self.pieces(cut)
+        m, touched, scatter, _, _, ulp = self.pieces(cut)
         l, loops = self.lengths[::2], 0.0 if cut else self.loops
         if cut:
-            ulp = np.spacing(l)
             first = np.floor(np.minimum(0.5 * math.pi / k[:, None], 0.5 * l) / ulp) * ulp
             l = np.stack((first, l - first), axis=2).reshape(k.shape[0], -1)
         x = k[:, None] * l
@@ -307,7 +328,8 @@ class _Bonds:
         The targets take the slope w' = v^T A'(k) v of each eigenvalue, v its
         unit eigenvector (Hellmann-Feynman); they are 0 / 0 = NaN where (1) fails.
         """
-        n, m, u = (1 + cut) * len(self.ends), self.n_vertices + cut * len(self.ends), 2.0**-53
+        m, _, _, ends, degree, _ = self.pieces(cut)
+        n, u = (1 + cut) * len(self.ends), 2.0**-53
         count, sure, target = np.empty(len(k), int), np.empty(len(k), bool), np.empty((len(k), m))
         batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -321,8 +343,8 @@ class _Bonds:
                 else:
                     w = np.linalg.eigvalsh(A)
                 gap = np.min(np.abs(w), axis=1) - 16.0 * m * u * np.linalg.norm(A, axis=(1, 2))
-                ends, inv = self.pieces(cut)[3], 1.0 / s**2
-                rows = ((1.0 + x) * inv) @ ends + (inv @ ends) * ends.sum(axis=0)
+                inv = 1.0 / s**2
+                rows = ((1.0 + x) * inv) @ ends + (inv @ ends) * degree
                 bound = np.minimum(np.sum((1.0 + n + x) / s**2, axis=1), rows.max(axis=1))
                 sure[lo : lo + batch] = far & (gap > 64.0 * u * bound)
                 count[lo : lo + batch] = (np.floor(x / math.pi).sum(axis=1)
@@ -358,6 +380,17 @@ class _Bonds:
                 rest[~cut_sure] = self._phase_count(k[~sure][~cut_sure])
             count[~sure] = rest
         return (count, *target) if newton else count
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _bonds_of(g: MetricGraph) -> _Bonds:
+    """g's _Bonds, built on first use, shared by graphs equal to g and dropped with g."""
+    bonds = _TABLES.get(g)
+    if bonds is None:
+        bonds = _TABLES[g] = _Bonds(g)
+    return bonds
 
 
 def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
@@ -433,7 +466,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
-    bonds = _Bonds(g)
+    bonds = _bonds_of(g)
     grid = _grid(bonds, k_max)
     counts = _grid_counts(bonds, grid, g.name)
     # Open brackets (lo, hi) with N(lo), N(hi), their next probe centres x, and whether x
@@ -615,7 +648,7 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     """Check a spectrum against a proved estimate and the exact count of g."""
-    bonds = _Bonds(g)
+    bonds = _bonds_of(g)
     M, L = len(g.vertices), bonds.total_length
     messages: list[str] = []
 

@@ -1,7 +1,11 @@
 """Tests for periodic orbit enumeration and the trace identity."""
 
+import gc
+import hashlib
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from eulerchar import (
@@ -13,6 +17,7 @@ from eulerchar import (
     eval_time,
     interval_graph,
     loop_graph,
+    optimal_plan,
     orbit_side,
     preset,
     spectrum_with_count,
@@ -20,11 +25,13 @@ from eulerchar import (
     summarize,
     trace_check,
     triangular,
+    validate_spectrum,
 )
 from eulerchar import orbits
+from eulerchar import spectrum as spectrum_module
 from eulerchar.graph import PRESET_NAMES
 from eulerchar.orbits import enumerate_orbits, scattering_amplitude
-from eulerchar.spectrum import secular_spectrum
+from eulerchar.spectrum import _Bonds, secular_spectrum
 
 
 def test_loop_orbits():
@@ -291,3 +298,61 @@ def test_trace_check_requires_enough_values():
     s = spectrum_with_count(g, 10)
     with pytest.raises(ValueError):
         trace_check(g, cosine_power(2), 0.6, s)  # needs > M + 2 L t d = 16.4
+
+
+def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
+    # The listing, which scans a 12-arm star twice as its first k_max falls short, the
+    # validation, the trace checks, the orbit side and the orbit oracles of one graph, and of
+    # a graph equal to it, share one _Bonds, and it goes with the last of those graphs.
+    built, scans = [], []
+    real_init, real_scan = _Bonds.__init__, spectrum_module.secular_spectrum
+    monkeypatch.setattr(_Bonds, "__init__",
+                        lambda self, g: built.append(g.name) or real_init(self, g))
+    monkeypatch.setattr(spectrum_module, "secular_spectrum",
+                        lambda g, k_max: scans.append(k_max) or real_scan(g, k_max))
+    g = star_graph(12, name="table-star")
+    s = spectrum_with_count(g, 2)
+    assert len(scans) == 2
+    assert validate_spectrum(s, g).ok
+    s = secular_spectrum(g, 40.0 * math.pi / g.total_length())
+    for t in (0.1, 0.2, 0.3):
+        _lhs, _rhs, gap, bound = trace_check(g, cosine_power(2), t, s)
+        assert gap <= bound + 1e-9
+    assert orbit_side(g, cosine_power(2), 0.15) == trace_check(g, cosine_power(2), 0.15, s)[0]
+    for o in enumerate_orbits(g, 4.0):
+        assert scattering_amplitude(o, g) == pytest.approx(o.s_v, rel=1e-15)
+    twin = star_graph(12, name="table-star")
+    assert twin is not g and spectrum_module._bonds_of(twin) is spectrum_module._bonds_of(g)
+    assert validate_spectrum(s, twin).ok
+    assert built == ["table-star"]
+    graph, table = weakref.ref(g), weakref.ref(spectrum_module._bonds_of(g))
+    del g, twin
+    gc.collect()
+    assert graph() is None and table() is None
+
+
+# sha256 of orbit_side at the trace workload's cases, lasso at t = 0.002 and odd at t = 0.03,
+# and of the planned-J listings and their validation reports, each computed twice, the second
+# time from the filled table; float64 values in little-endian bytes.
+TABLE_DIGEST = "10f44206c9401757992b300ce9fe5b5f6e3934694233d31ebf27e94659de5fb4"
+
+
+def test_shared_tables_keep_the_bits():
+    digest = hashlib.sha256()
+    cases = [(preset(name), t) for name, t in (("lasso", 0.1), ("lasso", 0.07), ("lasso", 0.06),
+                                               ("k5", 0.2), ("k33", 0.2), ("k5-pendant", 0.2),
+                                               ("lasso", 0.002))]
+    for g, t in cases + [(_incommensurate_graph(), 0.03)]:
+        for _ in range(2):
+            digest.update(np.array([orbit_side(g, cosine_power(2), t)], dtype="<f8").tobytes())
+    graphs = [preset(name) for name in ("lasso", "k5", "k5-pendant", "k33")]
+    for g in graphs + [complete_graph(n) for n in (6, 7, 8)]:
+        info = summarize(g)
+        J = optimal_plan(0.25, info.M, info.total_length, info.l_min).J
+        for _ in range(2):
+            s = spectrum_with_count(g, J)
+            r = validate_spectrum(s, g)
+            digest.update(np.array([*s.values, s.k_max_covered, s.tol], dtype="<f8").tobytes())
+            digest.update(repr((s.method, r.weyl_lower_ok, r.zero_mode_ok, r.count_ok,
+                                r.messages)).encode())
+    assert digest.hexdigest() == TABLE_DIGEST

@@ -1206,6 +1206,24 @@ def test_bonds_build_the_scattering_matrix_only_for_its_readers():
     assert "S" in vars(bonds)
 
 
+@pytest.mark.parametrize("name", ["lasso", "k5-pendant"])
+def test_shared_tables_are_read_only(name):
+    # Every listing, validation and orbit side of the graph reads this one table, so an
+    # in-place write to any of its arrays raises instead of changing their results.
+    g = preset(name)
+    bonds = spectrum_module._bonds_of(g)
+    _S, weight, _D, masks = bonds.walk(g)
+    arrays = [bonds.S, bonds.lengths, bonds.ends, bonds.loops, weight, *(m for _u, m in masks),
+              *bonds.pieces(False)[1:], *bonds.pieces(True)[1:]]
+    assert len(arrays) == 15 + len(masks)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+    assert validate_spectrum(spectrum_with_count(g, 30), g).ok
+
+
 def test_grid_budget_refuses_before_allocating(monkeypatch):
     # The largest grid in the tests, demos and bench is K10 to k = 45.
     assert _GRID_ENTRIES >= 10 * _grid(_Bonds(complete_graph(10)), 45.0).size * 90
