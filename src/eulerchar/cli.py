@@ -28,13 +28,12 @@ import numpy as np
 
 from .estimator import (NoiseModel, _truncated_sums, certified_bound, certify,
                         certify_perturbed, perturb_spectrum, truncated_sum)
-from .graph import GraphError, MetricGraph, PRESET_NAMES, equilateral_subdivision, parse_graph, preset, summarize
+from .graph import GraphError, MetricGraph, PRESET_NAMES, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, beta_continuous, epsilon, optimal_plan
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
     _GRID_ENTRIES,
     SpectrumCountError,
-    compare_spectra,
     read_spectrum_csv,
     secular_spectrum,
     spectrum_csv_text,
@@ -130,31 +129,12 @@ def _order_boundary_note(plan: RecoveryPlan) -> str | None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
-    method, note = args.method, ""
-    if method == "auto":
-        try:
-            g_eq, piece = equilateral_subdivision(g)
-            note = f"# note=von Below cross-check on {len(g_eq.edges)} edges of {piece:.6g}"
-        except GraphError as exc:
-            method = "secular"
-            note = f"# note=von Below cross-check skipped ({exc})"
-
-    kind = "secular" if method == "auto" else method
     if args.kmax is not None:
-        s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[kind](g, args.kmax)
+        lister = von_below_spectrum if args.method == "von-below" else secular_spectrum
+        s = lister(g, args.kmax)
     else:
-        s = spectrum_with_count(g, 60 if args.count is None else args.count, kind)
-    if method == "auto":
-        vb = von_below_spectrum(g_eq, s.k_max_covered)
-        diff = compare_spectra(s, vb, count=len(s.values))
-        if diff > s.tol + vb.tol + 1e-8:
-            print(f"method disagreement: max |dk| = {diff:.3e}", file=sys.stderr)
-            return EXIT_BOUND_VIOLATION
-        note += f"\n# note=cross-validated against von Below, max |dk| = {diff:.3e}"
-
+        s = spectrum_with_count(g, 60 if args.count is None else args.count, args.method)
     text = spectrum_csv_text(s, {"graph": g.name})
-    if note:
-        text = note.strip() + "\n" + text
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {len(s.values)} eigenfrequencies to {args.out}")
@@ -439,7 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
     extent = p.add_mutually_exclusive_group()
     extent.add_argument("--count", type=int, help="number of eigenfrequencies (default 60)")
     extent.add_argument("--kmax", type=float, help="compute everything up to this k instead")
-    p.add_argument("--method", choices=("secular", "von-below", "auto"), default="auto")
+    p.add_argument("--method", choices=("secular", "von-below", "auto"), default="auto",
+                   help="auto (default): with --count, von Below where the subdivision has at "
+                   "most that many vertices, certified by exact counts, else secular; with "
+                   "--kmax, secular")
     p.add_argument("--out", "-o", default="", help="output file")
     p.set_defaults(fn=cmd_spectrum)
 

@@ -19,8 +19,11 @@ Two independent numerical methods plus closed-form oracles:
 * ``analytic_spectrum``: textbook spectra for intervals, loops, and
   equilateral stars, used as oracles in tests.
 
-``validate_spectrum`` checks a listing from any source against N;
-``secular_matrix``, a second encoding of the conditions, is a test oracle only.
+``validate_spectrum`` checks a listing from any source against N, counted at both ends of
+every cluster of its values, and so sees every value. ``spectrum_with_count`` lists by von
+Below where the subdivision is small enough and certifies that listing so, else by the
+secular search, whose brackets certify it by the same counts. ``secular_matrix``, a second
+encoding of the conditions, is a test oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
 numerically) and repeats eigenfrequencies by multiplicity.
 """
@@ -29,12 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MetricGraph, equilateral_subdivision, length_units, two_colouring
+from .graph import GraphError, MetricGraph, equilateral_subdivision, length_units, two_colouring
 
 __all__ = [
     "Spectrum",
@@ -114,10 +116,14 @@ class ValidationReport:
     weyl_lower_ok: k_j >= (j - M) pi / L for every j (a proved estimate).
     zero_mode_ok: the graph being connected, k_2 > tol, so the zero mode k_1 = 0,
     which Spectrum requires, is simple.
-    count_ok: the number of listed values in (0, k_max_covered] equals the
-    exact eigenvalue count N(k_max_covered) of the graph, read with the
-    spectrum's tol on both sides of k_max_covered. A missed or an extra
-    value fails it.
+    count_ok: the values in (0, k_max_covered], grouped into clusters whose gaps are at
+    most 2 d, d = tol + ROOT_TOL, leave below lo - d and hi + d of each cluster [lo, hi],
+    and below k_max_covered - d, exactly as many values as the exact count N(k) of the
+    graph there (the last point only where it lies above every cluster's). A correct
+    listing, each value within tol of its eigenvalue, passes: no eigenvalue lies within
+    d of a point. Conversely the counts put the j-th value of a cluster and the j-th
+    eigenvalue both in [lo - d, hi + d], so a value alone in its cluster lies within d of
+    its eigenvalue, and a missed, extra or misplaced value fails.
     """
 
     weyl_lower_ok: bool
@@ -206,8 +212,8 @@ class _Bonds:
     """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
     quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S, built
     on first use, for counts neither A certifies and for orbit_side. It depends on g alone:
-    _bonds_of builds it once per graph object, shares it among equal graphs and drops it with
-    g. Its arrays are read-only, so a stray write raises.
+    _bonds_of builds it once per graph object and keeps it on g, so it goes with g. Its
+    arrays are read-only, so a stray write raises.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -382,14 +388,12 @@ class _Bonds:
         return (count, *target) if newton else count
 
 
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _bonds_of(g: MetricGraph) -> _Bonds:
-    """g's _Bonds, built on first use, shared by graphs equal to g and dropped with g."""
-    bonds = _TABLES.get(g)
+    """g's _Bonds, built on first use and kept in g's __dict__: a frozen MetricGraph has no
+    slots, and its eq and hash read its fields only."""
+    bonds = g.__dict__.get("_bonds")
     if bonds is None:
-        bonds = _TABLES[g] = _Bonds(g)
+        bonds = g.__dict__["_bonds"] = _Bonds(g)
     return bonds
 
 
@@ -612,8 +616,15 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
     return Spectrum(tuple(values), values[-1], "analytic", 0.0)
 
 
-def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> Spectrum:
+def spectrum_with_count(g: MetricGraph, count: int, method: str = "auto") -> Spectrum:
     """The first `count` eigenfrequencies by the chosen method.
+
+    method "auto" lists by von Below on equilateral_subdivision(g) where that succeeds
+    with at most `count` vertices, so that the lift's dense eigvalsh computes no more
+    numbers than the listing keeps, and certifies that listing by validate_spectrum's
+    exact counts, raising SpectrumCountError where they fail; else it lists by the secular
+    search, which its own brackets certify. "secular" and "von-below" list by that method
+    alone, uncertified.
 
     Listed up to Weyl's estimate (count + 3 + max(N - M, 0)) pi / L, as N(k)
     averages L k / pi + (M - N) / 2 - 1 and equilateral complete graphs lag it
@@ -621,25 +632,43 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
     (count + N + 1) pi / L, where Dirichlet bracketing gives N >= count. Both
     add 1/8, so that grids of step pi / (4 L) miss the Dirichlet points of equilateral
     graphs, where the graph's own A(k) is never certified and the count falls back on its
-    quarter-wave cut. k_max_covered is halfway from the last kept value to the next, or
-    to the one below a cluster of equal values that the cut splits.
+    quarter-wave cut. k_max_covered is halfway from the last kept value to the next, or,
+    where the cut splits a cluster of values with gaps of at most 2 (tol + ROOT_TOL), as
+    validate_spectrum groups them, into the gap below that cluster.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    listed, certify = g, False
+    if method == "auto":
+        method = "secular"
+        try:
+            sub = equilateral_subdivision(g)[0]
+        except GraphError:
+            pass
+        else:
+            if len(sub.vertices) <= count:
+                listed, method, certify = sub, "von-below", True
+    lister = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method]
     n_edges, length = len(g.edges), g.total_length()
     hi = (count + n_edges + 1.125) * math.pi / length
     weyl = (count + 3.125 + max(n_edges - len(g.vertices), 0)) * math.pi / length
     for k_max in sorted({weyl, hi}):
-        s = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method](g, k_max)
+        s = lister(listed, k_max)
         if len(s.values) > count:
             break
     else:
         raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
                                  f"the Dirichlet bound gives at least {count + 1}")
-    cut, above = s.values[count - 1], s.values[count]
-    if above - cut <= s.tol:
-        above = max(v for v in s.values if v < cut - s.tol)
-    return Spectrum(s.values[:count], 0.5 * (cut + above), s.method, s.tol)
+    v, i = s.values, count
+    while i > 1 and v[i] - v[i - 1] <= 2.0 * (s.tol + ROOT_TOL):
+        i -= 1
+    s = Spectrum(v[:count], 0.5 * (v[i - 1] + v[i]), s.method, s.tol)
+    if certify:
+        report = validate_spectrum(s, g)
+        if not report.ok:
+            raise SpectrumCountError(f"the von Below listing of {g.name!r} fails its certificate: "
+                                     + "; ".join(report.messages))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -647,36 +676,54 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "secular") -> 
 
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
-    """Check a spectrum against a proved estimate and the exact count of g."""
+    """Check a spectrum against a proved estimate and the exact count of g (see
+    ValidationReport), counting N at every point in one call."""
     bonds = _bonds_of(g)
     M, L = len(g.vertices), bonds.total_length
+    values = np.array(s.values)
     messages: list[str] = []
 
-    weyl_lower_ok = True
-    for j, k in enumerate(s.values, start=1):
-        lower = (j - M) * math.pi / L
-        if k < lower - s.tol:
-            weyl_lower_ok = False
-            messages.append(f"k_{j} = {k:.12g} violates the bound (j - M) pi / L = {lower:.12g}")
-            break
+    lower = (np.arange(1, values.size + 1) - M) * math.pi / L
+    below = np.flatnonzero(values < lower - s.tol)
+    weyl_lower_ok = below.size == 0
+    if not weyl_lower_ok:
+        j = below[0]
+        messages.append(f"k_{j + 1} = {values[j]:.12g} violates the bound "
+                        f"(j - M) pi / L = {lower[j]:.12g}")
 
-    zero_mode_ok = len(s.values) < 2 or s.values[1] > s.tol
+    zero_mode_ok = values.size < 2 or bool(values[1] > s.tol)
     if not zero_mode_ok:
-        messages.append(f"k_2 = {s.values[1]:.12g} is within tol of 0, so k_1 = 0 is not simple")
+        messages.append(f"k_2 = {values[1]:.12g} is within tol of 0, so k_1 = 0 is not simple")
 
-    # Values within tol of their true counterparts, listed completely up to
-    # K, leave between N(K - tol) and N(K + tol) of them in (0, K]. N is 0
+    # The clusters of k_2, k_3, ... up to K, as runs of positions [first, last), and the
+    # points lo - d and hi + d of each, then K - d where it lies above them all. N is 0
     # below pi / L, the lowest possible k_2.
-    K = s.k_max_covered
-    ends = np.array([K - s.tol - ROOT_TOL, K + s.tol + ROOT_TOL])
-    counted, n = ends >= math.pi / L, np.zeros(2, int)
-    n[counted] = bonds.count(ends[counted])
-    low, high = n.tolist()
-    listed = sum(1 for k in s.values[1:] if k <= K)
-    count_ok = low <= listed <= high
+    K, d = s.k_max_covered, s.tol + ROOT_TOL
+    v = values[1:][values[1:] <= K]
+    first = np.flatnonzero(np.diff(v, prepend=-math.inf) > 2.0 * d)
+    last = np.append(first[1:], v.size)[: first.size]
+    points = np.column_stack((v[first] - d, v[last - 1] + d)).ravel()
+    listed = np.column_stack((first, last)).ravel()
+    if K - d > (points[-1] if points.size else 0.0):
+        points, listed = np.append(points, K - d), np.append(listed, v.size)
+    n, counted = np.zeros(points.size, int), points >= math.pi / L
+    if counted.any():
+        n[counted] = bonds.count(points[counted])
+    wrong = np.flatnonzero(n != listed)
+    count_ok = wrong.size == 0
     if not count_ok:
-        messages.append(f"{listed} eigenfrequencies listed in (0, {K:.12g}], "
-                        f"the exact count gives {low} to {high}")
+        w = wrong[0]
+        p, side = divmod(int(w), 2)
+        if p == first.size:
+            where = "tol + ROOT_TOL below k_max_covered"
+        else:
+            lo, hi = f"{v[first[p]]:.12g}", f"{v[last[p] - 1]:.12g}"
+            run = (f"k_{first[p] + 2}" if last[p] - first[p] == 1
+                   else f"k_{first[p] + 2} to k_{last[p] + 1}")
+            span = lo if lo == hi else f"[{lo}, {hi}]"
+            where = f"{('below', 'above')[side]} the cluster {run} at {span}"
+        messages.append(f"{listed[w]} eigenfrequencies listed in (0, {points[w]:.12g}], "
+                        f"the exact count gives {n[w]}, {where}")
     return ValidationReport(weyl_lower_ok, zero_mode_ok, count_ok, tuple(messages))
 
 

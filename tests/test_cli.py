@@ -8,12 +8,14 @@ import warnings
 import pytest
 
 from eulerchar import (
+    GraphError,
     Spectrum,
     SpectrumCountError,
     build_graph,
     cli,
     orbits,
     preset,
+    spectrum,
     to_document,
     write_spectrum_csv,
 )
@@ -119,8 +121,8 @@ def test_spectrum_von_below_rejects_nonfinite_kmax(capsys, kmax):
 
 
 def test_spectrum_to_fl_pi_lists_no_part_of_the_cluster_at_pi(capsys):
-    # k5 has five eigenvalues at pi, just above fl(pi); the cross-check compares only the
-    # values listed, so it passed when one of the five was listed.
+    # k5 has five eigenvalues at pi, just above fl(pi); the von Below cross-check that auto
+    # ran then compared only the values listed, so it passed when one of the five was listed.
     assert main(["spectrum", "k5", "--kmax", repr(math.pi)]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith(("#", "j,"))]
     assert len(rows) == 5 and rows[-1].startswith("5,1.823")
@@ -134,8 +136,10 @@ def test_spectrum_csv_output(tmp_path, capsys):
     lines = out.read_text().splitlines()
     notes = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]
-    assert any("cross-validated against von Below" in ln for ln in notes)
-    assert any("graph=lasso" in ln for ln in notes)
+    # auto lifts the lasso's 12 pieces and certifies the listing by the cluster counts.
+    assert notes[0] == "# method=von-below"
+    assert notes[-1] == "# graph=lasso"
+    assert len(notes) == 4
     assert data[0] == "j,k"
     assert data[1] == "1,0.0000000000000000e+00"
     assert len(data) == 21
@@ -151,7 +155,7 @@ def test_spectrum_stdout_when_no_output_file(capsys):
 
 def test_spectrum_von_below_needs_equilateral(tmp_path, capsys):
     # A graph with incommensurable lengths cannot be subdivided; explicit
-    # von Below must fail while auto falls back to secular with a note.
+    # von Below must fail while auto lists by the secular search.
     doc = tmp_path / "weird.json"
     g = preset("lasso")
     text = to_document(g).replace("5.0", "5.000000001")
@@ -161,10 +165,10 @@ def test_spectrum_von_below_needs_equilateral(tmp_path, capsys):
     out_file = tmp_path / "weird.csv"
     code = main(["spectrum", str(doc), "--count", "5", "-o", str(out_file)])
     assert code == 0
-    assert "cross-check skipped" in out_file.read_text()
+    assert out_file.read_text().startswith("# method=secular\n")
 
 
-def test_spectrum_auto_skips_crosscheck_beyond_the_subdivision_cap(tmp_path):
+def test_spectrum_auto_lists_by_the_secular_search_beyond_the_subdivision_cap(tmp_path, monkeypatch):
     # 4-decimal lengths need 55,406 equal pieces: auto must not build them.
     g = build_graph(
         "r2",
@@ -175,10 +179,21 @@ def test_spectrum_auto_skips_crosscheck_beyond_the_subdivision_cap(tmp_path):
     doc = tmp_path / "r2.json"
     doc.write_text(to_document(g))
     out_file = tmp_path / "r2.csv"
+    refusals = []
+    real = spectrum.equilateral_subdivision
+
+    def subdivision(graph):
+        try:
+            return real(graph)
+        except GraphError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spectrum, "equilateral_subdivision", subdivision)
     assert main(["spectrum", str(doc), "--count", "73", "-o", str(out_file)]) == 0
     text = out_file.read_text()
-    assert "cross-check skipped" in text
-    assert "55406 pieces" in text
+    assert text.startswith("# method=secular\n")
+    assert refusals == ["common divisor too small: 55406 pieces exceed the cap of 1000"]
     assert len([ln for ln in text.splitlines() if ln[0].isdigit()]) == 73
 
 
@@ -252,6 +267,24 @@ def test_estimate_with_graph_rejects_missing_values(tmp_path, capsys, dropped):
     assert captured.out == ""
     assert "eigenfrequencies listed in (0, " in captured.err
     assert "the exact count gives" in captured.err
+
+
+def test_estimate_with_graph_rejects_a_misplaced_value(tmp_path, capsys):
+    # k_5 = pi / 2 of k33 moved to 3 pi / 4, halfway to k_6 = pi, keeps the number of values
+    # below k_max_covered, so one count next to it passed the listing, and estimate printed
+    # chi_hat=-4 and exited 0; chi is -3. The count above k_2 to k_4 finds four values there.
+    csv = tmp_path / "k33.csv"
+    assert main(["spectrum", "k33", "--count", "49", "-o", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("5,"))
+    lines[row] = f"5,{0.75 * math.pi:.16e}"
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(csv), "--graph", "k33"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 3 eigenfrequencies listed in (0, 1.5707963269], the exact "
+                                   "count gives 4, above the cluster k_2 to k_4 at 1.57079632679")
 
 
 @pytest.mark.parametrize("priors, message", [

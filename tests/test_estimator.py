@@ -494,22 +494,32 @@ def test_noise_sensitivity_bound(lasso_spectrum, seed):
 
 
 # sha256 of certify's (S, bound) over the exact and 20 perturbed spectra of each graph at its
-# plan, and of the perturbed values, in the little-endian float64 bytes.
-RECOVER_DIGEST = "af35741e5ebdacc83b8b685381fdd3aeff769aac532f6bd81c4a982e0a3254af"
+# plan, and of the perturbed values, in the little-endian float64 bytes: for the secular
+# listing, and for the default one, which lists these graphs by von Below.
+RECOVER_DIGESTS = {"secular": "af35741e5ebdacc83b8b685381fdd3aeff769aac532f6bd81c4a982e0a3254af",
+                   "auto": "1e3461ecb108562ac19dadf564ade1260cec95d5227fd2d96c0c8bfb1b13b5c4"}
 
 
-def test_recover_path_bits_are_frozen():
+def recover_path_digest(method):
     digest = hashlib.sha256()
     graphs = [preset(name) for name in ("lasso", "k5", "k5-pendant", "k33")]
     for g in graphs + [complete_graph(n) for n in (6, 7, 8)]:
         info = summarize(g)
         plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
-        s = spectrum_with_count(g, plan.J)
+        s = spectrum_with_count(g, plan.J, method)
         tf = cosine_power(plan.d)
         for p in [s] + [perturb_spectrum(s, NoiseModel(plan.delta_max, seed)) for seed in range(20)]:
             est = certify(p, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
             digest.update(np.array([*p.values, est.S, est.bound], dtype="<f8").tobytes())
-    assert digest.hexdigest() == RECOVER_DIGEST
+    return digest.hexdigest()
+
+
+def test_recover_path_bits_are_frozen():
+    assert recover_path_digest("secular") == RECOVER_DIGESTS["secular"]
+
+
+def test_default_recover_path_bits_are_frozen():
+    assert recover_path_digest("auto") == RECOVER_DIGESTS["auto"]
 
 
 def test_recover_chi_exact(lasso_spectrum, k5_spectrum):

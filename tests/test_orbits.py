@@ -302,8 +302,8 @@ def test_trace_check_requires_enough_values():
 
 def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     # The listing, which scans a 12-arm star twice as its first k_max falls short, the
-    # validation, the trace checks, the orbit side and the orbit oracles of one graph, and of
-    # a graph equal to it, share one _Bonds, and it goes with the last of those graphs.
+    # validation, the trace checks, the orbit side and the orbit oracles of one graph share
+    # one _Bonds, and it goes with the graph.
     built, scans = [], []
     real_init, real_scan = _Bonds.__init__, spectrum_module.secular_spectrum
     monkeypatch.setattr(_Bonds, "__init__",
@@ -311,7 +311,7 @@ def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     monkeypatch.setattr(spectrum_module, "secular_spectrum",
                         lambda g, k_max: scans.append(k_max) or real_scan(g, k_max))
     g = star_graph(12, name="table-star")
-    s = spectrum_with_count(g, 2)
+    s = spectrum_with_count(g, 2, "secular")
     assert len(scans) == 2
     assert validate_spectrum(s, g).ok
     s = secular_spectrum(g, 40.0 * math.pi / g.total_length())
@@ -321,14 +321,28 @@ def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     assert orbit_side(g, cosine_power(2), 0.15) == trace_check(g, cosine_power(2), 0.15, s)[0]
     for o in enumerate_orbits(g, 4.0):
         assert scattering_amplitude(o, g) == pytest.approx(o.s_v, rel=1e-15)
-    twin = star_graph(12, name="table-star")
-    assert twin is not g and spectrum_module._bonds_of(twin) is spectrum_module._bonds_of(g)
-    assert validate_spectrum(s, twin).ok
     assert built == ["table-star"]
     graph, table = weakref.ref(g), weakref.ref(spectrum_module._bonds_of(g))
-    del g, twin
+    del g
     gc.collect()
     assert graph() is None and table() is None
+
+
+def test_a_graph_keeps_its_table_when_an_equal_graph_goes(monkeypatch):
+    # Each graph object keeps its own table, so one that outlives an equal graph lists and
+    # validates without building another.
+    built = []
+    real_init = _Bonds.__init__
+    monkeypatch.setattr(_Bonds, "__init__", lambda self, g: built.append(g.name) or real_init(self, g))
+    g, twin = preset("k33"), preset("k33")
+    assert g == twin and hash(g) == hash(twin)
+    for graph in (g, twin):
+        assert validate_spectrum(spectrum_with_count(graph, 30), graph).ok
+    assert built == ["k33", "k33"]
+    del g, graph
+    gc.collect()
+    assert validate_spectrum(spectrum_with_count(twin, 30), twin).ok
+    assert built == ["k33", "k33"]
 
 
 # sha256 of orbit_side at the trace workload's cases, lasso at t = 0.002 and odd at t = 0.03,
@@ -350,7 +364,7 @@ def test_shared_tables_keep_the_bits():
         info = summarize(g)
         J = optimal_plan(0.25, info.M, info.total_length, info.l_min).J
         for _ in range(2):
-            s = spectrum_with_count(g, J)
+            s = spectrum_with_count(g, J, "secular")
             r = validate_spectrum(s, g)
             digest.update(np.array([*s.values, s.k_max_covered, s.tol], dtype="<f8").tobytes())
             digest.update(repr((s.method, r.weyl_lower_ok, r.zero_mode_ok, r.count_ok,
