@@ -1,9 +1,11 @@
-"""Build the bundled graphs and compute their spectra three independent ways.
+"""Build the bundled graphs and compare their spectra from both listers and closed forms.
 
 The secular solver works on any graph; the vertex-condition lift needs an
 equilateral graph (arranged by subdividing into commensurable pieces); and
 closed forms cover the interval, the loop, and the equilateral star.
-Agreement between the methods is the correctness argument for all of them.
+The graph picks the lister `spectrum_with_count` uses, and the exact eigenvalue
+count certifies each listing; the closed forms are the tests' oracles. Here the
+listers are called directly, to show that they agree.
 """
 
 import numpy as np

@@ -39,7 +39,6 @@ from .spectrum import (
     spectrum_csv_text,
     spectrum_with_count,
     validate_spectrum,
-    von_below_spectrum,
     write_spectrum_csv,
 )
 from .svgplot import line_plot
@@ -130,10 +129,9 @@ def _order_boundary_note(plan: RecoveryPlan) -> str | None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.graph)
     if args.kmax is not None:
-        lister = von_below_spectrum if args.method == "von-below" else secular_spectrum
-        s = lister(g, args.kmax)
+        s = secular_spectrum(g, args.kmax)
     else:
-        s = spectrum_with_count(g, 60 if args.count is None else args.count, args.method)
+        s = spectrum_with_count(g, 60 if args.count is None else args.count)
     text = spectrum_csv_text(s, {"graph": g.name})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -419,10 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     extent = p.add_mutually_exclusive_group()
     extent.add_argument("--count", type=int, help="number of eigenfrequencies (default 60)")
     extent.add_argument("--kmax", type=float, help="compute everything up to this k instead")
-    p.add_argument("--method", choices=("secular", "von-below", "auto"), default="auto",
-                   help="auto (default): with --count, von Below where the subdivision has at "
-                   "most that many vertices, certified by exact counts, else secular; with "
-                   "--kmax, secular")
     p.add_argument("--out", "-o", default="", help="output file")
     p.set_defaults(fn=cmd_spectrum)
 

@@ -39,7 +39,7 @@ __all__ = [
 # Maximum edge count produced by automatic equilateral subdivision. The von
 # Below lift on it is a dense eigenproblem of that order: it lists 73 values of
 # a graph cut into 999 pieces in 0.12 s, where the secular search, which
-# `spectrum --method auto` takes there, needs 0.016 s (2-core Xeon).
+# `spectrum_with_count` takes there, needs 0.016 s (2-core Xeon).
 MAX_SUBDIVIDED_EDGES = 1_000
 
 

@@ -20,10 +20,11 @@ Two independent numerical methods plus closed-form oracles:
   equilateral stars, used as oracles in tests.
 
 ``validate_spectrum`` checks a listing from any source against N, counted at both ends of
-every cluster of its values, and so sees every value. ``spectrum_with_count`` lists by von
-Below where the subdivision is small enough and certifies that listing so, else by the
-secular search, whose brackets certify it by the same counts. ``secular_matrix``, a second
-encoding of the conditions, is a test oracle only.
+every cluster of its values, and so sees every value. ``spectrum_with_count`` takes its
+lister from the graph alone, so every listing it returns is certified: von Below where the
+subdivision is small enough, certified so, else the secular search, whose brackets certify
+it by the same counts. ``secular_matrix``, a second encoding of the conditions, is a test
+oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
 numerically) and repeats eigenfrequencies by multiplicity.
 """
@@ -397,16 +398,25 @@ def _bonds_of(g: MetricGraph) -> _Bonds:
     return bonds
 
 
+def _over_budget(subject: str, size: float, what: str, factor: str = "") -> ValueError:
+    """The error that refuses a listing needing `size` `what` (inf if it overflowed a float)."""
+    need = f"{size:.6g} {what}" if math.isfinite(size) else f"too many {what} to count in a float"
+    return ValueError(f"{subject} needs {need}, {factor}above the budget of {_GRID_ENTRIES}")
+
+
+def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """Where clusters of the sorted values start: after each gap over 2 (tol + ROOT_TOL)."""
+    return np.flatnonzero(np.diff(values, prepend=-math.inf) > 2.0 * (tol + ROOT_TOL))
+
+
 def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
     """The bracketing grid of step pi / (4 L) on [0, k_max], refused before it
     is allocated when its points times 2N exceed _GRID_ENTRIES."""
     steps = k_max / (math.pi / (4.0 * bonds.total_length))
     points = math.ceil(steps) + 1 if steps < _GRID_ENTRIES else steps + 1.0
     if points * bonds.lengths.shape[0] > _GRID_ENTRIES:
-        size = (f"{points:.6g} grid points" if math.isfinite(points)
-                else "too many grid points to count in a float")
-        raise ValueError(f"k_max = {k_max:.6g} needs {size}, times "
-                         f"2N = {bonds.lengths.shape[0]} above the budget of {_GRID_ENTRIES}")
+        raise _over_budget(f"k_max = {k_max:.6g}", points, "grid points",
+                           f"times 2N = {bonds.lengths.shape[0]} ")
     return np.linspace(0.0, k_max, points)
 
 
@@ -550,9 +560,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     lifted = (1.0 + 2.0 * (len(g.vertices) - 1 - bipartite) * branches
               + (n_minus_m + 2) * lattice_points - 2.0 * odd)
     if not lifted <= _GRID_ENTRIES:
-        size = (f"{lifted:.6g} lifted values" if math.isfinite(lifted)
-                else "too many lifted values to count in a float")
-        raise ValueError(f"k_max = {k_max:.6g} needs {size}, above the budget of {_GRID_ENTRIES}")
+        raise _over_budget(f"k_max = {k_max:.6g}", lifted, "lifted values")
     branches, lattice_points = int(branches), int(lattice_points)
 
     n = len(g.vertices)
@@ -616,15 +624,14 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
     return Spectrum(tuple(values), values[-1], "analytic", 0.0)
 
 
-def spectrum_with_count(g: MetricGraph, count: int, method: str = "auto") -> Spectrum:
-    """The first `count` eigenfrequencies by the chosen method.
+def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
+    """The first `count` eigenfrequencies, by the lister g calls for, certified.
 
-    method "auto" lists by von Below on equilateral_subdivision(g) where that succeeds
-    with at most `count` vertices, so that the lift's dense eigvalsh computes no more
-    numbers than the listing keeps, and certifies that listing by validate_spectrum's
-    exact counts, raising SpectrumCountError where they fail; else it lists by the secular
-    search, which its own brackets certify. "secular" and "von-below" list by that method
-    alone, uncertified.
+    g is listed by von Below on equilateral_subdivision(g) where that succeeds with at
+    most `count` vertices, so that the lift's dense eigvalsh computes no more numbers
+    than the listing keeps, and that listing is certified by validate_spectrum's exact
+    counts, raising SpectrumCountError where they fail; else by the secular search, which
+    its own brackets certify. A count whose scan overflows a float is over the budget.
 
     Listed up to Weyl's estimate (count + 3 + max(N - M, 0)) pi / L, as N(k)
     averages L k / pi + (M - N) / 2 - 1 and equilateral complete graphs lag it
@@ -633,25 +640,25 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "auto") -> Spe
     add 1/8, so that grids of step pi / (4 L) miss the Dirichlet points of equilateral
     graphs, where the graph's own A(k) is never certified and the count falls back on its
     quarter-wave cut. k_max_covered is halfway from the last kept value to the next, or,
-    where the cut splits a cluster of values with gaps of at most 2 (tol + ROOT_TOL), as
-    validate_spectrum groups them, into the gap below that cluster.
+    where the cut splits a cluster of values (_cluster_starts, as validate_spectrum groups
+    them), into the gap below that cluster.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    listed, certify = g, False
-    if method == "auto":
-        method = "secular"
-        try:
-            sub = equilateral_subdivision(g)[0]
-        except GraphError:
-            pass
-        else:
-            if len(sub.vertices) <= count:
-                listed, method, certify = sub, "von-below", True
-    lister = {"secular": secular_spectrum, "von-below": von_below_spectrum}[method]
+    try:
+        sub = equilateral_subdivision(g)[0]
+    except GraphError:
+        sub = None
+    lift = sub is not None and len(sub.vertices) <= count
+    lister, listed = (von_below_spectrum, sub) if lift else (secular_spectrum, g)
     n_edges, length = len(g.edges), g.total_length()
-    hi = (count + n_edges + 1.125) * math.pi / length
-    weyl = (count + 3.125 + max(n_edges - len(g.vertices), 0)) * math.pi / length
+    try:
+        hi = (count + n_edges + 1.125) * math.pi / length
+        weyl = (count + 3.125 + max(n_edges - len(g.vertices), 0)) * math.pi / length
+    except OverflowError:  # count is beyond the float range
+        hi = weyl = math.inf
+    if max(hi, weyl) == math.inf:
+        raise _over_budget(f"count = {count}", math.inf, "listed values")
     for k_max in sorted({weyl, hi}):
         s = lister(listed, k_max)
         if len(s.values) > count:
@@ -659,11 +666,9 @@ def spectrum_with_count(g: MetricGraph, count: int, method: str = "auto") -> Spe
     else:
         raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
                                  f"the Dirichlet bound gives at least {count + 1}")
-    v, i = s.values, count
-    while i > 1 and v[i] - v[i - 1] <= 2.0 * (s.tol + ROOT_TOL):
-        i -= 1
-    s = Spectrum(v[:count], 0.5 * (v[i - 1] + v[i]), s.method, s.tol)
-    if certify:
+    i = 1 + _cluster_starts(np.array(s.values[1 : count + 1]), s.tol)[-1]
+    s = Spectrum(s.values[:count], 0.5 * (s.values[i - 1] + s.values[i]), s.method, s.tol)
+    if lift:
         report = validate_spectrum(s, g)
         if not report.ok:
             raise SpectrumCountError(f"the von Below listing of {g.name!r} fails its certificate: "
@@ -700,7 +705,7 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     # below pi / L, the lowest possible k_2.
     K, d = s.k_max_covered, s.tol + ROOT_TOL
     v = values[1:][values[1:] <= K]
-    first = np.flatnonzero(np.diff(v, prepend=-math.inf) > 2.0 * d)
+    first = _cluster_starts(v, s.tol)
     last = np.append(first[1:], v.size)[: first.size]
     points = np.column_stack((v[first] - d, v[last - 1] + d)).ravel()
     listed = np.column_stack((first, last)).ravel()

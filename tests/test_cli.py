@@ -14,13 +14,18 @@ from eulerchar import (
     build_graph,
     cli,
     orbits,
+    parse_graph,
     preset,
+    read_spectrum_csv,
     spectrum,
     to_document,
+    validate_spectrum,
+    von_below_spectrum,
     write_spectrum_csv,
 )
 from eulerchar.cli import main
 from eulerchar.estimator import Estimate
+from eulerchar.graph import PRESET_NAMES
 
 PLAN_BLOCK_LASSO = """\
 eps_bar=0.25
@@ -115,14 +120,55 @@ def test_nonfinite_priors_exit_2_naming_the_prior(tmp_path, capsys, command, pri
 
 
 @pytest.mark.parametrize("kmax", ["nan", "inf"])
-def test_spectrum_von_below_rejects_nonfinite_kmax(capsys, kmax):
-    assert main(["spectrum", "k5", "--kmax", kmax, "--method", "von-below"]) == 2
-    assert "error: k_max must be positive and finite" in capsys.readouterr().err
+def test_spectrum_von_below_rejects_nonfinite_kmax(kmax):
+    # No option of `spectrum` reaches the lift with a k_max of its own, so it is called directly.
+    with pytest.raises(ValueError, match="^k_max must be positive and finite$"):
+        von_below_spectrum(preset("k5"), float(kmax))
+
+
+def test_spectrum_has_no_method_option(capsys):
+    # The graph alone picks the lister, so no option can choose an uncertified listing.
+    assert main(["spectrum", "lasso", "--method", "auto"]) == 2
+    assert "unrecognized arguments: --method auto" in capsys.readouterr().err
+
+
+def lasso_with_incommensurate_lengths(tmp_path):
+    """A graph file of the lasso with its edge 5.000000001 long, which has no subdivision
+    the lift can use."""
+    doc = tmp_path / "weird.json"
+    doc.write_text(to_document(preset("lasso")).replace("5.0", "5.000000001"))
+    return doc
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--count", "60"] for name in PRESET_NAMES),
+    *([name, "--kmax", "20"] for name in PRESET_NAMES),
+    ["weird.json", "--count", "20"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_every_spectrum_listing_is_certified(tmp_path, monkeypatch, argv):
+    # The lift at --count, the secular search at --kmax and where the subdivision is refused:
+    # each file passes the check `estimate --graph` makes.
+    monkeypatch.chdir(tmp_path)
+    weird = lasso_with_incommensurate_lengths(tmp_path)
+    assert main(["spectrum", *argv, "-o", "listed.csv"]) == 0
+    s, _ = read_spectrum_csv(tmp_path / "listed.csv")
+    g = parse_graph(weird.read_text()) if argv[0] == weird.name else preset(argv[0])
+    assert s.method == ("secular" if argv[0] == weird.name or "--kmax" in argv else "von-below")
+    assert validate_spectrum(s, g).ok
+
+
+def test_spectrum_count_beyond_the_float_range_exits_2(capsys):
+    count = 10**400
+    assert main(["spectrum", "lasso", "--count", str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: count = {count} needs too many listed values to count in a "
+                            "float, above the budget of 4194304\n")
 
 
 def test_spectrum_to_fl_pi_lists_no_part_of_the_cluster_at_pi(capsys):
-    # k5 has five eigenvalues at pi, just above fl(pi); the von Below cross-check that auto
-    # ran then compared only the values listed, so it passed when one of the five was listed.
+    # k5 has five eigenvalues at pi, just above fl(pi); a von Below cross-check that compared
+    # only the values listed passed when one of the five was listed.
     assert main(["spectrum", "k5", "--kmax", repr(math.pi)]) == 0
     rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith(("#", "j,"))]
     assert len(rows) == 5 and rows[-1].startswith("5,1.823")
@@ -136,7 +182,7 @@ def test_spectrum_csv_output(tmp_path, capsys):
     lines = out.read_text().splitlines()
     notes = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]
-    # auto lifts the lasso's 12 pieces and certifies the listing by the cluster counts.
+    # The lasso's 12 pieces are lifted, and the listing certified by the cluster counts.
     assert notes[0] == "# method=von-below"
     assert notes[-1] == "# graph=lasso"
     assert len(notes) == 4
@@ -154,14 +200,11 @@ def test_spectrum_stdout_when_no_output_file(capsys):
 
 
 def test_spectrum_von_below_needs_equilateral(tmp_path, capsys):
-    # A graph with incommensurable lengths cannot be subdivided; explicit
-    # von Below must fail while auto lists by the secular search.
-    doc = tmp_path / "weird.json"
-    g = preset("lasso")
-    text = to_document(g).replace("5.0", "5.000000001")
-    doc.write_text(text)
-    code = main(["spectrum", str(doc), "--count", "5", "--method", "von-below"])
-    assert code == 2
+    # A graph with incommensurable lengths cannot be subdivided; von Below
+    # must fail while `spectrum` lists by the secular search.
+    doc = lasso_with_incommensurate_lengths(tmp_path)
+    with pytest.raises(GraphError):
+        von_below_spectrum(parse_graph(doc.read_text()), 5.0)
     out_file = tmp_path / "weird.csv"
     code = main(["spectrum", str(doc), "--count", "5", "-o", str(out_file)])
     assert code == 0
@@ -169,7 +212,7 @@ def test_spectrum_von_below_needs_equilateral(tmp_path, capsys):
 
 
 def test_spectrum_auto_lists_by_the_secular_search_beyond_the_subdivision_cap(tmp_path, monkeypatch):
-    # 4-decimal lengths need 55,406 equal pieces: auto must not build them.
+    # 4-decimal lengths need 55,406 equal pieces: `spectrum` must not build them.
     g = build_graph(
         "r2",
         ["v0", "v1", "v2", "v3"],
@@ -202,7 +245,7 @@ def test_spectrum_count_error_exits_1(monkeypatch, capsys):
         raise SpectrumCountError("listing disagrees with the exact count")
 
     monkeypatch.setattr(cli, "spectrum_with_count", failing)
-    assert main(["spectrum", "lasso", "--count", "5", "--method", "secular"]) == 1
+    assert main(["spectrum", "lasso", "--count", "5"]) == 1
     assert "exact count" in capsys.readouterr().err
 
 
@@ -339,19 +382,12 @@ def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["lasso", "--kmax", "1e7"], "k_max = 1e+07 needs 7.63944e+07 grid points, times 2N = 4"),
-    (["lasso", "--method", "von-below", "--kmax", "1e12"],
-     "k_max = 1e+12 needs 1.90986e+12 lifted values,"),
+    # The lift of the lasso's 12 pieces, asked for 10^9 values.
+    (["lasso", "--count", "1000000000"], "k_max = 5.23599e+08 needs 1e+09 lifted values,"),
     (["lasso", "--kmax", "1e308"],
      "k_max = 1e+308 needs too many grid points to count in a float, times 2N = 4"),
-    (["lasso", "--method", "von-below", "--kmax", "1e308"],
-     "k_max = 1e+308 needs too many lifted values to count in a float,"),
-    (["edge.json", "--method", "von-below", "--kmax", "1e308"],
-     "k_max = 1e+308 needs too many lifted values to count in a float,"),
-], ids=["grid", "von-below", "grid-1e308", "von-below-1e308", "von-below-1e308-edge"])
-def test_spectrum_kmax_over_a_budget_names_its_size(tmp_path, monkeypatch, capsys, argv, message):
-    # The edge of length 4 is one piece of the lift, and k_max times its length overflows a float.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "edge.json").write_text(to_document(build_graph("edge", ["a", "b"], [("a", "b", 4.0)])))
+], ids=["grid", "von-below", "grid-1e308"])
+def test_spectrum_kmax_over_a_budget_names_its_size(capsys, argv, message):
     assert main(["spectrum", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

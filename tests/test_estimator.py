@@ -32,6 +32,7 @@ from eulerchar import (
 from eulerchar.estimator import Estimate, certified_bound, certify, certify_perturbed
 from eulerchar.planner import PlanError
 from eulerchar.testfn import MAX_POWER
+from secular_listing import search_listing
 
 LASSO_PLAN = optimal_plan(0.25, 2, 6, 1)
 K5_PLAN = optimal_plan(0.25, 5, 10, 2)
@@ -495,18 +496,19 @@ def test_noise_sensitivity_bound(lasso_spectrum, seed):
 
 # sha256 of certify's (S, bound) over the exact and 20 perturbed spectra of each graph at its
 # plan, and of the perturbed values, in the little-endian float64 bytes: for the secular
-# listing, and for the default one, which lists these graphs by von Below.
+# listing, reached as for incommensurate lengths, and for the default one, which lists these
+# graphs by von Below.
 RECOVER_DIGESTS = {"secular": "af35741e5ebdacc83b8b685381fdd3aeff769aac532f6bd81c4a982e0a3254af",
                    "auto": "1e3461ecb108562ac19dadf564ade1260cec95d5227fd2d96c0c8bfb1b13b5c4"}
 
 
-def recover_path_digest(method):
+def recover_path_digest(lister):
     digest = hashlib.sha256()
     graphs = [preset(name) for name in ("lasso", "k5", "k5-pendant", "k33")]
     for g in graphs + [complete_graph(n) for n in (6, 7, 8)]:
         info = summarize(g)
         plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
-        s = spectrum_with_count(g, plan.J, method)
+        s = lister(g, plan.J)
         tf = cosine_power(plan.d)
         for p in [s] + [perturb_spectrum(s, NoiseModel(plan.delta_max, seed)) for seed in range(20)]:
             est = certify(p, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
@@ -515,11 +517,11 @@ def recover_path_digest(method):
 
 
 def test_recover_path_bits_are_frozen():
-    assert recover_path_digest("secular") == RECOVER_DIGESTS["secular"]
+    assert recover_path_digest(search_listing) == RECOVER_DIGESTS["secular"]
 
 
 def test_default_recover_path_bits_are_frozen():
-    assert recover_path_digest("auto") == RECOVER_DIGESTS["auto"]
+    assert recover_path_digest(spectrum_with_count) == RECOVER_DIGESTS["auto"]
 
 
 def test_recover_chi_exact(lasso_spectrum, k5_spectrum):

@@ -32,6 +32,7 @@ from eulerchar import spectrum as spectrum_module
 from eulerchar.graph import PRESET_NAMES
 from eulerchar.orbits import enumerate_orbits, scattering_amplitude
 from eulerchar.spectrum import _Bonds, secular_spectrum
+from secular_listing import search_listing
 
 
 def test_loop_orbits():
@@ -311,7 +312,7 @@ def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     monkeypatch.setattr(spectrum_module, "secular_spectrum",
                         lambda g, k_max: scans.append(k_max) or real_scan(g, k_max))
     g = star_graph(12, name="table-star")
-    s = spectrum_with_count(g, 2, "secular")
+    s = spectrum_with_count(g, 2)  # 13 vertices in the subdivision: the secular search
     assert len(scans) == 2
     assert validate_spectrum(s, g).ok
     s = secular_spectrum(g, 40.0 * math.pi / g.total_length())
@@ -364,7 +365,7 @@ def test_shared_tables_keep_the_bits():
         info = summarize(g)
         J = optimal_plan(0.25, info.M, info.total_length, info.l_min).J
         for _ in range(2):
-            s = spectrum_with_count(g, J, "secular")
+            s = search_listing(g, J)
             r = validate_spectrum(s, g)
             digest.update(np.array([*s.values, s.k_max_covered, s.tol], dtype="<f8").tobytes())
             digest.update(repr((s.method, r.weyl_lower_ok, r.zero_mode_ok, r.count_ok,

@@ -39,7 +39,9 @@ from eulerchar import (
 )
 from eulerchar import spectrum as spectrum_module
 from eulerchar.graph import PRESET_NAMES
-from eulerchar.spectrum import ROOT_TOL, _GRID_ENTRIES, _Bonds, _grid, _grid_counts, secular_matrix
+from eulerchar.spectrum import (ROOT_TOL, _GRID_ENTRIES, _Bonds, _cluster_starts, _grid,
+                                _grid_counts, secular_matrix)
+from secular_listing import search_listing
 
 
 def r2_graph():
@@ -279,9 +281,22 @@ def test_von_below_refuses_before_the_discrete_spectrum(monkeypatch):
         von_below_spectrum(g, 1e12)
 
 
+@pytest.mark.parametrize("g, k_max, size", [
+    (preset("lasso"), 1e12, "1.90986e+12 lifted values"),
+    (preset("lasso"), 1e308, "too many lifted values to count in a float"),
+    # The edge of length 4 is one piece of the lift, and k_max times its length overflows.
+    (build_graph("edge", ["a", "b"], [("a", "b", 4.0)]), 1e308,
+     "too many lifted values to count in a float"),
+], ids=["lasso-1e12", "lasso-1e308", "edge-1e308"])
+def test_von_below_names_the_size_of_a_refused_lift(g, k_max, size):
+    with pytest.raises(ValueError) as refusal:
+        von_below_spectrum(g, k_max)
+    assert str(refusal.value) == f"k_max = {k_max:.6g} needs {size}, above the budget of 4194304"
+
+
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
-    # Listing by von Below builds no _Bonds: not on the lasso's 1,000 pieces,
-    # and, k_max coming from Weyl's estimate, not on the lasso itself.
+    # The lift of the lasso's 1,000 pieces, at 1,000 values, is certified by counts on the
+    # lasso itself: the only _Bonds built, once per graph object, has its 2 edges.
     g = LIFTED_GRAPHS["long-lasso"]
     sizes = []
 
@@ -291,12 +306,13 @@ def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys
             super().__init__(graph)
 
     monkeypatch.setattr(spectrum_module, "_Bonds", Recorded)
-    assert len(spectrum_with_count(g, 60, "von-below").values) == 60
+    s = spectrum_with_count(g, 1000)
+    assert len(s.values) == 1000 and s.method == "von-below"
     doc = tmp_path / "long-lasso.json"
     doc.write_text(to_document(g))
-    assert cli.main(["spectrum", str(doc), "--count", "60", "--method", "von-below"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].startswith("60,")
-    assert sizes == []
+    assert cli.main(["spectrum", str(doc), "--count", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1000,")
+    assert sizes == [2, 2]
 
 
 def test_von_below_handles_parallel_edges():
@@ -400,8 +416,8 @@ def test_spectrum_with_count():
     # it, so completeness is claimed only below it.
     assert s.values[-1] == pytest.approx(2 * math.pi, abs=1e-12)
     assert s.values[-2] < s.k_max_covered < s.values[-1]
-    assert spectrum_with_count(preset("lasso"), 12, "secular").method == "secular"
-    t = spectrum_with_count(preset("k5"), 12, method="von-below")
+    assert search_listing(preset("lasso"), 12).method == "secular"
+    t = spectrum_with_count(preset("k5"), 12)
     assert len(t.values) == 12
     assert t.method == "von-below"
 
@@ -525,7 +541,7 @@ def test_secular_r2_finds_every_root():
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
 def test_secular_matches_von_below_at_500(name):
     g = preset(name)
-    s = spectrum_with_count(g, 500, "secular")
+    s = search_listing(g, 500)
     sub, _piece = equilateral_subdivision(g)
     vb = von_below_spectrum(sub, s.values[-1] + 0.1)
     assert compare_spectra(s, vb, count=500) < 1e-10
@@ -536,7 +552,7 @@ def test_complete_graphs_with_many_cycles_match_von_below():
     k8 = complete_graph(8)
     info = summarize(k8)
     plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
-    s = spectrum_with_count(k8, plan.J, "secular")
+    s = search_listing(k8, plan.J)
     vb = von_below_spectrum(k8, s.values[-1] + 0.1)
     assert compare_spectra(s, vb, count=plan.J) < 1e-10
     assert validate_spectrum(s, k8).ok
@@ -676,12 +692,12 @@ def random_graph(seed, m, n_edges):
 
 
 def scan_k_max(monkeypatch, g, count):
-    """The k_max up to which spectrum_with_count(g, count) scans."""
+    """The k_max up to which the secular search of spectrum_with_count(g, count) scans."""
     seen = []
     real = spectrum_module.secular_spectrum
     monkeypatch.setattr(spectrum_module, "secular_spectrum",
                         lambda g, k_max: seen.append(k_max) or real(g, k_max))
-    spectrum_with_count(g, count, "secular")
+    search_listing(g, count)
     monkeypatch.undo()
     return seen[0]
 
@@ -727,7 +743,7 @@ def test_spectrum_with_count_counts_only_on_its_grid(monkeypatch, name):
                         lambda graph, k_max: seen.append(k_max) or real(graph, k_max))
     flags = record_vertex_counts(monkeypatch)
     j, excess = planned_j(g), max(len(g.edges) - len(g.vertices), 0)
-    spectrum_with_count(g, j, "secular")
+    search_listing(g, j)
     assert seen == [pytest.approx((j + 3.125 + excess) * math.pi / g.total_length())]
     assert flags.count(False) <= 2
 
@@ -746,7 +762,7 @@ def test_spectrum_with_count_lists_a_long_cycle_near_weyls_estimate(monkeypatch)
         return Spectrum(analytic_spectrum("loop", n, length=1000.0).values, k_max, "secular", 1e-10)
 
     monkeypatch.setattr(spectrum_module, "secular_spectrum", loop_listing)
-    s = spectrum_with_count(g, 60, "secular")
+    s = search_listing(g, 60)
     assert s.values == analytic_spectrum("loop", 60, length=1000.0).values
     assert seen == [pytest.approx(63.125 * math.pi / 1000.0)]
     assert (4.0 * 1000.0 * seen[0] / math.pi + 1.0) * 2000 < _GRID_ENTRIES / 8
@@ -761,7 +777,7 @@ def test_spectrum_with_count_lists_to_the_dirichlet_bound_when_weyls_estimate_fa
     real = spectrum_module.secular_spectrum
     monkeypatch.setattr(spectrum_module, "secular_spectrum",
                         lambda graph, k_max: seen.append(k_max) or real(graph, k_max))
-    s = spectrum_with_count(g, 5, "secular")
+    s = search_listing(g, 5)
     assert seen == [pytest.approx(8.125 * math.pi / 20.0), pytest.approx(26.125 * math.pi / 20.0)]
     assert compare_spectra(s, analytic_spectrum("equilateral-star", 5, arms=20)) < 1e-10
     assert validate_spectrum(s, g).ok
@@ -970,9 +986,9 @@ def test_the_cut_keeps_probes_from_the_eigenphases(monkeypatch):
     for name, at_500 in (("lasso", 2), ("k5", 0), ("k5-pendant", 4), ("k33", 0)):
         g = preset(name)
         j = planned_j(g)
-        assert eigenphase_probes(monkeypatch, lambda: spectrum_with_count(g, j, "secular")) == 0
+        assert eigenphase_probes(monkeypatch, lambda: search_listing(g, j)) == 0
         assert eigenphase_probes(monkeypatch,
-                                 lambda: spectrum_with_count(g, 500, "secular")) <= at_500
+                                 lambda: search_listing(g, 500)) <= at_500
 
 
 def quarter_wave(k, lengths):
@@ -1147,7 +1163,7 @@ def test_the_solver_makes_no_complex_eig_call(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", eig)
     for name in ("lasso", "k5", "k5-pendant", "k33"):
-        s = spectrum_with_count(preset(name), 500, "secular")
+        s = search_listing(preset(name), 500)
         assert len(s.values) == 500
         assert validate_spectrum(s, preset(name)).ok
     for g, k_max in ((complete_graph(10), 45.0), (random_graph(2, 10, 20), 15.0)):
@@ -1203,7 +1219,7 @@ def test_refinement_probes_once_per_bracket_until_newton_has_converged(
     # ceilings, each at most 3/4 of the two-sided count.
     g = preset(name)
     for count, most in ((planned_j(g), at_j), (500, at_500)):
-        probes, taken = newton_probes(monkeypatch, lambda: spectrum_with_count(g, count, "secular"))
+        probes, taken = newton_probes(monkeypatch, lambda: search_listing(g, count))
         assert probes <= most and taken <= rounds
 
 
@@ -1228,7 +1244,7 @@ def test_the_one_sided_probe_lists_lasso_to_500(monkeypatch):
         return probe, inside
 
     monkeypatch.setattr(spectrum_module, "_probes", probes)
-    s = spectrum_with_count(preset("lasso"), 500, "secular")
+    s = search_listing(preset("lasso"), 500)
     assert sum(one_sided) >= 1
     assert validate_spectrum(s, preset("lasso")).ok
 
@@ -1281,11 +1297,20 @@ def test_shared_tables_are_read_only(name):
     assert validate_spectrum(spectrum_with_count(g, 30), g).ok
 
 
+@pytest.mark.parametrize("count", [10**400, 10**308], ids=["beyond-floats", "k-max-overflows"])
+def test_a_count_whose_scan_overflows_a_float_is_over_the_budget(count):
+    # 10^400 does not convert to a float; 10^308 does, but its k_max overflows.
+    with pytest.raises(ValueError) as refusal:
+        spectrum_with_count(preset("lasso"), count)
+    assert str(refusal.value) == (f"count = {count} needs too many listed values to count in a "
+                                  "float, above the budget of 4194304")
+
+
 def test_grid_budget_refuses_before_allocating(monkeypatch):
     # The largest grid in the tests, demos and bench is K10 to k = 45.
     assert _GRID_ENTRIES >= 10 * _grid(_Bonds(complete_graph(10)), 45.0).size * 90
     with pytest.raises(ValueError, match="grid points, times 2N = 4 above the budget"):
-        spectrum_with_count(preset("lasso"), 10**9, "secular")
+        search_listing(preset("lasso"), 10**9)
     with pytest.raises(ValueError, match="above the budget"):
         secular_spectrum(preset("lasso"), 1e308)
     # The budget is exact: lasso has 2N = 4.
@@ -1305,8 +1330,7 @@ def assert_same_listing(s, reference):
     """s and reference list the same values within 1e-13, in the same clusters."""
     a, b = np.array(s.values), np.array(reference.values)
     assert a.size == b.size and np.max(np.abs(a - b)) <= 1e-13
-    d = 2.0 * (s.tol + ROOT_TOL)
-    assert np.array_equal(np.diff(a) > d, np.diff(b) > d)
+    assert np.array_equal(_cluster_starts(a, s.tol), _cluster_starts(b, s.tol))
 
 
 SELECTED_GRAPHS = [preset(name) for name in PRESET_NAMES] + [complete_graph(n) for n in (6, 7, 8)]
@@ -1315,7 +1339,7 @@ SELECTED_GRAPHS = [preset(name) for name in PRESET_NAMES] + [complete_graph(n) f
 def assert_lift_is_the_secular_listing(g, count):
     s = spectrum_with_count(g, count)
     assert s.method == "von-below"
-    assert_same_listing(s, spectrum_with_count(g, count, "secular"))
+    assert_same_listing(s, search_listing(g, count))
     assert validate_spectrum(s, g).ok
 
 
@@ -1357,7 +1381,7 @@ def test_the_secular_search_lists_where_the_lift_is_refused_or_too_large():
     for g in (random_graph(1, 8, 12), star):
         s = spectrum_with_count(g, 60)
         assert s.method == "secular"
-        assert s == spectrum_with_count(g, 60, "secular")
+        assert s == search_listing(g, 60)
 
 
 def test_a_lift_that_fails_its_certificate_raises(monkeypatch):
