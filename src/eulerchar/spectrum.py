@@ -20,11 +20,11 @@ Two independent numerical methods plus closed-form oracles:
   equilateral stars, used as oracles in tests.
 
 ``validate_spectrum`` checks a listing from any source against N, counted at both ends of
-every cluster of its values, and so sees every value. ``spectrum_with_count`` takes its
-lister from the graph alone, so every listing it returns is certified: von Below where the
-subdivision is small enough, certified so, else the secular search, whose brackets certify
-it by the same counts. ``secular_matrix``, a second encoding of the conditions, is a test
-oracle only.
+every cluster of its values (on a lifted graph, from the lift's eigenvalues), and so sees
+every value. ``spectrum_with_count`` takes its lister from the graph alone, so every listing
+it returns is certified: von Below where the subdivision is small enough, certified so, else
+the secular search, whose brackets certify it by the same counts. ``secular_matrix``, a
+second encoding of the conditions, is a test oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
 numerically) and repeats eigenfrequencies by multiplicity.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -211,10 +212,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 class _Bonds:
     """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
-    quarter-wave cut, which count N(k) (see count), and as the bond scattering matrix S, built
-    on first use, for counts neither A certifies and for orbit_side. It depends on g alone:
-    _bonds_of builds it once per graph object and keeps it on g, so it goes with g. Its
-    arrays are read-only, so a stray write raises.
+    quarter-wave cut, which count N(k) (see count), as the bond scattering matrix S, built on
+    first use, for counts neither A certifies and for orbit_side, and the lift's tables. It
+    depends on g alone: _bonds_of builds it once per graph object and keeps it on g, so it
+    goes with g. Its arrays are read-only, so a stray write raises.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -234,6 +235,7 @@ class _Bonds:
         self.loops = _read_only(np.array([float(e.u == e.v) for e in g.edges]))
         self._pieces: dict[bool, tuple] = {}
         self._walk: tuple | None = None
+        self._lift, self._mu, self._exact = None, None, False  # see subdivision and interior
 
     @functools.cached_property
     def S(self) -> np.ndarray:
@@ -273,6 +275,32 @@ class _Bonds:
                           for u in dict.fromkeys(units))
             self._walk = (self.S, _read_only(self.lengths[:, None] * self.S), D, masks)
         return self._walk
+
+    def subdivision(self, g: MetricGraph):
+        """equilateral_subdivision(g) of g, these bonds' graph, its piece length a and whether it
+        is bipartite, kept once built; GraphError where equilateral_subdivision raises it."""
+        if self._lift is None:
+            sub, a = equilateral_subdivision(g)
+            colour = two_colouring(sub)
+            self._lift = sub, a, all(colour[e.u] != colour[e.v] for e in sub.edges)
+        return self._lift
+
+    def interior(self, g: MetricGraph) -> np.ndarray:
+        """The sorted eigenvalues mu of B = Deg^-1/2 Adj Deg^-1/2 of subdivision(g) but its ends, 1
+        and, where it is bipartite, -1: the lift's, computed once. count reads them from then on
+        where every edge of g is a whole number of pieces exactly, so that g is its subdivision."""
+        if self._mu is None:
+            sub, a, bipartite = self.subdivision(g)
+            index = {v: i for i, v in enumerate(sub.vertices)}
+            ends = np.array([(index[e.u], index[e.v]) for e in sub.edges]).T
+            adjacency = np.zeros((len(index), len(index)))
+            np.add.at(adjacency, (ends, ends[::-1]), 1.0)  # both ways, parallel edges counted
+            scale = 1.0 / np.sqrt(adjacency.sum(axis=1))
+            mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
+            self._mu = _read_only(mu[int(bipartite) : -1])
+            self._exact = all(Fraction(e.length) == round(e.length / a) * Fraction(a)
+                              for e in g.edges)
+        return self._mu
 
     def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
         """x_p = k l_p, s_p = sin x_p, where (1) of _index_count holds, and the vertex
@@ -375,12 +403,46 @@ class _Bonds:
             raise SpectrumCountError("eigenphase count is not an integer; the eigensolver failed")
         return count.astype(int)
 
+    def _lift_count(self, k: np.ndarray):
+        """N(k) per k > 0 from interior's mu, and whether that count is certified: the index
+        formula of _index_count on subdivision(g), of P pieces of length a and no loops.
+
+        There A(k) = csc(ka) (Adj - cos(ka) Deg), congruent through Deg^1/2 to csc(ka) (B -
+        cos(ka) I), so by Sylvester's law of inertia N(k) = P floor(ka / pi) - 1 plus the number
+        of eigenvalues of B above cos ka where sin ka > 0, below it where sin ka < 0, if none is
+        cos ka. With u = 2^-53, x = fl(ka), c = fl(cos x) and m the order of B, it is certified by
+          (1') |fl(sin x)| > 16 u (1 + x), (1) of _index_count: floor(x / pi) is floor(ka / pi)
+               and fl(sin x) has the sign of sin ka, and
+          (2') no computed interior mu within dmu + dc of c: dmu = 16 (m + 1) u, dc = 8 u (1 + x).
+        B's entries, d_i^-1/2 d_j^-1/2 times whole numbers, are formed within 7 u of their size;
+        B >= 0 has norm 1, so the matrix eigvalsh solves is within 8 u of B in norm, and the
+        eigenvalues it returns, in order, within 8 m (2 u) (1 + 8 u) + 8 u <= dmu of B's
+        (LAPACK's bound, as in _index_count, and Weyl's inequality). x is within u x of ka and
+        cos within 4 units in the last place, so c is within dc of cos ka: each interior
+        eigenvalue lies on the side of cos ka its mu lies of c, and the window c -+ 2 (dmu + dc)
+        covers the rounding of its ends. B's ends are exact: 1, simple as g is connected, and -1,
+        present and simple exactly when the subdivision is bipartite; (1') keeps cos ka off both."""
+        (sub, a, bipartite), mu, u = self._lift, self._mu, 2.0**-53
+        x = k * a
+        s, c = np.sin(x), np.cos(x)
+        window = 2.0 * (16.0 * (len(sub.vertices) + 1) * u + 8.0 * u * (1.0 + x))
+        below, above = np.searchsorted(mu, c - window), np.searchsorted(mu, c + window, "right")
+        sure = (np.abs(s) > 16.0 * u * (1.0 + x)) & (below == above)
+        crossed = np.where(s > 0.0, mu.size - above + 1, below + bipartite)
+        cells = np.floor(np.where(sure, x, 0.0) / math.pi)  # a certified x is below 1 / (16 u)
+        return (len(sub.edges) * cells + crossed - 1).astype(int), sure
+
     def count(self, k, newton: bool = False):
-        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0,
-        and with newton A(k)'s Newton targets: from A(k) where its certificate holds, else
-        from A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
+        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0, and with
+        newton A(k)'s Newton targets: without newton, once g is lifted (interior), from the lift's
+        mu where _lift_count certifies it; else from A(k) where its certificate holds, else from
+        A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        count, sure, *target = self._index_count(k, False, newton)
+        lifted = self._exact and not newton
+        count, sure, *target = self._lift_count(k) if lifted else self._index_count(k, False, newton)
+        if lifted and not sure.all():
+            rest = ~sure
+            count[rest], sure[rest] = self._index_count(k[rest], False)
         if not sure.all():
             rest, cut_sure = self._index_count(k[~sure], True)
             if not cut_sure.all():
@@ -547,33 +609,22 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     """
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
-    g, a = equilateral_subdivision(g)
-    colour = two_colouring(g)
-    bipartite = all(colour[e.u] != colour[e.v] for e in g.edges)
+    bonds = _bonds_of(g)
+    sub, a, bipartite = bonds.subdivision(g)
 
     # Branch and lattice indices run past the last k <= k_max; the filter drops the rest. The
     # sizes are counted in floats, where a k_max a that overflows gives inf or NaN, not an error.
     branches = k_max * a / (2.0 * math.pi) // 1.0 + 3.0
     lattice_points = k_max * a / math.pi // 1.0 + 2.0
-    n_minus_m = len(g.edges) - len(g.vertices)
+    n_minus_m = len(sub.edges) - len(sub.vertices)
     odd = 0.0 if bipartite else (lattice_points + 1.0) // 2.0
-    lifted = (1.0 + 2.0 * (len(g.vertices) - 1 - bipartite) * branches
+    lifted = (1.0 + 2.0 * (len(sub.vertices) - 1 - bipartite) * branches
               + (n_minus_m + 2) * lattice_points - 2.0 * odd)
     if not lifted <= _GRID_ENTRIES:
         raise _over_budget(f"k_max = {k_max:.6g}", lifted, "lifted values")
     branches, lattice_points = int(branches), int(lattice_points)
 
-    n = len(g.vertices)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adjacency = np.zeros((n, n))
-    for e in g.edges:
-        i, j = index[e.u], index[e.v]
-        adjacency[i, j] += 1.0
-        adjacency[j, i] += 1.0
-    degree = adjacency.sum(axis=1)
-    scale = 1.0 / np.sqrt(degree)
-    mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
-    phi = np.array([math.acos(float(m)) for m in mu[int(bipartite) : -1]])[:, None]
+    phi = np.array([math.acos(float(m)) for m in bonds.interior(g)])[:, None]
     n = np.arange(branches)
     lattice = np.arange(1, lattice_points + 1)
     multiplicity = np.where(bipartite | (lattice % 2 == 0), n_minus_m + 2, n_minus_m)
@@ -627,11 +678,11 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
 def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
     """The first `count` eigenfrequencies, by the lister g calls for, certified.
 
-    g is listed by von Below on equilateral_subdivision(g) where that succeeds with at
-    most `count` vertices, so that the lift's dense eigvalsh computes no more numbers
-    than the listing keeps, and that listing is certified by validate_spectrum's exact
-    counts, raising SpectrumCountError where they fail; else by the secular search, which
-    its own brackets certify. A count whose scan overflows a float is over the budget.
+    g is listed by von_below_spectrum(g) where the subdivision g's table keeps has at most
+    `count` vertices, so that the lift's dense eigvalsh computes no more numbers than the
+    listing keeps, and that listing is certified by validate_spectrum's exact counts (from
+    its eigenvalues), raising SpectrumCountError where they fail; else by the secular search,
+    which its own brackets certify. A count whose scan overflows a float is over the budget.
 
     Listed up to Weyl's estimate (count + 3 + max(N - M, 0)) pi / L, as N(k)
     averages L k / pi + (M - N) / 2 - 1 and equilateral complete graphs lag it
@@ -646,11 +697,10 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
     if count < 1:
         raise ValueError("count must be at least 1")
     try:
-        sub = equilateral_subdivision(g)[0]
+        lift = len(_bonds_of(g).subdivision(g)[0].vertices) <= count
     except GraphError:
-        sub = None
-    lift = sub is not None and len(sub.vertices) <= count
-    lister, listed = (von_below_spectrum, sub) if lift else (secular_spectrum, g)
+        lift = False
+    lister = von_below_spectrum if lift else secular_spectrum
     n_edges, length = len(g.edges), g.total_length()
     try:
         hi = (count + n_edges + 1.125) * math.pi / length
@@ -660,7 +710,7 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
     if max(hi, weyl) == math.inf:
         raise _over_budget(f"count = {count}", math.inf, "listed values")
     for k_max in sorted({weyl, hi}):
-        s = lister(listed, k_max)
+        s = lister(g, k_max)
         if len(s.values) > count:
             break
     else:
@@ -682,7 +732,7 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     """Check a spectrum against a proved estimate and the exact count of g (see
-    ValidationReport), counting N at every point in one call."""
+    ValidationReport), counting N at every point in one call (once g is lifted, from its mu)."""
     bonds = _bonds_of(g)
     M, L = len(g.vertices), bonds.total_length
     values = np.array(s.values)

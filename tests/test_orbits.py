@@ -26,6 +26,7 @@ from eulerchar import (
     trace_check,
     triangular,
     validate_spectrum,
+    von_below_spectrum,
 )
 from eulerchar import orbits
 from eulerchar import spectrum as spectrum_module
@@ -304,13 +305,19 @@ def test_trace_check_requires_enough_values():
 def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     # The listing, which scans a 12-arm star twice as its first k_max falls short, the
     # validation, the trace checks, the orbit side and the orbit oracles of one graph share
-    # one _Bonds, and it goes with the graph.
-    built, scans = [], []
+    # one _Bonds, and it goes with the graph. So do the repeated listings, lifts and
+    # validations of a lifted graph, with one subdivision and one discrete eigensolve.
+    built, scans, subdivided, solved = [], [], [], []
     real_init, real_scan = _Bonds.__init__, spectrum_module.secular_spectrum
+    real_subdivision, real_eigvalsh = spectrum_module.equilateral_subdivision, np.linalg.eigvalsh
     monkeypatch.setattr(_Bonds, "__init__",
                         lambda self, g: built.append(g.name) or real_init(self, g))
     monkeypatch.setattr(spectrum_module, "secular_spectrum",
                         lambda g, k_max: scans.append(k_max) or real_scan(g, k_max))
+    monkeypatch.setattr(spectrum_module, "equilateral_subdivision",
+                        lambda g: subdivided.append(g.name) or real_subdivision(g))
+    monkeypatch.setattr(np.linalg, "eigvalsh",  # a batch of vertex matrices is 3-d
+                        lambda a: (a.ndim == 2 and solved.append(len(a))) or real_eigvalsh(a))
     g = star_graph(12, name="table-star")
     s = spectrum_with_count(g, 2)  # 13 vertices in the subdivision: the secular search
     assert len(scans) == 2
@@ -322,11 +329,19 @@ def test_a_graph_builds_its_tables_once_and_drops_them_with_it(monkeypatch):
     assert orbit_side(g, cosine_power(2), 0.15) == trace_check(g, cosine_power(2), 0.15, s)[0]
     for o in enumerate_orbits(g, 4.0):
         assert scattering_amplitude(o, g) == pytest.approx(o.s_v, rel=1e-15)
-    assert built == ["table-star"]
-    graph, table = weakref.ref(g), weakref.ref(spectrum_module._bonds_of(g))
-    del g
+    lifted = preset("k5-pendant")
+    for count in (42, 42, 500):
+        s = spectrum_with_count(lifted, count)
+        assert validate_spectrum(s, lifted).ok
+    lift = von_below_spectrum(lifted, s.k_max_covered).values
+    assert lift == s.values[: len(lift)]
+    assert built == ["table-star", "k5-pendant"] and subdivided == built
+    assert solved == [len(equilateral_subdivision(lifted)[0].vertices)]
+    graphs = [weakref.ref(x) for x in (g, lifted)]
+    tables = [weakref.ref(spectrum_module._bonds_of(x)) for x in (g, lifted)]
+    del g, lifted
     gc.collect()
-    assert graph() is None and table() is None
+    assert all(ref() is None for ref in graphs + tables)
 
 
 def test_a_graph_keeps_its_table_when_an_equal_graph_goes(monkeypatch):

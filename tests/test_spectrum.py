@@ -192,6 +192,11 @@ LIFTED_GRAPHS = {
 }
 
 
+def fresh_copy(g):
+    """A graph equal to g with no table of its own yet: never listed, lifted or counted."""
+    return build_graph(g.name, list(g.vertices), [(e.u, e.v, e.length) for e in g.edges])
+
+
 @pytest.mark.parametrize("name", sorted(LIFTED_GRAPHS))
 def test_von_below_lifts_the_subdivision(name):
     g = LIFTED_GRAPHS[name]
@@ -297,7 +302,7 @@ def test_von_below_names_the_size_of_a_refused_lift(g, k_max, size):
 def test_von_below_count_runs_on_the_callers_graph(monkeypatch, tmp_path, capsys):
     # The lift of the lasso's 1,000 pieces, at 1,000 values, is certified by counts on the
     # lasso itself: the only _Bonds built, once per graph object, has its 2 edges.
-    g = LIFTED_GRAPHS["long-lasso"]
+    g = fresh_copy(LIFTED_GRAPHS["long-lasso"])
     sizes = []
 
     class Recorded(_Bonds):
@@ -1281,14 +1286,14 @@ def test_bonds_build_the_scattering_matrix_only_for_its_readers():
 
 @pytest.mark.parametrize("name", ["lasso", "k5-pendant"])
 def test_shared_tables_are_read_only(name):
-    # Every listing, validation and orbit side of the graph reads this one table, so an
+    # Every listing, lift, validation and orbit side of the graph reads this one table, so an
     # in-place write to any of its arrays raises instead of changing their results.
     g = preset(name)
     bonds = spectrum_module._bonds_of(g)
     _S, weight, _D, masks = bonds.walk(g)
     arrays = [bonds.S, bonds.lengths, bonds.ends, bonds.loops, weight, *(m for _u, m in masks),
-              *bonds.pieces(False)[1:], *bonds.pieces(True)[1:]]
-    assert len(arrays) == 15 + len(masks)
+              *bonds.pieces(False)[1:], *bonds.pieces(True)[1:], bonds.interior(g)]
+    assert len(arrays) == 16 + len(masks)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] += 1
@@ -1397,3 +1402,107 @@ def test_a_lift_that_fails_its_certificate_raises(monkeypatch):
     with pytest.raises(SpectrumCountError,
                        match="the von Below listing of 'lasso' fails its certificate: .* k_8 at"):
         spectrum_with_count(preset("lasso"), 20)
+
+
+# ---------------------------------------------------------------------------
+# The count of a lifted graph from the lift's own eigenvalues
+
+
+def lifted_points(g, count):
+    """g listed to count by its lift, and the validation points of that listing that are
+    counted and the lattice points n pi / a -+ (tol + ROOT_TOL) below its k_max_covered."""
+    s = spectrum_with_count(g, count)
+    assert s.method == "von-below"
+    a, d = spectrum_module._bonds_of(g).subdivision(g)[1], s.tol + ROOT_TOL
+    lattice = np.arange(1, s.k_max_covered * a / math.pi + 1) * math.pi / a
+    points = [p for p, _listed in cluster_points(s) if p >= math.pi / g.total_length()]
+    return np.concatenate((points, lattice - d, lattice + d))
+
+
+def assert_lift_count_is_the_count(g, count):
+    """At every point of lifted_points the lift's count, where certified, and count() are the
+    count of a copy of g never lifted; returns where the lift's count is certified."""
+    k = lifted_points(g, count)
+    bonds = spectrum_module._bonds_of(g)
+    n, sure = bonds._lift_count(k)
+    truth = _Bonds(fresh_copy(g)).count(k)
+    assert np.array_equal(n[sure], truth[sure]) and np.array_equal(bonds.count(k), truth)
+    return sure
+
+
+@pytest.mark.parametrize("g", SELECTED_GRAPHS, ids=lambda g: g.name)
+def test_the_lift_count_certifies_the_selected_listings_alone(monkeypatch, g):
+    # Certifying each listing, at the planned J and at 500 values, builds no vertex matrix.
+    real = _Bonds._index_count
+    for count in (planned_j(g), 500):
+        calls, copy = [], fresh_copy(g)
+        monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: (
+            calls.append(k.size) or real(self, k, cut, newton)))
+        spectrum_with_count(copy, count)
+        monkeypatch.undo()
+        assert calls == []
+        assert assert_lift_count_is_the_count(copy, count).all()
+
+
+def test_the_lift_count_is_the_count_on_random_commensurate_graphs():
+    # 114 of the 200 graphs have every edge exactly a whole number of pieces; count reads the
+    # lift of those only. Measured when the lift's count came in: it certified every point.
+    exact = 0
+    for seed in range(200):
+        g = random_commensurate_graph(seed)
+        lifted_points(g, 60)
+        if spectrum_module._bonds_of(g)._exact:
+            exact += 1
+            assert assert_lift_count_is_the_count(g, 60).all()
+    assert exact == 114
+
+
+def test_a_graph_whose_edges_are_not_whole_pieces_keeps_the_vertex_count(monkeypatch):
+    # 0.9 is not three pieces of 0.3 in floats, so g is not its subdivision: the lift lists g,
+    # and A(k), its cut and the eigenphases count it.
+    g = build_graph("thirds", ["a", "b", "c"], [("a", "b", 0.3), ("b", "c", 0.9),
+                                                ("c", "a", 0.6)])
+    monkeypatch.setattr(_Bonds, "_lift_count", lambda self, k: pytest.fail("counted by the lift"))
+    k = lifted_points(g, 40)
+    assert not spectrum_module._bonds_of(g)._exact
+    assert np.array_equal(spectrum_module._bonds_of(g).count(k), _Bonds(fresh_copy(g)).count(k))
+
+
+def test_a_lift_one_lattice_copy_short_raises(monkeypatch):
+    # k5's lift lists five copies of pi. With one dropped, the count from the eigenvalues the
+    # lift itself used finds five in the cluster, where four are listed.
+    real = spectrum_module.von_below_spectrum
+
+    def short(g, k_max):
+        s = real(g, k_max)
+        values = list(s.values)
+        values.remove(math.pi)
+        return Spectrum(tuple(values), s.k_max_covered, s.method, s.tol)
+
+    monkeypatch.setattr(spectrum_module, "von_below_spectrum", short)
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: pytest.fail(
+        "counted by the vertex matrix"))
+    with pytest.raises(SpectrumCountError, match="the von Below listing of 'k5' fails its "
+                       "certificate: 8 eigenfrequencies listed in .* the exact count gives 9, "
+                       "above the cluster k_6 to k_9 at 3.14159265359"):
+        spectrum_with_count(preset("k5"), 41)
+
+
+@pytest.mark.parametrize("name", ["k5", "lasso", "k33"])
+def test_a_point_the_lift_count_cannot_certify_falls_back(monkeypatch, name):
+    # At a lifted value cos ka is an eigenvalue mu, and at the first lattice point,
+    # fl(pi) / a, ka = fl(pi) fails (1'): there count takes A(k), its cut and the
+    # eigenphases, as on a graph never lifted, within the listed values' clusters.
+    g = preset(name)
+    values = np.array(spectrum_with_count(g, 40).values)
+    bonds = spectrum_module._bonds_of(g)
+    a = bonds.subdivision(g)[1]
+    k = np.append([(math.acos(m) + 2.0 * math.pi) / a for m in bonds.interior(g)], math.pi / a)
+    assert not bonds._lift_count(k)[1].any()
+    flags = record_vertex_counts(monkeypatch)
+    n = bonds.count(k)
+    monkeypatch.undo()
+    assert flags == [False]
+    assert np.array_equal(n, _Bonds(fresh_copy(g)).count(k))
+    assert np.all(np.searchsorted(values, k - 1e-9) - 1 <= n)
+    assert np.all(n <= np.searchsorted(values, k + 1e-9, "right") - 1)
