@@ -19,9 +19,9 @@ order. The tests hold the sums bit for bit equal to one scalar call per term.
 Noise is uniform on [-delta, +delta] per positive eigenfrequency, generated
 by an in-repo 64-bit mixing recurrence (the SplitMix64 finalizer) so that
 identical seeds give byte-identical spectra on every platform; numpy's
-generators make no such cross-version promise. The recurrence runs in exact
-np.uint64 arithmetic over all (seed, index) pairs in one array pass; the tests
-hold it bit for bit equal to the same steps on Python integers.
+generators make no such cross-version promise. The recurrence runs in place,
+in exact np.uint64 arithmetic, over all (seed, index) pairs in one array pass;
+the tests hold it bit for bit equal to the same steps on Python integers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planner import PlanError, RecoveryPlan, tail_envelope
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _read_only
 from .testfn import TestFunction, cosine_power, re_fourier
 
 __all__ = [
@@ -47,12 +47,11 @@ __all__ = [
     "nint",
 ]
 
-# SplitMix64 in np.uint64, whose arithmetic wraps mod 2^64. Every operand is
-# a np.uint64: numpy 1.22 turns uint64 mixed with a Python int into float64.
+# SplitMix64 in np.uint64, whose arithmetic wraps mod 2^64. Every operand is a 0-d np.uint64
+# array: numpy 1.22 turns uint64 mixed with a Python int into float64, a numpy scalar is slower.
 _MASK64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE, _GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (np.array(n, np.uint64) for n in (
+    1, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,27 @@ class NoiseModel:
 
 
 def _noise(delta, seed, j) -> np.ndarray:
-    """SplitMix64 of seed and index j (both np.uint64) mapped to [-delta, delta], broadcast."""
-    z = seed + (j + np.uint64(1)) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z ^= z >> np.uint64(31)
+    """SplitMix64 of seed and index j (both np.uint64) mapped to [-delta, delta], broadcast, in place."""
+    z = seed + (j + _ONE) * _GOLDEN
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
     # 2 u - 1 for u = (z >> 11) 2^-53: z >> 11 < 2^53 is a float exactly, and so is 2^-52 times it.
-    return delta * ((z >> np.uint64(11)) * 2.0**-52 - 1.0)
+    return delta * ((z >> _S11) * 2.0**-52 - 1.0)
 
 
-def _perturbed(values: tuple[float, ...], models: list[NoiseModel]) -> np.ndarray:
-    """One row of values per model: noise j on each positive k_j, clamped at 0, sorted."""
+def _perturbed(k: np.ndarray, models: list[NoiseModel]) -> np.ndarray:
+    """One row of values per model: noise j on each positive k_j, clamped at 0, sorted in place."""
     seeds = np.array([m.seed & _MASK64 for m in models], dtype=np.uint64)[:, None]
     deltas = np.array([m.delta for m in models])[:, None]
-    k = np.fromiter(values, float, len(values))
-    noise = _noise(deltas, seeds, np.arange(1, k.size + 1, dtype=np.uint64))
-    return np.sort(np.where(k > 0.0, np.maximum(0.0, k + noise), k), axis=1)
+    x = _noise(deltas, seeds, np.arange(1, k.size + 1, dtype=np.uint64))
+    x += k
+    np.maximum(x, 0.0, out=x)
+    np.copyto(x, k, where=k <= 0.0)
+    x.sort(axis=1)
+    return x
 
 
 def nint(x: float) -> int:
@@ -116,7 +120,7 @@ def truncated_sum(
     of shape t.shape + J.shape. Each t must be positive and finite, each J in
     1..len(s.values), and k_J / t finite.
     """
-    return _truncated_sums(np.fromiter(s.values, float, len(s.values)), tf, t, J)
+    return _truncated_sums(s.array, tf, t, J)
 
 
 def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.ndarray:
@@ -196,7 +200,7 @@ def certify_perturbed(s: Spectrum, tf: TestFunction, t: float, J: int, M: float 
         bounds = [math.nan] * len(models)
     else:
         bounds = certified_bound(tf, J, M, L, t, s.tol + np.array([m.delta for m in models])).tolist()
-    sums = _truncated_sums(_perturbed(s.values, models), tf, t, J).tolist()
+    sums = _truncated_sums(_perturbed(s.array, models), tf, t, J).tolist()
     return [Estimate(S, nint(S), bound) for S, bound in zip(sums, bounds)]
 
 
@@ -208,8 +212,10 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
     should rely on. certify_perturbed draws the same noise for many models.
     """
-    values = _perturbed(s.values, [noise])[0]
-    return Spectrum(tuple(values.tolist()), s.k_max_covered, "external", s.tol + noise.delta)
+    values = _perturbed(s.array, [noise])[0]
+    noisy = Spectrum(tuple(values.tolist()), s.k_max_covered, "external", s.tol + noise.delta)
+    vars(noisy)["array"] = _read_only(values)  # its values, bit for bit: no second conversion
+    return noisy
 
 
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:

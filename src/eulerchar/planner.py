@@ -152,14 +152,17 @@ def epsilon(mu: float, gamma: float, alpha: float, beta: float) -> float:
 
 
 def beta_continuous(eps_bar: float, M: float, rho: float, alpha: float) -> float:
-    """The unique beta > M + rho*alpha with epsilon(M, rho, alpha, beta) = eps_bar."""
+    """The unique beta > M + rho*alpha with epsilon(M, rho, alpha, beta) = eps_bar, if finite."""
     if not 0.0 < eps_bar < 1.0:
         raise PlanError("eps_bar must lie in (0, 1)")
     if alpha <= 0.0 or rho <= 0.0:
         raise PlanError("beta_continuous needs alpha > 0 and rho > 0")
-    return M + rho * alpha * (
+    beta = M + rho * alpha * (
         1.0 + math.exp(-1.0) * (math.exp(1.0 / 6.0) * rho / eps_bar) ** (1.0 / (2.0 * alpha))
     )
+    if beta == math.inf:
+        raise PlanError(f"beta overflows a float at rho = {rho!r}")
+    return beta
 
 
 def alpha_star(eps_bar: float, rho: float) -> float:
@@ -171,8 +174,8 @@ def alpha_star(eps_bar: float, rho: float) -> float:
     if rho <= 0.0 or eps_bar <= 0.0:
         raise PlanError("alpha_star needs rho > 0 and eps_bar > 0")
     arg = math.exp(1.0 / 6.0) * rho / eps_bar
-    if arg <= 1.0:
-        raise PlanError("alpha_star needs e^(1/6) * rho / eps_bar > 1")
+    if not 1.0 < arg < math.inf:
+        raise PlanError(f"alpha_star needs 1 < e^(1/6) * rho / eps_bar < inf, got rho = {rho!r}")
     return math.log(arg) / (2.0 * (1.0 + lambert_w_unit()))
 
 

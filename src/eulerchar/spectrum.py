@@ -85,6 +85,7 @@ class Spectrum:
 
     k_max_covered is the threshold up to which the listing claims
     completeness; method records provenance; tol bounds the per-value error.
+    ``array``, no field, is values as a read-only float64 array, built once on first use.
     """
 
     values: tuple[float, ...]
@@ -109,6 +110,13 @@ class Spectrum:
         for name, x in (("tol", self.tol), ("k_max_covered", self.k_max_covered)):
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        return _read_only(np.fromiter(self.values, float, len(self.values)))
+
+    def __getstate__(self) -> dict:  # the fields: a pickle or copy rebuilds its array read-only
+        return {name: x for name, x in vars(self).items() if name != "array"}
 
 
 @dataclass(frozen=True)

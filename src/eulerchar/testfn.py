@@ -12,13 +12,14 @@ Transforms follow the convention f_hat(k) = integral f(l) exp(i k l) dl, so
 f_hat(0) = 1 for both families. f is real, so the spectral side of the trace
 formula adds only Re f_hat, which ``re_fourier`` gives in closed form. For the
 cosine power that is a quotient whose 2d + 1 factors are multiplied in one pass,
-and a limit form evaluated only on the arguments inside its windows. All
-evaluators accept scalars or numpy arrays and return matching shapes; a scalar
-gets the same bits as in an array.
+and a limit form evaluated only on the arguments inside its windows, from
+offsets and signs built once per order. All evaluators accept scalars or numpy
+arrays and return matching shapes; a scalar gets the same bits as in an array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,10 +96,9 @@ def normalization(d: int) -> float:
 
 
 def _sinc(u: np.ndarray) -> np.ndarray:
-    """sin(u)/u with the removable singularity filled by its Taylor series."""
+    """sin(u)/u; where |u| < 1e-8 (u = 0 included) its Taylor term 1 - u^2/6, which rounds to 1."""
     small = np.abs(u) < 1e-8
-    safe, tiny = np.where(small, 1.0, u), np.where(small, u, 0.0)
-    return np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe)
+    return np.where(small, 1.0, np.sin(u) / np.where(small, 1.0, u))
 
 
 def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
@@ -115,13 +115,13 @@ def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
 def _cosine_power_fourier(d: int, k: np.ndarray):
     """Closed-form real part of the transform of the order-d cosine power.
 
-    Away from the integer lattice the quotient form is
-    (-1)^d (d!)^2 sin(k) / (2 pi prod_{j=-d..d}(k/2pi + j)), its product taken in
-    one in-place pass over j. Its zeros at k = 2 pi m, |m| <= d, are removable:
-    inside a small window the limit form cancels the vanishing factor against the
-    sine, and one reduce over a leading j axis, (-1)^m in that factor's place,
-    gives the window points' reduced product. Both products keep the bits of a
-    factor-by-factor loop; the branches agree to 1e-12 at the crossover.
+    Away from the integer lattice the quotient form is (-1)^d (d!)^2 sin(k) /
+    (2 pi prod_{j=-d..d}(k/2pi + j)), its product taken in one in-place pass over j. Its
+    zeros at k = 2 pi m, |m| <= d, are removable: inside a small window the limit form
+    cancels the vanishing factor against the sine, and one reduce over a leading j axis,
+    (-1)^m in that factor's place, gives the window points' reduced product. Both branches
+    run in one errstate block, and both products keep the bits of a factor-by-factor
+    loop; the branches agree to 1e-12 at the crossover.
     """
     c = (-1.0 if d % 2 else 1.0) * float(math.factorial(d)) ** 2
     x = k / (2.0 * math.pi)
@@ -134,20 +134,23 @@ def _cosine_power_fourier(d: int, k: np.ndarray):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         full = x - d
         for j in range(1 - d, d + 1):
-            full *= x + j
+            full *= x + j if j else x  # x + 0 differs from x only at x = -0, a window point
         smooth = c * np.sin(k) / (2.0 * math.pi * full)
-    if not np.count_nonzero(near):
-        return smooth
-
-    x, m, u, k = x[near], m[near], u[near], k[near]
-    # The factor j = -m vanishes; (-1)^m = (-1)^j in its place is the limit's sign, exactly.
-    j = np.arange(-d, d + 1.0)[:, None]
-    signs, reduced = 1.0 - 2.0 * (j % 2.0), np.empty_like(x)
-    for b in range(0, x.size, _WINDOW_BLOCK):
-        cols = slice(b, b + _WINDOW_BLOCK)
-        np.multiply.reduce(np.where(j == -m[cols], signs, x[cols] + j), axis=0, out=reduced[cols])
-    smooth[near] = c * np.cos(k / 2.0) * _sinc(u / 2.0) / reduced
+        if np.count_nonzero(near):
+            x, m, u, k = x[near], m[near], u[near], k[near]
+            (j, signs), reduced = _factors(d), np.empty_like(x)
+            for b in range(0, x.size, _WINDOW_BLOCK):
+                cols = slice(b, b + _WINDOW_BLOCK)
+                np.multiply.reduce(np.where(j == -m[cols], signs, x[cols] + j), axis=0, out=reduced[cols])
+            smooth[near] = c * np.cos(k / 2.0) * _sinc(u / 2.0) / reduced
     return smooth
+
+
+@functools.cache
+def _factors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets j = -d..d as a column and (-1)^j, the limit's sign for j = -m: shared, never written."""
+    j = np.arange(-d, d + 1.0)[:, None]
+    return j, 1.0 - 2.0 * (j % 2.0)
 
 
 def re_fourier(tf: TestFunction, k) -> np.ndarray | float:

@@ -80,6 +80,33 @@ def test_plan_bad_eps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, rho", [
+    (["plan", "--M", "2", "--L", "1e300", "--lmin", "1"], "2e+300"),
+    (["plan", "--M", "2", "--L", "6", "--lmin", "1e-300"], "1.1999999999999998e+301"),
+    (["plan", "--graph", "long.json"], "2e+300"),
+    (["plan", "--graph", "short.json"], "9.999999999999999e+299"),
+    (["estimate", "--spectrum", "x.csv", "--graph", "long.json"], "2e+300"),
+    (["estimate", "--spectrum", "x.csv", "--graph", "short.json"], "9.999999999999999e+299"),
+], ids=["L", "lmin", "plan-long", "plan-short", "estimate-long", "estimate-short"])
+def test_a_plan_whose_beta_overflows_exits_2(tmp_path, monkeypatch, capsys, argv, rho):
+    # The lasso with its 5.0 edge at 1e300 or 1e-300: rho = 2 L / lmin is finite, beta is not.
+    monkeypatch.chdir(tmp_path)
+    for name, length in (("long.json", "1e300"), ("short.json", "1e-300")):
+        (tmp_path / name).write_text(to_document(preset("lasso")).replace("5.0", length))
+    (tmp_path / "x.csv").write_text("# method=external\n# tol=0\nj,k\n1,0.0\n2,0.5\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: beta overflows a float at rho = {rho}\n"
+
+
+def test_a_plan_whose_alpha_star_overflows_exits_2(capsys):
+    # rho = 1e308 is finite, e^(1/6) rho / eps_bar is not.
+    assert main(["plan", "--M", "2", "--L", "5e307", "--lmin", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: alpha_star needs 1 < e^(1/6) * rho / eps_bar < inf, got rho = 1e+308\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "lasso", "--seed", "1"],
     ["spectrum", "lasso", "--eps", "0.1"],

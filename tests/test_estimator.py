@@ -442,6 +442,32 @@ def test_perturb_spectrum_is_bit_identical_to_the_per_value_loop():
     assert bits(perturb_spectrum(s, noise).values) == bits(sorted(expected))
 
 
+def test_perturbed_spectrum_array_is_its_values():
+    s = spectrum_with_count(preset("k5"), 41)
+    for seed in (0, 7, 2**64 + 5):
+        noisy = perturb_spectrum(s, NoiseModel(delta=0.05, seed=seed))
+        assert bits(noisy.array) == bits(noisy.values)
+        assert not noisy.array.flags.writeable
+
+
+def test_noisy_recoveries_convert_the_clean_values_once(lasso_spectrum, monkeypatch):
+    # A fresh copy, so that no earlier test has built its array.
+    s = Spectrum(lasso_spectrum.values, lasso_spectrum.k_max_covered, lasso_spectrum.method,
+                 lasso_spectrum.tol)
+    conversions = []
+    fromiter = np.fromiter
+
+    def counting_fromiter(values, *args, **kwargs):
+        conversions.append(values is s.values)
+        return fromiter(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    for seed in range(20):
+        noisy = perturb_spectrum(s, NoiseModel(LASSO_PLAN.delta_max, seed))
+        assert recover_chi(noisy, LASSO_PLAN) == 0
+    assert conversions.count(True) == 1
+
+
 BATCH_SEEDS = list(range(-50, 49)) + [2**64 + 5]
 
 

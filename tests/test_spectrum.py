@@ -1,6 +1,9 @@
 """Tests for the three spectrum backends and their cross-validation."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -79,6 +82,51 @@ def test_spectrum_constructor_validation():
             Spectrum(values=(0.0, 1.0), k_max_covered=3.0, method="external", tol=bad)
         with pytest.raises(ValueError):
             Spectrum(values=(0.0, 1.0), k_max_covered=bad, method="external", tol=0.0)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# A signed zero, a subnormal, repeats and values with no short decimal form.
+ARRAY_VALUES = (-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.0 / 3.0, math.pi, 2.0**60 + 2.0**8)
+
+
+def test_spectrum_array_is_the_values_read_only_built_once():
+    s = Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10)
+    assert "array" not in vars(s)
+    a = s.array
+    assert s.array is a
+    assert a.dtype == np.float64
+    assert _bits(a) == _bits(s.values)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[1] = 1.0
+    assert s.values == ARRAY_VALUES
+
+
+def test_spectrum_array_leaves_equality_hash_and_repr_alone():
+    built, fresh = (Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10) for _ in range(2))
+    built.array
+    assert built == fresh and fresh == built
+    assert hash(built) == hash(fresh)
+    assert repr(built) == repr(fresh)
+    assert spectrum_csv_text(built) == spectrum_csv_text(fresh)
+    assert built != Spectrum(ARRAY_VALUES[:-1], 4.0, "external", 1e-10)
+
+
+def test_spectrum_array_survives_pickle_copy_and_replace():
+    s = Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10)
+    s.array
+    copies = [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(s), copy.deepcopy(s), dataclasses.replace(s)]
+    for c in copies:
+        assert c == s and hash(c) == hash(s)
+        assert _bits(c.values) == _bits(s.values)
+        assert _bits(c.array) == _bits(s.values)
+        assert not c.array.flags.writeable
+    moved = dataclasses.replace(s, values=ARRAY_VALUES[:3])
+    assert _bits(moved.array) == _bits(ARRAY_VALUES[:3])
 
 
 def test_analytic_interval():
