@@ -24,6 +24,7 @@ by exact length alone, one matrix product per distinct length below 1/t.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -186,26 +187,30 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     walks maps each walk length, exact as an integer multiple of 1/D (D from
     graph.length_units), to P[a, b], the sum of S products over the walks of
     that length, whatever their number of bonds, from bond a to bond b. The
-    shortest length is popped, its walks closed with sum(l[:, None] * S * P)
-    and extended by P @ S.T onto each unit while t L < 1. Every walk extends a
-    shorter one, so a popped length is complete. S, l[:, None] * S, the units and their
-    masks come from g's table, built once per graph object, so only the walks depend on t.
+    shortest length is popped off a heap of the pending lengths, its walks closed
+    with sum(l[:, None] * S * P) and extended by P @ S.T onto each unit while
+    t L < 1. Every walk extends a shorter one, so a popped length is complete. S,
+    l[:, None] * S, the units and their masks come from g's table, built once per
+    graph object, so only the walks depend on t.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
     S, weight, D, masks = _bonds_of(g).walk(g)
     walks = {u: np.diag(m) for u, m in masks if t * (u / D) < 1.0}
+    pending = sorted(walks)  # the lengths in walks, a heap
     closed_length, closed_weight = [], []
-    while walks:
+    while pending:
         if (len(closed_length) + 1) * S.size > MAX_WALK_ENTRIES:
             raise OrbitBudgetError(f"orbit side at t={t:g} exceeds {MAX_WALK_ENTRIES} walk entries")
-        length = min(walks)
+        length = heapq.heappop(pending)
         P = walks.pop(length)
         closed_length.append(length / D)
         closed_weight.append(np.vdot(weight, P))
         Q = P @ S.T
         for u, m in masks:
             if t * ((length + u) / D) < 1.0:
+                if length + u not in walks:
+                    heapq.heappush(pending, length + u)
                 walks[length + u] = walks.get(length + u, 0.0) + Q * m
     terms = np.array(closed_weight) * t * eval_time(tf, t * np.array(closed_length))
     return len(g.vertices) - len(g.edges) + math.fsum(terms.tolist())

@@ -143,12 +143,16 @@ def epsilon(mu: float, gamma: float, alpha: float, beta: float) -> float:
         raise PlanError(
             f"epsilon needs beta > mu + gamma*alpha = {mu + gamma * alpha:.6g}, got {beta:.6g}"
         )
-    return (
-        alpha ** (2.0 * alpha)
-        * math.exp(-2.0 * alpha + 1.0 / 6.0)
-        * gamma ** (2.0 * alpha + 1.0)
-        / (beta - mu - gamma * alpha) ** (2.0 * alpha)
-    )
+    try:
+        return (
+            alpha ** (2.0 * alpha)
+            * math.exp(-2.0 * alpha + 1.0 / 6.0)
+            * gamma ** (2.0 * alpha + 1.0)
+            / (beta - mu - gamma * alpha) ** (2.0 * alpha)
+        )
+    except OverflowError:
+        raise PlanError(f"epsilon overflows a float at mu = {mu:.6g}, gamma = {gamma:.6g}, "
+                        f"alpha = {alpha:.6g}, beta = {beta:.6g}") from None
 
 
 def beta_continuous(eps_bar: float, M: float, rho: float, alpha: float) -> float:

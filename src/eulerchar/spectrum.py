@@ -221,8 +221,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Bonds:
     """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
     quarter-wave cut, which count N(k) (see count), as the bond scattering matrix S, built on
-    first use, for counts neither A certifies and for orbit_side, and the lift's tables. It
-    depends on g alone: _bonds_of builds it once per graph object and keeps it on g, so it
+    first use, for counts neither A certifies and for orbit_side, and the lift's tables: the
+    subdivision with its length margin eta, and its eigenvalues mu, which count N(k) once built.
+    It depends on g alone: _bonds_of builds it once per graph object and keeps it on g, so it
     goes with g. Its arrays are read-only, so a stray write raises.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
@@ -242,8 +243,7 @@ class _Bonds:
         self.n_vertices = len(g.vertices)
         self.loops = _read_only(np.array([float(e.u == e.v) for e in g.edges]))
         self._pieces: dict[bool, tuple] = {}
-        self._walk: tuple | None = None
-        self._lift, self._mu, self._exact = None, None, False  # see subdivision and interior
+        self._walk = self._lift = self._mu = None  # see walk, subdivision and interior
 
     @functools.cached_property
     def S(self) -> np.ndarray:
@@ -285,20 +285,26 @@ class _Bonds:
         return self._walk
 
     def subdivision(self, g: MetricGraph):
-        """equilateral_subdivision(g) of g, these bonds' graph, its piece length a and whether it
-        is bipartite, kept once built; GraphError where equilateral_subdivision raises it."""
+        """equilateral_subdivision(g) of g, these bonds' graph, its piece length a, the relative
+        length margin eta = max_e |l_e - n_e a| / (n_e a) of _lift_count, exact in Fraction and
+        rounded up, and whether it is bipartite, kept once built; GraphError where
+        equilateral_subdivision raises it. Each edge e is, in place, a path of n_e pieces from
+        e.u; where the subdivision is g, n_e is 1 and eta 0."""
         if self._lift is None:
             sub, a = equilateral_subdivision(g)
+            start = [i for i, e in enumerate(sub.edges) if e.u in g.vertices] + [len(sub.edges)]
+            eta = 0 if sub is g else max(abs(Fraction(e.length) / ((j - i) * Fraction(a)) - 1)
+                                         for e, i, j in zip(g.edges, start, start[1:]))
+            eta = math.nextafter(float(eta), math.inf) if float(eta) < eta else float(eta)
             colour = two_colouring(sub)
-            self._lift = sub, a, all(colour[e.u] != colour[e.v] for e in sub.edges)
+            self._lift = sub, a, eta, all(colour[e.u] != colour[e.v] for e in sub.edges)
         return self._lift
 
     def interior(self, g: MetricGraph) -> np.ndarray:
         """The sorted eigenvalues mu of B = Deg^-1/2 Adj Deg^-1/2 of subdivision(g) but its ends, 1
-        and, where it is bipartite, -1: the lift's, computed once. count reads them from then on
-        where every edge of g is a whole number of pieces exactly, so that g is its subdivision."""
+        and, where it is bipartite, -1: the lift's, computed once. count reads them from then on."""
         if self._mu is None:
-            sub, a, bipartite = self.subdivision(g)
+            sub, _a, _eta, bipartite = self.subdivision(g)
             index = {v: i for i, v in enumerate(sub.vertices)}
             ends = np.array([(index[e.u], index[e.v]) for e in sub.edges]).T
             adjacency = np.zeros((len(index), len(index)))
@@ -306,8 +312,6 @@ class _Bonds:
             scale = 1.0 / np.sqrt(adjacency.sum(axis=1))
             mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
             self._mu = _read_only(mu[int(bipartite) : -1])
-            self._exact = all(Fraction(e.length) == round(e.length / a) * Fraction(a)
-                              for e in g.edges)
         return self._mu
 
     def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
@@ -413,29 +417,46 @@ class _Bonds:
 
     def _lift_count(self, k: np.ndarray):
         """N(k) per k > 0 from interior's mu, and whether that count is certified: the index
-        formula of _index_count on subdivision(g), of P pieces of length a and no loops.
+        formula of _index_count on g-hat, g with each edge set to exactly its n_e pieces of
+        length a of subdivision(g), with the length margin eta to cover g.
 
-        There A(k) = csc(ka) (Adj - cos(ka) Deg), congruent through Deg^1/2 to csc(ka) (B -
-        cos(ka) I), so by Sylvester's law of inertia N(k) = P floor(ka / pi) - 1 plus the number
-        of eigenvalues of B above cos ka where sin ka > 0, below it where sin ka < 0, if none is
-        cos ka. With u = 2^-53, x = fl(ka), c = fl(cos x) and m the order of B, it is certified by
-          (1') |fl(sin x)| > 16 u (1 + x), (1) of _index_count: floor(x / pi) is floor(ka / pi)
-               and fl(sin x) has the sign of sin ka, and
-          (2') no computed interior mu within dmu + dc of c: dmu = 16 (m + 1) u, dc = 8 u (1 + x).
+        On g-hat, of P pieces of length a and no loops, A(k) = csc(ka) (Adj - cos(ka) Deg),
+        congruent through Deg^1/2 to csc(ka) (B - cos(ka) I), so by Sylvester's law of inertia
+        N(k) = P floor(ka / pi) - 1 plus the number of eigenvalues of B above cos ka where
+        sin ka > 0, below it where sin ka < 0, if none is cos ka.
+
+        Stretching an edge q >= 1 times raises no eigenvalue: u(y) -> u(y / q) on it keeps
+        continuity, divides its share of the energy by q and multiplies its share of the norm by
+        q, so it raises no Rayleigh quotient, and by min-max no k_j (the lengthening principle of
+        Berkolaiko, Kennedy, Kurasov and Mugnolo, Trans. AMS 372, 2019). Scaling every length by
+        q divides every k_j by q. As (1 - eta) n_e a <= l_e <= (1 + eta) n_e a, N_g-hat((1 - eta)
+        k) <= N_g(k) <= N_g-hat((1 + eta) k): N_g(k) is the count above wherever that takes one
+        value at every y in [(1 - eta) ka, (1 + eta) ka] in place of ka. Where eta is 0, g is g-hat.
+
+        With u = 2^-53, x = fl(ka), c = fl(cos x), r = fl(2 eta x) and m the order of B, it is
+        certified by
+          (1') |fl(sin x)| > 16 u (1 + x) + r: for r = 0, (1) of _index_count, so floor(x / pi) is
+               floor(ka / pi) and fl(sin x) has the sign of sin ka. x lies at least |sin x| from
+               every multiple of pi, and |sin x| > r + 2 u x after (1')'s roundings, while every y
+               lies within (eta + u) ka < r + 2 u x of x: so every y lies in x's cell, and
+          (2') no computed interior mu within dmu + dc + r of c: dmu = 16 (m + 1) u,
+               dc = 8 u (1 + x).
         B's entries, d_i^-1/2 d_j^-1/2 times whole numbers, are formed within 7 u of their size;
         B >= 0 has norm 1, so the matrix eigvalsh solves is within 8 u of B in norm, and the
         eigenvalues it returns, in order, within 8 m (2 u) (1 + 8 u) + 8 u <= dmu of B's
         (LAPACK's bound, as in _index_count, and Weyl's inequality). x is within u x of ka and
-        cos within 4 units in the last place, so c is within dc of cos ka: each interior
-        eigenvalue lies on the side of cos ka its mu lies of c, and the window c -+ 2 (dmu + dc)
-        covers the rounding of its ends. B's ends are exact: 1, simple as g is connected, and -1,
-        present and simple exactly when the subdivision is bipartite; (1') keeps cos ka off both."""
-        (sub, a, bipartite), mu, u = self._lift, self._mu, 2.0**-53
+        cos within 4 units in the last place, so c is within dc of cos ka, and every cos y within
+        eta ka < r of cos ka: each interior eigenvalue lies on the side of every cos y its mu
+        lies of c, and the window c -+ 2 (dmu + dc + r) covers the rounding of its ends. B's
+        ends are exact: 1, simple as g is connected, and -1, present and simple exactly when the
+        subdivision is bipartite; (1') keeps every cos y off both. Where eta >= 1/2, r >= x >=
+        fl(sin x), so (1') certifies nothing: wherever it holds, (1 - eta) k > 0."""
+        (sub, a, eta, bipartite), mu, u = self._lift, self._mu, 2.0**-53
         x = k * a
-        s, c = np.sin(x), np.cos(x)
-        window = 2.0 * (16.0 * (len(sub.vertices) + 1) * u + 8.0 * u * (1.0 + x))
+        s, c, r = np.sin(x), np.cos(x), 2.0 * eta * x
+        window = 2.0 * (16.0 * (len(sub.vertices) + 1) * u + 8.0 * u * (1.0 + x) + r)
         below, above = np.searchsorted(mu, c - window), np.searchsorted(mu, c + window, "right")
-        sure = (np.abs(s) > 16.0 * u * (1.0 + x)) & (below == above)
+        sure = (np.abs(s) > 16.0 * u * (1.0 + x) + r) & (below == above)
         crossed = np.where(s > 0.0, mu.size - above + 1, below + bipartite)
         cells = np.floor(np.where(sure, x, 0.0) / math.pi)  # a certified x is below 1 / (16 u)
         return (len(sub.edges) * cells + crossed - 1).astype(int), sure
@@ -446,11 +467,10 @@ class _Bonds:
         mu where _lift_count certifies it; else from A(k) where its certificate holds, else from
         A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        lifted = self._exact and not newton
+        lifted = self._mu is not None and not newton
         count, sure, *target = self._lift_count(k) if lifted else self._index_count(k, False, newton)
         if lifted and not sure.all():
-            rest = ~sure
-            count[rest], sure[rest] = self._index_count(k[rest], False)
+            count[~sure], sure[~sure] = self._index_count(k[~sure], False)
         if not sure.all():
             rest, cut_sure = self._index_count(k[~sure], True)
             if not cut_sure.all():
@@ -618,7 +638,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
     bonds = _bonds_of(g)
-    sub, a, bipartite = bonds.subdivision(g)
+    sub, a, _eta, bipartite = bonds.subdivision(g)
 
     # Branch and lattice indices run past the last k <= k_max; the filter drops the rest. The
     # sizes are counted in floats, where a k_max a that overflows gives inf or NaN, not an error.

@@ -1,12 +1,15 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
 import math
+import os
 import shutil
+import subprocess
 import sys
 import warnings
 
 import pytest
 
+import eulerchar
 from eulerchar import (
     GraphError,
     Spectrum,
@@ -98,6 +101,23 @@ def test_a_plan_whose_beta_overflows_exits_2(tmp_path, monkeypatch, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: beta overflows a float at rho = {rho}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--M", "2", "--L", "6", "--lmin", "1", "--eps", "1e-300"],
+    ["estimate", "--spectrum", "x.csv", "--M", "2", "--L", "6", "--lmin", "1", "--eps", "1e-300"],
+    ["experiment", "lasso", "--eps", "1e-300", "--out", "exp"],
+    ["experiment", "lasso", "--eps", "1e-200", "--out", "exp"],
+], ids=["plan", "estimate", "experiment-300", "experiment-200"])
+def test_a_plan_whose_epsilon_overflows_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # alpha ** (2 alpha) overflows at the order that eps_bar = 1e-300 or 1e-200 asks for.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("# method=external\n# tol=0\nj,k\n1,0.0\n2,0.5\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: epsilon overflows a float at mu = 2, gamma = 12, ")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 def test_a_plan_whose_alpha_star_overflows_exits_2(capsys):
@@ -611,6 +631,21 @@ def test_verify_trace_passes(capsys):
         next(ln for ln in out.splitlines() if ln.startswith("certified_bound="))[16:]
     )
     assert gap <= bound + 1e-9
+
+
+def test_verify_trace_whose_walks_exceed_the_budget_exits_2(tmp_path):
+    # The lasso with its 5.0 edge at 1e-300: length_units gives D = 10^300, so walks that differ
+    # in the short edge have distinct lengths, and the orbit side reaches its walk budget. Each
+    # pop used to scan every pending length, which ran for minutes; off a heap it takes seconds.
+    doc = tmp_path / "short.json"
+    doc.write_text(to_document(preset("lasso")).replace("5.0", "1e-300"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulerchar.__file__)))
+    run = subprocess.run([sys.executable, "-c", "import sys; from eulerchar.cli import main; "
+                          "sys.exit(main())", "verify-trace", "--graph", str(doc), "--t", "0.3"],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "error: orbit side at t=0.3 exceeds 2000000 walk entries\n"
 
 
 VERIFY_TRACE_K5 = """\

@@ -84,6 +84,13 @@ def test_epsilon_domain():
         epsilon(2, 12, 1, 10)
 
 
+def test_epsilon_overflow_is_a_plan_error():
+    # The plan at eps_bar = 1e-300: alpha ** (2 alpha) overflows a float.
+    with pytest.raises(PlanError, match="^epsilon overflows a float at mu = 2, gamma = 12, "
+                                        "alpha = 219, beta = 7339$"):
+        epsilon(2, 12, 219, 7339)
+
+
 def test_epsilon_decreasing_in_beta():
     vals = [epsilon(2, 12, 1, b) for b in range(15, 120, 3)]
     assert all(a > b for a, b in zip(vals, vals[1:]))

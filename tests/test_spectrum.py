@@ -1488,32 +1488,65 @@ def test_the_lift_count_certifies_the_selected_listings_alone(monkeypatch, g):
             calls.append(k.size) or real(self, k, cut, newton)))
         spectrum_with_count(copy, count)
         monkeypatch.undo()
-        assert calls == []
+        assert calls == [] and spectrum_module._bonds_of(copy).subdivision(copy)[2] == 0.0
         assert assert_lift_count_is_the_count(copy, count).all()
 
 
-def test_the_lift_count_is_the_count_on_random_commensurate_graphs():
-    # 114 of the 200 graphs have every edge exactly a whole number of pieces; count reads the
-    # lift of those only. Measured when the lift's count came in: it certified every point.
-    exact = 0
-    for seed in range(200):
-        g = random_commensurate_graph(seed)
+def test_the_lift_count_is_the_count_on_random_commensurate_graphs(monkeypatch):
+    # 86 of the 200 graphs have an edge that is not exactly a whole number of pieces in floats,
+    # as 0.9 is not three pieces of 0.3: their length margin eta covers it. Listing and
+    # certifying all 200 builds no vertex matrix, and the lift certifies every point tried.
+    graphs = [random_commensurate_graph(seed) for seed in range(200)]
+    calls, real = [], _Bonds._index_count
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: (
+        calls.append(k.size) or real(self, k, cut, newton)))
+    for g in graphs:
         lifted_points(g, 60)
-        if spectrum_module._bonds_of(g)._exact:
-            exact += 1
-            assert assert_lift_count_is_the_count(g, 60).all()
-    assert exact == 114
+    monkeypatch.undo()
+    assert calls == []
+    eta = [spectrum_module._bonds_of(g).subdivision(g)[2] for g in graphs]
+    assert sum(e > 0.0 for e in eta) == 86 and max(eta) <= 2.0**-52
+    for g in graphs:
+        assert assert_lift_count_is_the_count(g, 60).all()
 
 
-def test_a_graph_whose_edges_are_not_whole_pieces_keeps_the_vertex_count(monkeypatch):
-    # 0.9 is not three pieces of 0.3 in floats, so g is not its subdivision: the lift lists g,
-    # and A(k), its cut and the eigenphases count it.
-    g = build_graph("thirds", ["a", "b", "c"], [("a", "b", 0.3), ("b", "c", 0.9),
-                                                ("c", "a", 0.6)])
-    monkeypatch.setattr(_Bonds, "_lift_count", lambda self, k: pytest.fail("counted by the lift"))
+def thirds_graph():
+    """A triangle on units of 0.3, cut into pieces of fl(0.3): fl(0.9) is not 3 of them."""
+    return build_graph("thirds", ["a", "b", "c"], [("a", "b", 0.3), ("b", "c", 0.9),
+                                                   ("c", "a", 0.6)])
+
+
+def test_a_graph_whose_edges_are_not_whole_pieces_counts_from_its_lift(monkeypatch):
+    # g is not g-hat, the graph of its subdivision, but within its length margin eta of it, so
+    # the lift lists and certifies g alone, and counts as a copy of g never lifted.
+    g = thirds_graph()
+    monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, cut, newton=False: pytest.fail(
+        "counted by the vertex matrix"))
     k = lifted_points(g, 40)
-    assert not spectrum_module._bonds_of(g)._exact
-    assert np.array_equal(spectrum_module._bonds_of(g).count(k), _Bonds(fresh_copy(g)).count(k))
+    bonds = spectrum_module._bonds_of(g)
+    assert 0.0 < bonds.subdivision(g)[2] <= 2.0**-52
+    assert bonds._lift_count(k)[1].all()
+    n = bonds.count(k)
+    monkeypatch.undo()
+    assert np.array_equal(n, _Bonds(fresh_copy(g)).count(k))
+
+
+def test_a_wider_length_margin_leaves_its_points_to_the_vertex_count(monkeypatch):
+    # With eta raised to 1e-12, points beside the lattice points fail (1') and points beside
+    # the lifted values fail (2'); count takes A(k) there and still counts as a fresh copy.
+    g = thirds_graph()
+    k = lifted_points(g, 40)
+    bonds = spectrum_module._bonds_of(g)
+    sub, a, _eta, bipartite = bonds.subdivision(g)
+    assert bonds._lift_count(k)[1].all()
+    monkeypatch.setattr(bonds, "_lift", (sub, a, 1e-12, bipartite))
+    sure = bonds._lift_count(k)[1]
+    lattice = np.abs(np.sin(k * a)) < 1e-9
+    assert sure.any() and not sure[lattice].all() and not sure[~lattice].all()
+    flags = record_vertex_counts(monkeypatch)
+    n = bonds.count(k)
+    assert flags == [False]
+    assert np.array_equal(n, _Bonds(fresh_copy(g)).count(k))
 
 
 def test_a_lift_one_lattice_copy_short_raises(monkeypatch):
