@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (NoiseModel, _truncated_sums, certified_bound, certify,
+from .estimator import (NoiseModel, _perturbed, _truncated_sums, certified_bound, certify,
                         certify_perturbed, perturb_spectrum, truncated_sum)
 from .graph import GraphError, MetricGraph, PRESET_NAMES, parse_graph, preset, summarize
 from .planner import PlanError, RecoveryPlan, beta_continuous, epsilon, optimal_plan
@@ -330,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     # Sweep of S_J over the time scaling, exact and three noisy overlays, as one (4, len(t), J - 1)
     # grid; its noisy rows are perturb_spectrum's for the first three noise models.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
-    rows = np.vstack([s.values] + [perturb_spectrum(s, m).values for m in noise[:3]])
+    rows = np.vstack((s.array, _perturbed(s.array, noise[:3])))
     sweeps = _truncated_sums(rows, tf, ts, plan.J)
     exact_sweep = sweeps[0]
     names = [f"S_noisy_seed{m.seed}" for m in noise[:3]]
@@ -367,7 +367,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     js = range(2, len(s.values) + 1)
     _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
             ("J", js), "absolute error",
-            [("abs_err", "error", np.abs(_truncated_sums(np.array(s.values), tf, plan.t, js) - chi)),
+            [("abs_err", "error", np.abs(_truncated_sums(s.array, tf, plan.t, js) - chi)),
              ("bound", "bound", [sweep_bound(J, plan.t) for J in js])],
             log_y=True)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .planner import PlanError, RecoveryPlan, tail_envelope
-from .spectrum import Spectrum, _read_only
+from .spectrum import Spectrum
 from .testfn import TestFunction, cosine_power, re_fourier
 
 __all__ = [
@@ -212,10 +212,8 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
     should rely on. certify_perturbed draws the same noise for many models.
     """
-    values = _perturbed(s.array, [noise])[0]
-    noisy = Spectrum(tuple(values.tolist()), s.k_max_covered, "external", s.tol + noise.delta)
-    vars(noisy)["array"] = _read_only(values)  # its values, bit for bit: no second conversion
-    return noisy
+    return Spectrum._of(_perturbed(s.array, [noise])[0], s.k_max_covered, "external",
+                        s.tol + noise.delta)
 
 
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:

@@ -26,7 +26,8 @@ it returns is certified: von Below where the subdivision is small enough, certif
 the secular search, whose brackets certify it by the same counts. ``secular_matrix``, a
 second encoding of the conditions, is a test oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
-numerically) and repeats eigenfrequencies by multiplicity.
+numerically) and repeats eigenfrequencies by multiplicity. Each also holds them as a read-only
+float64 array, built and checked at construction: a lister's own, from which the tuple is derived.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class Spectrum:
 
     k_max_covered is the threshold up to which the listing claims
     completeness; method records provenance; tol bounds the per-value error.
-    ``array``, no field, is values as a read-only float64 array, built once on first use.
+    ``array``, no field, is values as a read-only float64 array, built and checked at
+    construction. A lister hands over its own sorted array (_of), and values is derived from
+    it; a caller's values are converted once. A pickle or copy runs the constructor again.
     """
 
     values: tuple[float, ...]
@@ -98,25 +101,39 @@ class Spectrum:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.values:
             raise ValueError("spectrum is empty")
-        if self.values[0] != 0.0:
-            raise ValueError(f"spectra must start at k_1 = 0, got {self.values[0]!r}")
-        prev = 0.0
-        for v in self.values:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"eigenfrequency {v!r} is not a finite nonnegative real")
-            if v < prev:
-                raise ValueError("eigenfrequencies must be nondecreasing")
-            prev = v
+        a = vars(self).get("array")  # handed over by _of
+        if a is None and {float}.issuperset(map(type, self.values)):
+            a = np.fromiter(self.values, float, len(self.values))
+        # a[0] = 0, no step down (NaN fails every comparison) and a last value below inf: every
+        # value is finite, nonnegative and nondecreasing. Else, or for values not all floats,
+        # which np.fromiter would convert ('1.5' to 1.5), the per-value checks decide.
+        if a is None or not (a[0] == 0.0 and a[-1] < math.inf and (a[1:] >= a[:-1]).all()):
+            if self.values[0] != 0.0:
+                raise ValueError(f"spectra must start at k_1 = 0, got {self.values[0]!r}")
+            prev = 0.0
+            for v in self.values:
+                if not math.isfinite(v) or v < 0.0:
+                    raise ValueError(f"eigenfrequency {v!r} is not a finite nonnegative real")
+                if v < prev:
+                    raise ValueError("eigenfrequencies must be nondecreasing")
+                prev = v
+            a = np.fromiter(self.values, float, len(self.values))
+        vars(self)["array"] = _read_only(a)
         for name, x in (("tol", self.tol), ("k_max_covered", self.k_max_covered)):
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
 
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        return _read_only(np.fromiter(self.values, float, len(self.values)))
+    @classmethod
+    def _of(cls, a: np.ndarray, k_max_covered: float, method: str, tol: float,
+            values: tuple[float, ...] | None = None) -> Spectrum:
+        """The Spectrum of a lister's sorted float64 array a; values, a's floats, if given."""
+        s = cls.__new__(cls)
+        vars(s)["array"] = a
+        s.__init__(tuple(a.tolist()) if values is None else values, k_max_covered, method, tol)
+        return s
 
-    def __getstate__(self) -> dict:  # the fields: a pickle or copy rebuilds its array read-only
-        return {name: x for name, x in vars(self).items() if name != "array"}
+    def __reduce__(self):
+        return type(self), (self.values, self.k_max_covered, self.method, self.tol)
 
 
 @dataclass(frozen=True)
@@ -496,7 +513,8 @@ def _over_budget(subject: str, size: float, what: str, factor: str = "") -> Valu
 
 def _cluster_starts(values: np.ndarray, tol: float) -> np.ndarray:
     """Where clusters of the sorted values start: after each gap over 2 (tol + ROOT_TOL)."""
-    return np.flatnonzero(np.diff(values, prepend=-math.inf) > 2.0 * (tol + ROOT_TOL))
+    starts = np.flatnonzero(values[1:] - values[:-1] > 2.0 * (tol + ROOT_TOL)) + 1
+    return np.concatenate(([0], starts)) if values.size else starts
 
 
 def _grid(bonds: _Bonds, k_max: float) -> np.ndarray:
@@ -579,7 +597,10 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     lo, hi, n_lo, n_hi = grid[i], grid[i + 1], counts[i], counts[i + 1]
     x, paired = 0.5 * (lo + hi), np.zeros(lo.size, bool)
     roots = [np.zeros(0)]
-    spacing = math.pi / bonds.lengths[::2]  # of the Dirichlet points of each edge
+    # On an edge below pi over the largest float the spacing overflows to inf, and the edge's
+    # candidates below are NaN or inf, which ok drops: the listing is right, so nothing warns.
+    with np.errstate(over="ignore"):
+        spacing = math.pi / bonds.lengths[::2]  # of the Dirichlet points of each edge
     rnd = 0
     while lo.size:
         rnd += 1
@@ -600,8 +621,9 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         # The row in flat of each piece's probe: p1, or p2 for (p2, hi] and where p1 is padded.
         q = (np.cumsum(inside) - 1).reshape(inside.shape)[i, ((j == 2) | ~inside[i, 0]).astype(int)]
         p = flat[q][:, None]
-        m = np.floor(p / spacing)
-        cand = np.concatenate((m * spacing, (m + 1.0) * spacing, target[q]), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite spacing, as above
+            m = np.floor(p / spacing)
+            cand = np.concatenate((m * spacing, (m + 1.0) * spacing, target[q]), axis=1)
         # Dirichlet points first; a root at the probe may lie a rounding error outside the piece.
         ok = (cand > a[:, None] - ROOT_TOL) & (cand < b[:, None] + ROOT_TOL)
         ok[:, 2 * spacing.size :] &= ~ok[:, : 2 * spacing.size].any(axis=1, keepdims=True)
@@ -614,7 +636,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
                                          for v in (a, b, n[i, j], n[i, j + 1], x, paired))
     found = np.sort(np.concatenate(roots))
     values = np.concatenate(([0.0], found[found <= k_max - 3.0 * ROOT_TOL]))  # k_1 = 0
-    return Spectrum(tuple(values.tolist()), float(k_max), "secular", 1e-10)
+    return Spectrum._of(values, float(k_max), "secular", 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +681,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     k = np.concatenate([[0.0], ((phi + 2.0 * math.pi * n) / a).ravel(),
                         ((2.0 * math.pi * (n + 1) - phi) / a).ravel(),
                         np.repeat(lattice * math.pi / a, multiplicity)])
-    values = np.sort(k[k <= k_max]).tolist()
-    return Spectrum(tuple(values), float(k_max), "von-below", 1e-10)
+    return Spectrum._of(np.sort(k[k <= k_max]), float(k_max), "von-below", 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +765,9 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
     else:
         raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
                                  f"the Dirichlet bound gives at least {count + 1}")
-    i = 1 + _cluster_starts(np.array(s.values[1 : count + 1]), s.tol)[-1]
-    s = Spectrum(s.values[:count], 0.5 * (s.values[i - 1] + s.values[i]), s.method, s.tol)
+    v = s.values
+    i = 1 + _cluster_starts(s.array[1 : count + 1], s.tol)[-1]
+    s = Spectrum._of(s.array[:count], 0.5 * (v[i - 1] + v[i]), s.method, s.tol, v[:count])
     if lift:
         report = validate_spectrum(s, g)
         if not report.ok:
@@ -763,7 +785,7 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     ValidationReport), counting N at every point in one call (once g is lifted, from its mu)."""
     bonds = _bonds_of(g)
     M, L = len(g.vertices), bonds.total_length
-    values = np.array(s.values)
+    values = s.array
     messages: list[str] = []
 
     lower = (np.arange(1, values.size + 1) - M) * math.pi / L
@@ -782,7 +804,7 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     # points lo - d and hi + d of each, then K - d where it lies above them all. N is 0
     # below pi / L, the lowest possible k_2.
     K, d = s.k_max_covered, s.tol + ROOT_TOL
-    v = values[1:][values[1:] <= K]
+    v = values[1 : np.searchsorted(values, K, "right")]  # values is sorted, values[0] = 0 <= K
     first = _cluster_starts(v, s.tol)
     last = np.append(first[1:], v.size)[: first.size]
     points = np.column_stack((v[first] - d, v[last - 1] + d)).ravel()
@@ -815,7 +837,7 @@ def compare_spectra(a: Spectrum, b: Spectrum, count: int | None = None) -> float
     n = min(len(a.values), len(b.values), len(a.values) if count is None else count)
     if n == 0:
         raise ValueError("no shared values to compare")
-    return float(np.max(np.abs(np.array(a.values[:n]) - np.array(b.values[:n]))))
+    return float(np.max(np.abs(a.array[:n] - b.array[:n])))
 
 
 def spectrum_csv_text(s: Spectrum, metadata: dict | None = None) -> str:

@@ -420,6 +420,19 @@ def test_estimate_with_t_where_2_pi_times_the_product_overflows_is_silent(lasso_
     assert captured.out.startswith("S=2\nchi_hat=2\n")
 
 
+def test_spectrum_with_an_edge_below_pi_over_the_largest_float_is_silent(tmp_path, capsys):
+    # The lasso with its 5.0 edge at 5e-324: the Dirichlet spacing pi / l of that edge overflows
+    # to inf, so its candidate roots are NaN or inf, which the search drops without a warning.
+    doc = tmp_path / "tiny.json"
+    doc.write_text(to_document(preset("lasso")).replace("5.0", "5e-324"))
+    out = tmp_path / "tiny.csv"
+    assert main(["spectrum", str(doc), "--count", "20", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    s, _ = read_spectrum_csv(out)
+    assert s.method == "secular" and len(s.values) == 20
+    assert validate_spectrum(s, parse_graph(doc.read_text())).ok
+
+
 def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
     assert main(["spectrum", "lasso", "--kmax", "1e12"]) == 2
     captured = capsys.readouterr()

@@ -451,21 +451,23 @@ def test_perturbed_spectrum_array_is_its_values():
 
 
 def test_noisy_recoveries_convert_the_clean_values_once(lasso_spectrum, monkeypatch):
-    # A fresh copy, so that no earlier test has built its array.
-    s = Spectrum(lasso_spectrum.values, lasso_spectrum.k_max_covered, lasso_spectrum.method,
-                 lasso_spectrum.tol)
     conversions = []
     fromiter = np.fromiter
 
     def counting_fromiter(values, *args, **kwargs):
-        conversions.append(values is s.values)
+        conversions.append(values)
         return fromiter(values, *args, **kwargs)
 
     monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    # A copy from the caller's tuple, converted once as it is built; each noisy copy is built
+    # from its own array, with no conversion.
+    s = Spectrum(lasso_spectrum.values, lasso_spectrum.k_max_covered, lasso_spectrum.method,
+                 lasso_spectrum.tol)
+    assert len(conversions) == 1 and conversions[0] is s.values
     for seed in range(20):
         noisy = perturb_spectrum(s, NoiseModel(LASSO_PLAN.delta_max, seed))
         assert recover_chi(noisy, LASSO_PLAN) == 0
-    assert conversions.count(True) == 1
+    assert len(conversions) == 1
 
 
 BATCH_SEEDS = list(range(-50, 49)) + [2**64 + 5]

@@ -41,6 +41,7 @@ from eulerchar import (
     write_spectrum_csv,
 )
 from eulerchar import spectrum as spectrum_module
+from eulerchar.estimator import NoiseModel, perturb_spectrum
 from eulerchar.graph import PRESET_NAMES
 from eulerchar.spectrum import (ROOT_TOL, _GRID_ENTRIES, _Bonds, _cluster_starts, _grid,
                                 _grid_counts, secular_matrix)
@@ -82,6 +83,38 @@ def test_spectrum_constructor_validation():
             Spectrum(values=(0.0, 1.0), k_max_covered=3.0, method="external", tol=bad)
         with pytest.raises(ValueError):
             Spectrum(values=(0.0, 1.0), k_max_covered=bad, method="external", tol=0.0)
+    # Each rejection keeps its type and message, from a caller's tuple or a lister's array.
+    for values, error, message in REJECTED_VALUES:
+        listed = [lambda: Spectrum(values, 3.0, "external", 0.0)]
+        if all(type(v) is float for v in values):
+            listed.append(lambda: Spectrum._of(np.array(values), 3.0, "external", 0.0))
+        for make in listed:
+            with pytest.raises(error) as caught:
+                make()
+            assert type(caught.value) is error and str(caught.value) == message
+    # Values that are not floats but that math.isfinite reads are kept as given.
+    for values in ((0, 1, 2), (0.0, Fraction(1, 3), Decimal("0.5")), (-0.0, True)):
+        s = Spectrum(values, 3.0, "external", 0.0)
+        assert s.values == values
+        assert _bits(s.array) == _bits([float(v) for v in values])
+
+
+# np.fromiter reads "1.5" as 1.5, None as NaN and 2**60 + 1 as 2.0**60, which would pass the
+# array's checks or fail them with another error.
+REJECTED_VALUES = [
+    ((0.0, math.nan), ValueError, "eigenfrequency nan is not a finite nonnegative real"),
+    ((0.0, 1.0, math.nan, 2.0), ValueError, "eigenfrequency nan is not a finite nonnegative real"),
+    ((0.0, math.inf), ValueError, "eigenfrequency inf is not a finite nonnegative real"),
+    ((0.0, -1.0), ValueError, "eigenfrequency -1.0 is not a finite nonnegative real"),
+    ((0.0, 2.0, 1.0), ValueError, "eigenfrequencies must be nondecreasing"),
+    ((1.0, 2.0), ValueError, "spectra must start at k_1 = 0, got 1.0"),
+    ((math.nan,), ValueError, "spectra must start at k_1 = 0, got nan"),
+    (("0", 1.0), ValueError, "spectra must start at k_1 = 0, got '0'"),
+    ((0.0, "1.5"), TypeError, "must be real number, not str"),
+    ((0.0, None), TypeError, "must be real number, not NoneType"),
+    ((0.0, 10**400), OverflowError, "int too large to convert to float"),
+    ((0.0, 2**60 + 1, 2.0**60), ValueError, "eigenfrequencies must be nondecreasing"),
+]
 
 
 def _bits(values) -> list[int]:
@@ -92,10 +125,12 @@ def _bits(values) -> list[int]:
 ARRAY_VALUES = (-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.0 / 3.0, math.pi, 2.0**60 + 2.0**8)
 
 
-def test_spectrum_array_is_the_values_read_only_built_once():
+def test_spectrum_array_is_the_values_read_only_built_once(monkeypatch):
+    conversions, fromiter = [], np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *args: conversions.append(args[0]) or fromiter(*args))
     s = Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10)
-    assert "array" not in vars(s)
-    a = s.array
+    a = vars(s)["array"]  # built at construction, from one conversion of the values
+    assert len(conversions) == 1 and conversions[0] is s.values
     assert s.array is a
     assert a.dtype == np.float64
     assert _bits(a) == _bits(s.values)
@@ -103,6 +138,60 @@ def test_spectrum_array_is_the_values_read_only_built_once():
     with pytest.raises(ValueError, match="read-only"):
         a[1] = 1.0
     assert s.values == ARRAY_VALUES
+    assert len(conversions) == 1
+
+
+def _tiny_lasso():
+    """The lasso with its 5.0 edge at 5e-324: pi / 5e-324 overflows a float."""
+    return build_graph("tiny", ["a", "b"], [("a", "a", 1.0), ("a", "b", 5e-324)])
+
+
+@pytest.mark.parametrize("path", ["von-below", "secular", "cut", "secular-cut", "perturb", "csv",
+                                  "replace", "pickle", "tuple", "analytic"])
+def test_every_constructor_gives_its_values_as_a_read_only_array(tmp_path, path):
+    k5 = spectrum_with_count(preset("k5"), 500)
+    make = {
+        "von-below": lambda: von_below_spectrum(preset("k5"), 30.0),
+        "secular": lambda: secular_spectrum(preset("lasso"), 20.0),
+        "cut": lambda: k5,
+        "secular-cut": lambda: spectrum_with_count(_tiny_lasso(), 20),
+        "perturb": lambda: perturb_spectrum(k5, NoiseModel(1e-3, 7)),
+        "csv": lambda: write_spectrum_csv(tmp_path / "k5.csv", k5)
+                       or read_spectrum_csv(tmp_path / "k5.csv")[0],
+        "replace": lambda: dataclasses.replace(k5, tol=0.5),
+        "pickle": lambda: pickle.loads(pickle.dumps(k5)),
+        "tuple": lambda: Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10),
+        "analytic": lambda: analytic_spectrum("equilateral-star", 40),
+    }
+    s = make[path]()
+    assert {type(v) for v in s.values} == {float}
+    a = vars(s)["array"]
+    assert a.dtype == np.float64 and a.shape == (len(s.values),)
+    assert _bits(a) == _bits(s.values)
+    assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_listing_and_its_certificate_convert_no_tuple_to_an_array(monkeypatch, name):
+    conversions, fromiter = [], np.fromiter
+    monkeypatch.setattr(np, "fromiter", lambda *args: conversions.append(args[0]) or fromiter(*args))
+    g = preset(name)
+    s = spectrum_with_count(g, 500)
+    assert validate_spectrum(s, g).ok and compare_spectra(s, s) == 0.0
+    assert len(s.values) == 500 and conversions == []
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 0.3])
+def test_cluster_starts_equal_the_first_differences_from_minus_inf(tol):
+    rng = random.Random(11)
+    listings = [np.zeros(0), np.zeros(1), spectrum_with_count(preset("k5"), 120).array]
+    for size in (2, 3, 40):
+        listings.append(np.sort([rng.choice((0.0, 0.5, 1.0)) + rng.choice((0.0, 1e-10, 1e-8))
+                                 for _ in range(size)]))
+    for values in listings:
+        expected = np.flatnonzero(np.diff(values, prepend=-math.inf) > 2.0 * (tol + ROOT_TOL))
+        got = _cluster_starts(values, tol)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_spectrum_array_leaves_equality_hash_and_repr_alone():
