@@ -14,14 +14,15 @@ pairs it with the sum in an ``Estimate``, certified iff the bound is below 1/2.
 Each sweep takes one array evaluation of the transform over all its terms: over
 all time scalings t, truncations J or noise models at once; each sum adds its
 terms with math.fsum, whose correctly rounded result does not depend on their
-order. The tests hold the sums bit for bit equal to one scalar call per term.
+order; a recovery's Python float t and int J are checked as Python numbers. The
+tests hold the sums bit for bit equal to one scalar call per term and to arrays.
 
 Noise is uniform on [-delta, +delta] per positive eigenfrequency, generated
 by an in-repo 64-bit mixing recurrence (the SplitMix64 finalizer) so that
 identical seeds give byte-identical spectra on every platform; numpy's
-generators make no such cross-version promise. The recurrence runs in place,
-in exact np.uint64 arithmetic, over all (seed, index) pairs in one array pass;
-the tests hold it bit for bit equal to the same steps on Python integers.
+generators make no such cross-version promise. The recurrence runs in exact
+np.uint64 arithmetic over all (seed, index) pairs in one pass, from shared index
+steps; the tests hold it bit for bit equal to the same steps on Python integers.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _ONE, _GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (np.array(n, np.uint64) for n in (
     1, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
+# (j + 1) golden mod 2^64 at j = 1, 2, ...: read-only, grown to the longest listing and sliced.
+_steps = np.empty(0, np.uint64)
 
 
 @dataclass(frozen=True)
@@ -73,13 +76,13 @@ class NoiseModel:
         so perturbing a spectrum is order-independent.
         """
         z = np.atleast_1d(np.asarray(j, dtype=np.uint64))
-        x = _noise(self.delta, np.uint64(self.seed & _MASK64), z)
+        x = _noise(self.delta, np.uint64(self.seed & _MASK64), (z + _ONE) * _GOLDEN)
         return float(x[0]) if np.ndim(j) == 0 else x
 
 
-def _noise(delta, seed, j) -> np.ndarray:
-    """SplitMix64 of seed and index j (both np.uint64) mapped to [-delta, delta], broadcast, in place."""
-    z = seed + (j + _ONE) * _GOLDEN
+def _noise(delta, seed, steps) -> np.ndarray:
+    """SplitMix64 of seed (np.uint64) at (j + 1) golden, mapped to [-delta, delta], broadcast."""
+    z = seed + steps
     z ^= z >> _S30
     z *= _MIX1
     z ^= z >> _S27
@@ -91,14 +94,22 @@ def _noise(delta, seed, j) -> np.ndarray:
 
 def _perturbed(k: np.ndarray, models: list[NoiseModel]) -> np.ndarray:
     """One row of values per model: noise j on each positive k_j, clamped at 0, sorted in place."""
-    seeds = np.array([m.seed & _MASK64 for m in models], dtype=np.uint64)[:, None]
-    deltas = np.array([m.delta for m in models])[:, None]
-    x = _noise(deltas, seeds, np.arange(1, k.size + 1, dtype=np.uint64))
+    global _steps
+    steps = _steps  # one read, so a concurrent call that grows it cannot shorten this one's
+    if steps.size < k.size:
+        steps = _steps = np.arange(2, k.size + 2, dtype=np.uint64) * _GOLDEN
+        steps.flags.writeable = False
+    if len(models) == 1:
+        seeds, deltas = np.array(models[0].seed & _MASK64, np.uint64), models[0].delta
+    else:
+        seeds = np.array([m.seed & _MASK64 for m in models], dtype=np.uint64)[:, None]
+        deltas = np.array([m.delta for m in models])[:, None]
+    x = _noise(deltas, seeds, steps[:k.size])
     x += k
     np.maximum(x, 0.0, out=x)
     np.copyto(x, k, where=k <= 0.0)
-    x.sort(axis=1)
-    return x
+    x.sort(axis=-1)
+    return x.reshape(len(models), k.size)
 
 
 def nint(x: float) -> int:
@@ -125,13 +136,17 @@ def truncated_sum(
 
 def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.ndarray:
     """truncated_sum over each row of values, of shape values.shape[:-1] + t.shape + J.shape."""
-    ts, Js = np.asarray(t, dtype=float), np.asarray(J)
-    if ts.ndim > 1 or Js.ndim > 1:
-        raise ValueError("t and J must be scalars or 1-D arrays")
-    tl, js = ts.ravel().tolist(), Js.ravel().tolist()  # Python numbers check fastest
-    # numpy holds an integer beyond 64 bits in an object array.
-    if Js.dtype.kind not in "iuO" or not all(type(j) is int for j in js):
-        raise ValueError(f"J must be an integer or a 1-D array of integers, got J = {J!r}")
+    if type(t) is float and type(J) is int:  # the recover path's t and J, checked as Python numbers
+        tl, js, t_col, shape = [t], [J], t, values.shape[:-1]
+    else:
+        ts, Js = np.asarray(t, dtype=float), np.asarray(J)
+        if ts.ndim > 1 or Js.ndim > 1:
+            raise ValueError("t and J must be scalars or 1-D arrays")
+        tl, js = ts.ravel().tolist(), Js.ravel().tolist()  # Python numbers check fastest
+        # numpy holds an integer beyond 64 bits in an object array.
+        if Js.dtype.kind not in "iuO" or not all(type(j) is int for j in js):
+            raise ValueError(f"J must be an integer or a 1-D array of integers, got J = {J!r}")
+        t_col, shape, values = ts.reshape(-1, 1), values.shape[:-1] + ts.shape + Js.shape, values[..., None, :]
     if not all(0.0 < x < math.inf for x in tl):
         raise ValueError("t must be positive and finite")
     if min(js, default=1) < 1:
@@ -143,11 +158,14 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     k_J = max(values[..., J_max - 1].ravel().tolist(), default=0.0)
     if not math.isfinite(k_J / min(tl, default=math.inf)):
         raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
-    terms = re_fourier(tf, values[..., None, 1:J_max] / ts.reshape(-1, 1))
+    terms = re_fourier(tf, values[..., 1:J_max] / t_col)
+    if not shape:
+        return 2.0 + 2.0 * math.fsum(terms.ravel().tolist())
     rows = terms.reshape(math.prod(terms.shape[:-1]), J_max - 1).tolist()
-    sums = [[2.0 + 2.0 * math.fsum(row[:j - 1]) for j in js] for row in rows]
-    shape = values.shape[:-1] + ts.shape + Js.shape
-    return np.array(sums).reshape(shape) if shape else sums[0][0]
+    sums = np.fromiter((math.fsum(row[:j - 1]) for row in rows for j in js), float, len(rows) * len(js))
+    sums *= 2.0  # 2 + 2 fsum in place, in the two roundings it takes on Python floats
+    sums += 2.0
+    return sums.reshape(shape)
 
 
 def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float,

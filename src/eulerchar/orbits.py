@@ -41,8 +41,8 @@ __all__ = [
     "trace_check",
 ]
 
-# Cap on orbit_side's walk table, lengths x (2N)^2 entries: refused in 0.02 s (K10 at
-# t = 0.002) to 1.8 s (two loops and two edges of unrelated lengths at t = 0.01).
+# Cap on orbit_side's walk table, its closed and pending lengths x (2N)^2 entries: refused in
+# 0.02 s (K10 at t = 0.002) to 0.7 s (the lasso with its 5.0 edge at 1e-300, at t = 0.3).
 MAX_WALK_ENTRIES = 2_000_000
 
 # A step is (edge index e, direction): +1 runs u -> v (bond 2e of S), -1 back (bond 2e + 1).
@@ -200,7 +200,7 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     pending = sorted(walks)  # the lengths in walks, a heap
     closed_length, closed_weight = [], []
     while pending:
-        if (len(closed_length) + 1) * S.size > MAX_WALK_ENTRIES:
+        if (len(closed_length) + len(pending)) * S.size > MAX_WALK_ENTRIES:  # closed and held
             raise OrbitBudgetError(f"orbit side at t={t:g} exceeds {MAX_WALK_ENTRIES} walk entries")
         length = heapq.heappop(pending)
         P = walks.pop(length)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import hashlib
 import math
 import os
 import shutil
@@ -803,6 +804,25 @@ def test_experiment_deterministic(tmp_path):
     assert main(["experiment", "lasso", "--seeds", "2", "--out", str(b_dir)]) == 0
     for name in ("recovery.csv", "sweep_t.csv", "sweep_t.svg", "error_vs_J.csv"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+# sha256 of the bench's two experiment runs: every output file by name, then stdout with
+# the output directory masked. Every figure and recovery.csv adds truncated sums.
+EXPERIMENT_DIGESTS = {
+    ("lasso",): "1073ae8ab479f4024d733989f8f53117fd1e630da03c53b29bc771468c377a5d",
+    ("k5", "--seed", "777"): "8109a9cbed2bfc77fb62bf2d1dddf20c65d436813861c981a455f12b5126b787",
+}
+
+
+@pytest.mark.parametrize("args", list(EXPERIMENT_DIGESTS))
+def test_experiment_bytes_are_frozen(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["experiment", args[0], "--seeds", "100", *args[1:], "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    digest.update(capsys.readouterr().out.replace(str(out), "<out>").encode())
+    assert digest.hexdigest() == EXPERIMENT_DIGESTS[args]
 
 
 def test_experiment_uncertified_noisy_misses_exit_0_with_a_note(tmp_path, capsys):

@@ -161,6 +161,30 @@ def test_truncated_sum_rejects_bad_t(lasso_spectrum, bad):
         truncated_sum(lasso_spectrum, cosine_power(1), np.array(bad), 10)
 
 
+@pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "float64", "0-d"])
+@pytest.mark.parametrize("J", [41, np.int64(41)], ids=["int", "int64"])
+def test_scalar_t_and_J_give_the_bits_of_the_array_path_as_a_python_float(k5_spectrum, t, J):
+    # A Python float t with an int J is checked as Python numbers, everything else as arrays.
+    tf = cosine_power(1)
+    expected = truncated_sum(k5_spectrum, tf, np.array([0.5]), np.array([41]))[0]
+    got = truncated_sum(k5_spectrum, tf, t, J)
+    assert type(got) is float and bits([got]) == bits(expected)
+    M, L = K5_PLAN.M_bar, K5_PLAN.L_bar
+    est = certify(k5_spectrum, tf, t, J, M, L)
+    assert type(est.S) is float and bits([est.S]) == bits(expected)
+    assert bits([est.bound]) == bits([certify(k5_spectrum, tf, 0.5, 41, M, L).bound])
+
+
+@pytest.mark.parametrize("bad, message", [(0.0, "positive and finite"), (-1.0, "positive and finite"),
+                                          (math.nan, "positive and finite"),
+                                          (math.inf, "positive and finite"), (1e-320, "overflows")])
+def test_a_python_float_t_is_rejected_like_the_array_path(lasso_spectrum, bad, message, re_fourier_calls):
+    for t in (bad, np.array(bad), np.array([bad])):
+        with pytest.raises(ValueError, match=message):
+            truncated_sum(lasso_spectrum, cosine_power(1), t, 10)
+    assert re_fourier_calls == []
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_truncated_sum_at_a_huge_but_finite_k_over_t_does_not_overflow(lasso_spectrum):
     # k / t near 1e302: every term but the zero mode is below 1e-291.
@@ -440,6 +464,33 @@ def test_perturb_spectrum_is_bit_identical_to_the_per_value_loop():
     expected = [s.values[0]] + [max(0.0, k + reference_sample(noise, j)) if k > 0.0 else k
                                 for j, k in enumerate(s.values[1:], start=2)]
     assert bits(perturb_spectrum(s, noise).values) == bits(sorted(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 68, 134, 500])
+@pytest.mark.parametrize("count", [1, 100])
+def test_perturbed_rows_are_the_python_int_recurrence(n, count):
+    # Runs on the numpy 1.22 floor too, where a uint64 mixed with a Python int becomes a float64.
+    k = np.linspace(0.0, 2.0 * n, n)
+    models = [NoiseModel(delta=1e-3 * (1 + i % 3), seed=7919 * i - 50) for i in range(count)]
+    rows = estimator._perturbed(k, models)
+    assert rows.shape == (count, n)
+    for row, noise in zip(rows, models):
+        expected = [k[0]] + [max(0.0, kj + reference_sample(noise, j)) for j, kj in enumerate(k[1:], 2)]
+        assert bits(row) == bits(sorted(expected))
+
+
+def test_golden_steps_are_one_shared_read_only_array(monkeypatch):
+    monkeypatch.setattr(estimator, "_steps", np.empty(0, np.uint64))
+    models = [NoiseModel(delta=1e-3, seed=7)]
+    arrays = []
+    for n in (68, 500, 68):
+        row = estimator._perturbed(np.linspace(0.0, 50.0, n), models)[0]
+        arrays.append(estimator._steps)
+        assert bits(row) == bits(estimator._perturbed(np.linspace(0.0, 50.0, n), models * 2)[1])
+    assert arrays[0] is not arrays[1] is arrays[2]  # grown once, to the longest length asked for
+    steps = estimator._steps
+    assert steps.size == 500 and not steps.flags.writeable
+    assert steps.tolist() == [((j + 1) * 0x9E3779B97F4A7C15) % 2**64 for j in range(1, 501)]
 
 
 def test_perturbed_spectrum_array_is_its_values():

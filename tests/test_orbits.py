@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import heapq
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +21,13 @@ from eulerchar import (
     loop_graph,
     optimal_plan,
     orbit_side,
+    parse_graph,
     preset,
     spectrum_with_count,
     star_graph,
     summarize,
     trace_check,
+    to_document,
     triangular,
     validate_spectrum,
     von_below_spectrum,
@@ -256,6 +260,40 @@ def test_orbit_side_walk_budget(monkeypatch):
     with pytest.raises(OrbitBudgetError):
         orbit_side(preset("k5"), cosine_power(2), 0.2)
     assert orbit_side(loop_graph(1.0), cosine_power(2), 0.2) == pytest.approx(2.0, abs=1e-12)
+
+
+def held_walks(monkeypatch) -> list[int]:
+    """Lengths orbit_side has closed plus those it holds pending, recorded before each pop."""
+    held = []
+
+    def heappop(pending):
+        held.append(len(held) + len(pending))
+        return heapq.heappop(pending)
+
+    monkeypatch.setattr(orbits, "heapq", SimpleNamespace(heappop=heappop, heappush=heapq.heappush))
+    return held
+
+
+def test_orbit_side_walk_budget_counts_the_walks_it_holds(monkeypatch):
+    # The lasso with its 5.0 edge at 1e-300: walks that differ in the short edge have distinct
+    # lengths, so the pending lengths far outnumber the closed ones before the budget is reached.
+    g = parse_graph(to_document(preset("lasso")).replace("5.0", "1e-300"))
+    held = held_walks(monkeypatch)
+    monkeypatch.setattr(orbits, "MAX_WALK_ENTRIES", 16_000)
+    with pytest.raises(OrbitBudgetError, match="^orbit side at t=0.3 exceeds 16000 walk entries$"):
+        orbit_side(g, cosine_power(1), 0.3)
+    # At the refusal the closed lengths alone hold half the budget; counted alone, they ran on.
+    assert max(held) * (2 * len(g.edges)) ** 2 <= 16_000
+
+
+@pytest.mark.parametrize("name, t", [("lasso", 0.1), ("lasso", 0.07), ("lasso", 0.06),
+                                     ("k5", 0.2), ("k33", 0.2), ("k5-pendant", 0.2)])
+def test_trace_workload_cases_stay_within_the_walk_budget(name, t, monkeypatch):
+    held = held_walks(monkeypatch)
+    g = preset(name)
+    assert math.isfinite(orbit_side(g, cosine_power(2), t))
+    # At most 1,600 entries: three orders of magnitude inside the budget.
+    assert max(held) * (2 * len(g.edges)) ** 2 <= orbits.MAX_WALK_ENTRIES // 1000
 
 
 @pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])

@@ -15,11 +15,14 @@ from scipy.integrate import quad
 
 from eulerchar import (
     TestFunction,
+    analytic_spectrum,
     cosine_power,
     eval_time,
     majorant,
     normalization,
+    optimal_plan,
     re_fourier,
+    recover_chi,
     triangular,
 )
 from eulerchar import testfn
@@ -300,6 +303,31 @@ def test_window_points_reduced_in_blocks_keep_their_bits(d, monkeypatch):
     monkeypatch.setattr(testfn, "_WINDOW_BLOCK", 4)
     assert _bits(re_fourier(cosine_power(d), grid).ravel()) == _bits(whole.ravel())
     assert _bits(whole.ravel()) == _bits(loop_cosine_power_fourier(d, grid).ravel())
+
+
+@pytest.mark.parametrize("tf", [triangular(), cosine_power(1), cosine_power(3)], ids=lambda tf: tf.label())
+def test_transform_reads_a_float64_array_and_never_writes_it(tf):
+    # Window points of every order shown, and arguments away from them.
+    k = np.concatenate([np.linspace(-40.0, 40.0, 81), 2.0 * math.pi * np.arange(-4.0, 5.0) + 1e-7])
+    before = k.copy()
+    vals = re_fourier(tf, k)
+    assert vals is not k and k.tobytes() == before.tobytes()
+    k.flags.writeable = False
+    assert re_fourier(tf, k).tobytes() == vals.tobytes()
+    assert re_fourier(tf, k.tolist()).tobytes() == vals.tobytes()
+
+
+def test_each_order_is_one_shared_frozen_test_function(monkeypatch):
+    assert triangular() is triangular() and cosine_power(3) is cosine_power(3)
+    assert cosine_power(2) == TestFunction("cosine-power", 2) and cosine_power(1.0).d == 1.0
+    with pytest.raises(AttributeError):
+        cosine_power(2).d = 3
+    built = []
+    monkeypatch.setattr(TestFunction, "__post_init__", lambda self: built.append(self))
+    s, plan = analytic_spectrum("loop", 60), optimal_plan(0.25, 1, 1, 1)
+    for _ in range(3):
+        recover_chi(s, plan)
+    assert built == []
 
 
 @pytest.mark.parametrize("tf", [triangular()] + [cosine_power(d) for d in (1, 2, 3, 4)])
