@@ -134,6 +134,14 @@ def truncated_sum(
     return _truncated_sums(s.array, tf, t, J)
 
 
+def _check_t_and_J(tl: list, js: list) -> None:
+    """The sum's checks of t and J, on their values as lists of Python numbers."""
+    if not all(0.0 < x < math.inf for x in tl):
+        raise ValueError("t must be positive and finite")
+    if min(js, default=1) < 1:
+        raise ValueError("J must be at least 1")
+
+
 def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.ndarray:
     """truncated_sum over each row of values, of shape values.shape[:-1] + t.shape + J.shape."""
     if type(t) is float and type(J) is int:  # the recover path's t and J, checked as Python numbers
@@ -147,10 +155,7 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
         if Js.dtype.kind not in "iuO" or not all(type(j) is int for j in js):
             raise ValueError(f"J must be an integer or a 1-D array of integers, got J = {J!r}")
         t_col, shape, values = ts.reshape(-1, 1), values.shape[:-1] + ts.shape + Js.shape, values[..., None, :]
-    if not all(0.0 < x < math.inf for x in tl):
-        raise ValueError("t must be positive and finite")
-    if min(js, default=1) < 1:
-        raise ValueError("J must be at least 1")
+    _check_t_and_J(tl, js)
     J_max = max(js, default=1)
     if values.shape[-1] < J_max:
         raise ValueError(f"spectrum has {values.shape[-1]} values, need J = {J_max}")
@@ -175,13 +180,18 @@ def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float,
     The tail envelope beyond J, which raises PlanError where it does not apply
     (J - M <= 2 L t d, or J <= M for the tent), plus 2 tol J / t, the most a
     per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t.
-    Elementwise in tol: an array of tol gives an array of bounds.
+    Elementwise in tol: an array of tol gives an array of bounds. Where the tail
+    does not apply to a t or J that the sum refuses, the sum's ValueError names it.
     """
     if not 0.0 <= M < math.inf:
         raise PlanError(f"M must be finite and nonnegative, got {M!r}")
     if not 0.0 < L < math.inf:
         raise PlanError(f"L must be positive and finite, got {L!r}")
-    return tail_envelope(tf, J - M, L * t) + 2.0 * tol * J / t
+    try:
+        return tail_envelope(tf, J - M, L * t) + 2.0 * tol * J / t
+    except PlanError:
+        _check_t_and_J([t], [J])
+        raise
 
 
 @dataclass(frozen=True)

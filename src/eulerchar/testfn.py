@@ -12,10 +12,10 @@ Transforms follow the convention f_hat(k) = integral f(l) exp(i k l) dl, so
 f_hat(0) = 1 for both families. f is real, so the spectral side of the trace
 formula adds only Re f_hat, which ``re_fourier`` gives in closed form. For the
 cosine power that is a quotient whose 2d + 1 factors are multiplied in one pass,
-and a limit form evaluated only on the arguments inside its windows, from
-offsets and signs built once per order, with sin(h)/h in one masked divide. All
-evaluators accept scalars or numpy arrays and return matching shapes; a scalar
-gets the same bits as in an array.
+and a limit form on the few arguments inside its windows, found by one bound on
+that product and evaluated one by one on Python floats. All evaluators accept
+scalars or numpy arrays and return matching shapes; a scalar gets the same bits
+as in an array.
 """
 
 from __future__ import annotations
@@ -39,12 +39,9 @@ __all__ = [
 
 MAX_POWER = 12
 
-# Width of the window around each removable singularity k = 2 pi m inside
-# which the transform is evaluated by its limit form instead of the quotient.
+# The limit form's window about each zero k = 2 pi m; per order d, B_d bounds the product there.
 _SINGULAR_WINDOW = 1e-4
-
-# Window points per reduce of the limit form: its (2d + 1, block) factors stay under 13 MB.
-_WINDOW_BLOCK = 1 << 16
+_WINDOW_BOUND = tuple(1.6e-5 * math.factorial(2 * d) for d in range(MAX_POWER + 1))
 
 
 @dataclass(frozen=True)
@@ -117,20 +114,20 @@ def eval_time(tf: TestFunction, ell) -> np.ndarray | float:
 def _cosine_power_fourier(d: int, k: np.ndarray):
     """Closed-form real part of the transform of the order-d cosine power.
 
-    Away from the integer lattice the quotient form is (-1)^d (d!)^2 sin(k) /
-    (2 pi prod_{j=-d..d}(k/2pi + j)), its product taken in one in-place pass over j. Its
-    zeros at k = 2 pi m, |m| <= d, are removable: inside a small window the limit form
-    cancels the vanishing factor against the sine, and one reduce over a leading j axis,
-    (-1)^m in that factor's place, gives the window points' reduced product. Both branches
-    run in one errstate block, and both products keep the bits of a factor-by-factor
-    loop; the branches agree to 1e-12 at the crossover.
+    Off the integer lattice it is the quotient (-1)^d (d!)^2 sin(k) / (2 pi full), full =
+    prod_{j=-d..d}(x + j) at x = k/2pi, in one in-place pass. At a window point, |m| <= d and
+    |u| < 1e-4 for m = rint(x), u = k - 2 pi m, the limit form cancels x - m against sin(k); the
+    two agree to 1e-12 at the window's edge. There |full| < B_d = 1.6e-5 (2d)!: u and x - m are
+    exact (Sterbenz), |x - m| <= (|u| + 2^-53 |2 pi m|) / 2 pi + 2^-53 |x| < 1.5916e-5, the
+    other factors are at most |m + j| (1 + 1.5916e-5) before rounding, with prod |m + j| =
+    (d + m)! (d - m)! <= (2d)!, and after 4d roundings |full| <= 1.5916e-5 (1 + 1.5916e-5)^24
+    (1 + 2^-53)^48 (2d)! < 1.5923e-5 (2d)! < B_d, rounded too. Arguments under B_d take the
+    exact test in the same IEEE steps on Python floats; a window point's reduced product runs
+    left to right, (-1)^m for x - m, and cos(k/2) and sin(u/2) take one numpy call each, so
+    both forms keep the bits of a per-factor loop.
     """
     c = (-1.0 if d % 2 else 1.0) * float(math.factorial(d)) ** 2
     x = k / (2.0 * math.pi)
-    m = np.rint(x)
-    u = k - 2.0 * math.pi * m
-    near = (np.abs(u) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
-
     # Where full, or 2 pi times it, overflows the quotient is 0, the exact term below
     # (d!)^2 / 2^1024 < 1e-290. full is 0 only at a window point, whose quotient is replaced.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -138,21 +135,24 @@ def _cosine_power_fourier(d: int, k: np.ndarray):
         for j in range(1 - d, d + 1):
             full *= x + j if j else x  # x + 0 differs from x only at x = -0, a window point
         smooth = c * np.sin(k) / (2.0 * math.pi * full)
-        if np.count_nonzero(near):
-            x, m, u, k = x[near], m[near], u[near], k[near]
-            (j, signs), reduced = _factors(d), np.empty_like(x)
-            for b in range(0, x.size, _WINDOW_BLOCK):
-                cols = slice(b, b + _WINDOW_BLOCK)
-                np.multiply.reduce(np.where(j == -m[cols], signs, x[cols] + j), axis=0, out=reduced[cols])
-            smooth[near] = c * np.cos(k / 2.0) * _sinc(u / 2.0) / reduced
+    at = np.nonzero(np.abs(full, out=full) < _WINDOW_BOUND[d])
+    if not at[0].size:
+        return smooth
+    two_pi, pts = 2.0 * math.pi, []
+    for i, ki in enumerate(k[at].tolist()):
+        xi = ki / two_pi
+        m = round(xi)  # half to even, as np.rint
+        u = ki - two_pi * m
+        if abs(u) < _SINGULAR_WINDOW and abs(m) <= d:
+            factors = [xi + j for j in range(-d, d + 1)]
+            factors[d - m] = -1.0 if m % 2 else 1.0
+            pts.append((i, ki / 2.0, u / 2.0, math.prod(factors)))
+    if pts:  # written back by index, in the order of smooth[mask], whatever the layout of k
+        keep, k_half, u_half, reduced = zip(*pts)
+        at = at if len(keep) == at[0].size else tuple(a[list(keep)] for a in at)
+        smooth[at] = [c * ck * (su / h if abs(h) >= 1e-8 else 1.0) / p for ck, su, h, p
+                      in zip(np.cos(k_half).tolist(), np.sin(u_half).tolist(), u_half, reduced)]
     return smooth
-
-
-@functools.cache
-def _factors(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets j = -d..d as a column and (-1)^j, the limit's sign for j = -m: shared, never written."""
-    j = np.arange(-d, d + 1.0)[:, None]
-    return j, 1.0 - 2.0 * (j % 2.0)
 
 
 def re_fourier(tf: TestFunction, k) -> np.ndarray | float:

@@ -383,6 +383,9 @@ def test_estimate_with_graph_rejects_a_misplaced_value(tmp_path, capsys):
     (["--J", "48", "--M", "2", "--L", "inf"], "error: L must be positive and finite, got inf"),
     (["--J", "14", "--M", "2", "--L", "6"], "error: tail bound needs x > 2*Lt*d = 12"),
     (["--J", str(10**300), "--M", "2", "--L", "6"], "error: tail bound overflows a float"),
+    # The sum's own checks name a bad J before the tail does ("tail bound needs x > 12, got x = -2").
+    (["--J", "0", "--graph", "lasso"], "error: J must be at least 1\n"),
+    (["--J", "-5", "--M", "2", "--L", "6"], "error: J must be at least 1\n"),
 ])
 def test_estimate_explicit_priors_outside_the_bound_exit_2(tmp_path, capsys, priors, message):
     csv = tmp_path / "lasso.csv"

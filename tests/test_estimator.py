@@ -316,6 +316,12 @@ def test_certified_bound_outside_the_tail_domain():
     with pytest.raises(PlanError, match="triangular tail needs x > 0"):
         certified_bound(triangular(), 2, 2.0, 6.0, 1.0, 0.0)
     assert certified_bound(triangular(), 3, 2.0, 6.0, 1.0, 0.0) > 0.0
+    # A t or J outside the tail's domain because the sum refuses it: the sum's ValueError.
+    for t, J, message in ((1.0, 0, "J must be at least 1"), (1.0, -5, "J must be at least 1"),
+                          (-1.0, 48, "t must be positive"), (math.inf, 48, "t must be positive")):
+        with pytest.raises(ValueError, match=message) as info:
+            certified_bound(cosine_power(1), J, 2.0, 6.0, t, 0.0)
+        assert type(info.value) is ValueError
 
 
 def test_estimate_certified_iff_bound_below_half(lasso_spectrum):

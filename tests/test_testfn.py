@@ -204,6 +204,15 @@ def test_window_and_far_arguments_mix_bit_for_bit(d):
         got = re_fourier(tf, ks[::-1].reshape(shape))
         assert got.ndim == len(shape)
         assert _bits(got.ravel()) == _bits(scalar[::-1])
+    # Window points in other layouts go back to their own places: Fortran order, a strided
+    # view and 3-D, whose ufunc outputs keep the input's layout.
+    grid = ks[::-1].reshape(6, -1)
+    for arr in (np.asfortranarray(grid), grid[:, ::2], ks.reshape(2, 3, -1),
+                np.asfortranarray(ks.reshape(2, 3, -1))):
+        assert _in_window(d, arr).any()
+        got = re_fourier(tf, arr)
+        assert got.shape == arr.shape
+        assert _bits(got.ravel()) == _bits(loop_cosine_power_fourier(d, arr).ravel())
 
 
 @pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
@@ -216,6 +225,31 @@ def test_transform_is_zero_where_2_pi_times_the_product_overflows(d):
     assert re_fourier(cosine_power(d), np.array([-k, k])).tolist() == [0.0, 0.0]
     if d == 1:
         assert re_fourier(cosine_power(1), 2.5e103) == 0.0
+
+
+def _in_window(d: int, k: np.ndarray) -> np.ndarray:
+    """Where k is within the window of 2 pi m, |m| <= d: the transform's limit form."""
+    m = np.rint(k / (2.0 * math.pi))
+    return (np.abs(k - 2.0 * math.pi * m) < _SINGULAR_WINDOW) & (np.abs(m) <= d)
+
+
+@pytest.mark.parametrize("d", range(1, MAX_POWER + 1))
+def test_window_points_lie_below_the_product_bound(d):
+    # The quotient's product at the window's edge, |u| = 0.9999999e-4 from 2 pi m, is below
+    # B_d at m = 0 and m = +-d, and within 1% of it at m = +-d, where the other 2d factors
+    # multiply to (2d)!.
+    bound = testfn._WINDOW_BOUND[d]
+    assert bound == 1.6e-5 * math.factorial(2 * d)
+    for m in (-d, 0, d):
+        k = 2.0 * math.pi * m + np.array([0.9999999e-4, -0.9999999e-4])
+        assert _in_window(d, k).all()
+        x = k / (2.0 * math.pi)
+        full = x - d
+        for j in range(1 - d, d + 1):
+            full *= x + j if j else x
+        assert (np.abs(full) < bound).all()
+        if m:
+            assert (np.abs(full) > 0.99 * bound).all()
 
 
 def loop_cosine_power_fourier(d: int, k: np.ndarray):
@@ -293,16 +327,11 @@ def test_transform_is_the_per_factor_loop_bit_for_bit(d):
     spread = np.random.default_rng(d).uniform(-2.0 * math.pi * (d + 2), 400.0, (4, 250))
     assert _bits(re_fourier(cosine_power(d), spread).ravel()) == _bits(
         loop_cosine_power_fourier(d, spread).ravel())
-
-
-@pytest.mark.parametrize("d", [1, 2, MAX_POWER])
-def test_window_points_reduced_in_blocks_keep_their_bits(d, monkeypatch):
-    # The grid holds 14 (2d + 1) window points; blocks of 4 leave the last one short.
-    grid = np.stack([transform_corpus(d), transform_corpus(d)[::-1]])
-    whole = re_fourier(cosine_power(d), grid)
-    monkeypatch.setattr(testfn, "_WINDOW_BLOCK", 4)
-    assert _bits(re_fourier(cosine_power(d), grid).ravel()) == _bits(whole.ravel())
-    assert _bits(whole.ravel()) == _bits(loop_cosine_power_fourier(d, grid).ravel())
+    # Dense seeded arguments within 1.2e-4 of 2 pi m, |m| <= d + 1: window points, and others
+    # whose product is below the bound B_d.
+    rng = np.random.default_rng(100 + d)
+    dense = 2.0 * math.pi * rng.integers(-d - 1, d + 2, 4000) + rng.uniform(-1.2e-4, 1.2e-4, 4000)
+    assert _bits(re_fourier(cosine_power(d), dense)) == _bits(loop_cosine_power_fourier(d, dense))
 
 
 @pytest.mark.parametrize("tf", [triangular(), cosine_power(1), cosine_power(3)], ids=lambda tf: tf.label())
