@@ -135,7 +135,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     text = spectrum_csv_text(s, {"graph": g.name})
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {len(s.values)} eigenfrequencies to {args.out}")
+        print(f"wrote {s.array.size} eigenfrequencies to {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -364,7 +364,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     # Error against certified bound, sweeping J at the plan's t. Like the t sweep's four rows, the
     # J array goes to _truncated_sums, not truncated_sum: bench/tracing.py counts J - 1 terms per
     # truncated_sum call, which needs a single J.
-    js = range(2, len(s.values) + 1)
+    js = range(2, s.array.size + 1)
     _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
             ("J", js), "absolute error",
             [("abs_err", "error", np.abs(_truncated_sums(s.array, tf, plan.t, js) - chi)),

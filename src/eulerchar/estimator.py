@@ -129,7 +129,7 @@ def truncated_sum(
     terms with math.fsum, so the result is independent of the order or chunking
     of the evaluation. The result is a float for scalar t and J, else an array
     of shape t.shape + J.shape. Each t must be positive and finite, each J in
-    1..len(s.values), and k_J / t finite.
+    1..s.array.size, and k_J / t finite.
     """
     return _truncated_sums(s.array, tf, t, J)
 
@@ -239,9 +239,13 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     clamped at 0 and re-sorted; the provenance becomes `external` and tol
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
     should rely on. certify_perturbed draws the same noise for many models.
+    A delta that overflows the largest value or tol is refused before any noise.
     """
-    return Spectrum._of(_perturbed(s.array, [noise])[0], s.k_max_covered, "external",
-                        s.tol + noise.delta)
+    k_last, delta = float(s.array[-1]), noise.delta
+    if not (k_last + delta < math.inf and s.tol + delta < math.inf):
+        raise ValueError(f"delta = {delta:.6g} overflows the largest value {k_last:.6g} or tol")
+    # Checked s, noise clamped at 0, k <= 0 copied, sorted; no value passes k_last + delta < inf.
+    return Spectrum._of(_perturbed(s.array, [noise])[0], s.k_max_covered, "external", s.tol + delta)
 
 
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:

@@ -229,7 +229,7 @@ def trace_check(
     """
     if not 0.0 < t < math.inf:
         raise ValueError("t must be positive and finite")
-    certified = certified_bound(tf, len(s.values), len(g.vertices), g.total_length(), t, s.tol)
+    certified = certified_bound(tf, s.array.size, len(g.vertices), g.total_length(), t, s.tol)
     lhs = orbit_side(g, tf, t)
-    rhs = truncated_sum(s, tf, t, len(s.values))
+    rhs = truncated_sum(s, tf, t, s.array.size)
     return lhs, rhs, abs(lhs - rhs), certified

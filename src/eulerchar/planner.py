@@ -264,8 +264,8 @@ def length_bound(N_bar: int, s: "Spectrum", J: int) -> float:
     """
     if J < 2:
         raise PlanError("length_bound needs J >= 2")
-    if len(s.values) < J:
-        raise PlanError(f"spectrum has {len(s.values)} values, need {J}")
-    if s.values[1] <= 0.0:
+    if s.array.size < J:
+        raise PlanError(f"spectrum has {s.array.size} values, need {J}")
+    if s.array[1] <= 0.0:
         raise PlanError("length_bound needs k_2 > 0")
-    return min((j + N_bar) * math.pi / s.values[j - 1] for j in range(2, J + 1))
+    return min((j + N_bar) * math.pi / k for j, k in enumerate(s.array[1:J].tolist(), start=2))

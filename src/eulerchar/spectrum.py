@@ -26,14 +26,15 @@ it returns is certified: von Below where the subdivision is small enough, certif
 the secular search, whose brackets certify it by the same counts. ``secular_matrix``, a
 second encoding of the conditions, is a test oracle only.
 Every spectrum lists k_1 = 0 explicitly (inserted analytically, never found
-numerically) and repeats eigenfrequencies by multiplicity. Each also holds them as a read-only
-float64 array, built and checked at construction: a lister's own, from which the tuple is derived.
+numerically) and repeats eigenfrequencies by multiplicity, in a read-only float64 array. A
+caller's values are checked once; each lister's construction proves its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,60 +81,61 @@ class SpectrumCountError(RuntimeError):
     """A computed listing disagrees with the exact eigenvalue count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
-    """Ordered eigenfrequencies k_j >= 0, repeated by multiplicity.
-
-    k_max_covered is the threshold up to which the listing claims
+    """Ordered eigenfrequencies k_j >= 0, repeated by multiplicity, held only as ``array``, a
+    read-only float64 array. k_max_covered is the threshold up to which the listing claims
     completeness; method records provenance; tol bounds the per-value error.
-    ``array``, no field, is values as a read-only float64 array, built and checked at
-    construction. A lister hands over its own sorted array (_of), and values is derived from
-    it; a caller's values are converted once. A pickle or copy runs the constructor again.
+
+    Spectrum(values, ...) converts a caller's values once and checks them; a lister's array
+    comes through _of, which checks the scalars alone. Equality and hash take the array's
+    bytes; a pickle or copy carries the array's floats, bit for bit.
     """
 
-    values: tuple[float, ...]
+    # A field only in name, whose default is this property: the array's floats as a tuple, built
+    # on each read, which repr and dataclasses.replace read.
+    values: tuple[float, ...] = property(lambda self: tuple(self.array.tolist()))
     k_max_covered: float
     method: str
     tol: float
 
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.values:
+    def __new__(cls, values, k_max_covered: float, method: str, tol: float) -> Spectrum:
+        if len(values) == 0:
             raise ValueError("spectrum is empty")
-        a = vars(self).get("array")  # handed over by _of
-        if a is None and {float}.issuperset(map(type, self.values)):
-            a = np.fromiter(self.values, float, len(self.values))
-        # a[0] = 0, no step down (NaN fails every comparison) and a last value below inf: every
-        # value is finite, nonnegative and nondecreasing. Else, or for values not all floats,
-        # which np.fromiter would convert ('1.5' to 1.5), the per-value checks decide.
-        if a is None or not (a[0] == 0.0 and a[-1] < math.inf and (a[1:] >= a[:-1]).all()):
-            if self.values[0] != 0.0:
-                raise ValueError(f"spectra must start at k_1 = 0, got {self.values[0]!r}")
-            prev = 0.0
-            for v in self.values:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError(f"eigenfrequency {v!r} is not a finite nonnegative real")
-                if v < prev:
-                    raise ValueError("eigenfrequencies must be nondecreasing")
-                prev = v
-            a = np.fromiter(self.values, float, len(self.values))
-        vars(self)["array"] = _read_only(a)
-        for name, x in (("tol", self.tol), ("k_max_covered", self.k_max_covered)):
-            if not (math.isfinite(x) and x >= 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+        if values[0] != 0.0:
+            raise ValueError(f"spectra must start at k_1 = 0, got {values[0]!r}")
+        a = np.frombuffer(array("d", values))  # refuses a str, None or an int past the float range
+        bad = a[~((a >= 0.0) & (a < math.inf))].tolist()
+        if bad:
+            raise ValueError(f"eigenfrequency {bad[0]!r} is not a finite nonnegative real")
+        if list(values) != sorted(values):  # as given: 2**60 + 1 and 2.0**60 tie as floats
+            raise ValueError("eigenfrequencies must be nondecreasing")
+        return cls._of(a, k_max_covered, method, tol)
 
     @classmethod
-    def _of(cls, a: np.ndarray, k_max_covered: float, method: str, tol: float,
-            values: tuple[float, ...] | None = None) -> Spectrum:
-        """The Spectrum of a lister's sorted float64 array a; values, a's floats, if given."""
-        s = cls.__new__(cls)
-        vars(s)["array"] = a
-        s.__init__(tuple(a.tolist()) if values is None else values, k_max_covered, method, tol)
+    def _of(cls, a: np.ndarray, k_max_covered: float, method: str, tol: float) -> Spectrum:
+        """The Spectrum of a lister's float64 array a, whose caller proves that a starts at 0.0
+        and is finite, nonnegative and nondecreasing."""
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        for name, x in (("tol", tol), ("k_max_covered", k_max_covered)):
+            if not (math.isfinite(x) and x >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {x!r}")
+        s = object.__new__(cls)
+        vars(s).update(array=_read_only(a), k_max_covered=k_max_covered, method=method, tol=tol)
         return s
 
-    def __reduce__(self):
-        return type(self), (self.values, self.k_max_covered, self.method, self.tol)
+    def _key(self) -> tuple:
+        return self.array.tobytes(), self.k_max_covered, self.method, self.tol
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # a list of the array's floats: faster to read back than numpy scalars
+        return type(self), (self.array.tolist(), self.k_max_covered, self.method, self.tol)
 
 
 @dataclass(frozen=True)
@@ -635,6 +637,7 @@ def secular_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         lo, hi, n_lo, n_hi, x, paired = (v[~narrow]
                                          for v in (a, b, n[i, j], n[i, j + 1], x, paired))
     found = np.sort(np.concatenate(roots))
+    # 0.0 before sorted roots, each clipped into a bracket inside [0, k_max]; <= drops any NaN.
     values = np.concatenate(([0.0], found[found <= k_max - 3.0 * ROOT_TOL]))  # k_1 = 0
     return Spectrum._of(values, float(k_max), "secular", 1e-10)
 
@@ -681,6 +684,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     k = np.concatenate([[0.0], ((phi + 2.0 * math.pi * n) / a).ravel(),
                         ((2.0 * math.pi * (n + 1) - phi) / a).ravel(),
                         np.repeat(lattice * math.pi / a, multiplicity)])
+    # phi in [0, pi] and a > 0: every k >= 0 = the literal 0.0; k <= k_max finite; np.sort.
     return Spectrum._of(np.sort(k[k <= k_max]), float(k_max), "von-below", 1e-10)
 
 
@@ -721,7 +725,7 @@ def analytic_spectrum(family: str, count: int, *, length: float = 1.0, arms: int
         values = values[:count]
     else:
         raise ValueError(f"unknown family {family!r}")
-    return Spectrum(tuple(values), values[-1], "analytic", 0.0)
+    return Spectrum(values, values[-1], "analytic", 0.0)
 
 
 def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
@@ -760,14 +764,14 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
         raise _over_budget(f"count = {count}", math.inf, "listed values")
     for k_max in sorted({weyl, hi}):
         s = lister(g, k_max)
-        if len(s.values) > count:
+        if s.array.size > count:
             break
     else:
-        raise SpectrumCountError(f"{s.method} listed {len(s.values)} values below k = {hi:.6g}, "
+        raise SpectrumCountError(f"{s.method} listed {s.array.size} values below k = {hi:.6g}, "
                                  f"the Dirichlet bound gives at least {count + 1}")
-    v = s.values
-    i = 1 + _cluster_starts(s.array[1 : count + 1], s.tol)[-1]
-    s = Spectrum._of(s.array[:count], 0.5 * (v[i - 1] + v[i]), s.method, s.tol, v[:count])
+    i = _cluster_starts(s.array[1 : count + 1], s.tol)[-1]  # the last cluster starts at i + 1
+    # A prefix of a checked listing, covered halfway across the gap below its last cluster.
+    s = Spectrum._of(s.array[:count], 0.5 * math.fsum(s.array[i : i + 2].tolist()), s.method, s.tol)
     if lift:
         report = validate_spectrum(s, g)
         if not report.ok:
@@ -834,7 +838,7 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
 
 def compare_spectra(a: Spectrum, b: Spectrum, count: int | None = None) -> float:
     """Max elementwise |k difference| over the first count shared values."""
-    n = min(len(a.values), len(b.values), len(a.values) if count is None else count)
+    n = min(a.array.size, b.array.size, a.array.size if count is None else count)
     if n == 0:
         raise ValueError("no shared values to compare")
     return float(np.max(np.abs(a.array[:n] - b.array[:n])))
@@ -854,8 +858,7 @@ def spectrum_csv_text(s: Spectrum, metadata: dict | None = None) -> str:
     for key, value in (metadata or {}).items():
         lines.append(f"# {key}={value}")
     lines.append("j,k")
-    for j, k in enumerate(s.values, start=1):
-        lines.append(f"{j},{k:.16e}")
+    lines += (f"{j},{k:.16e}" for j, k in enumerate(s.array.tolist(), start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -893,4 +896,4 @@ def read_spectrum_csv(path) -> tuple[Spectrum, dict[str, str]]:
         method = "external"
     tol = float(metadata.get("tol", "0"))
     k_max = float(metadata.get("k_max_covered", values[-1] if values else 0.0))
-    return Spectrum(tuple(values), k_max, method, tol), metadata
+    return Spectrum(values, k_max, method, tol), metadata

@@ -638,6 +638,22 @@ def test_perturb_refuses_nonfinite_delta(tmp_path, capsys, delta):
     assert "error: delta must be finite and nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_perturb_whose_delta_overflows_the_largest_value_exits_2_silently(tmp_path, seed):
+    # 1.5e308 + 1e308 overflows a float. Seed 1's noise used to overflow the add, which warned
+    # on stderr before the exit 2; seed 0's stayed below the largest float, and passed. Both are
+    # refused before any noise is drawn, and stderr holds the reason alone.
+    csv = tmp_path / "big.csv"
+    csv.write_text("j,k\n1,0.0\n2,1.5e308\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulerchar.__file__)))
+    run = subprocess.run([sys.executable, "-c", "import sys; from eulerchar.cli import main; "
+                          "sys.exit(main())", "perturb", "--spectrum", str(csv), "--delta", "1e308",
+                          "--seed", str(seed)], capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 2
+    assert run.stdout == "" and "RuntimeWarning" not in run.stderr
+    assert run.stderr == "error: delta = 1e+308 overflows the largest value 1.5e+308 or tol\n"
+
+
 def test_verify_trace_passes(capsys):
     code = main(["verify-trace", "--graph", "lasso", "--t", "0.4", "--d", "1"])
     out = capsys.readouterr().out

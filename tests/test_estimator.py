@@ -29,6 +29,7 @@ from eulerchar import (
     triangular,
     truncated_sum,
 )
+from eulerchar import spectrum as spectrum_module
 from eulerchar.estimator import Estimate, certified_bound, certify, certify_perturbed
 from eulerchar.planner import PlanError
 from eulerchar.testfn import MAX_POWER
@@ -508,19 +509,14 @@ def test_perturbed_spectrum_array_is_its_values():
 
 
 def test_noisy_recoveries_convert_the_clean_values_once(lasso_spectrum, monkeypatch):
-    conversions = []
-    fromiter = np.fromiter
-
-    def counting_fromiter(values, *args, **kwargs):
-        conversions.append(values)
-        return fromiter(values, *args, **kwargs)
-
-    monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    conversions, array = [], spectrum_module.array
+    monkeypatch.setattr(spectrum_module, "array",
+                        lambda code, values: conversions.append(values) or array(code, values))
     # A copy from the caller's tuple, converted once as it is built; each noisy copy is built
     # from its own array, with no conversion.
-    s = Spectrum(lasso_spectrum.values, lasso_spectrum.k_max_covered, lasso_spectrum.method,
-                 lasso_spectrum.tol)
-    assert len(conversions) == 1 and conversions[0] is s.values
+    values = lasso_spectrum.values
+    s = Spectrum(values, lasso_spectrum.k_max_covered, lasso_spectrum.method, lasso_spectrum.tol)
+    assert len(conversions) == 1 and conversions[0] is values
     for seed in range(20):
         noisy = perturb_spectrum(s, NoiseModel(LASSO_PLAN.delta_max, seed))
         assert recover_chi(noisy, LASSO_PLAN) == 0
@@ -565,6 +561,22 @@ def test_perturb_zero_delta_is_identity(lasso_spectrum):
     noisy = perturb_spectrum(lasso_spectrum, NoiseModel(delta=0.0, seed=11))
     assert noisy.values == lasso_spectrum.values
     assert noisy.tol == lasso_spectrum.tol
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol, delta", [(0.0, 1e308), (1.7e308, 1e308), (0.0, 2.0**1023)])
+def test_perturb_refuses_a_delta_that_overflows_before_any_noise(tol, delta):
+    # The largest value 1.5e308 or tol, plus delta, overflows a float for every seed.
+    s = Spectrum((0.0, 1.0, 1.5e308), 1.6e308, "external", tol)
+    for seed in range(20):
+        with pytest.raises(ValueError) as caught:
+            perturb_spectrum(s, NoiseModel(delta, seed))
+        assert str(caught.value) == f"delta = {delta:.6g} overflows the largest value 1.5e+308 or tol"
+    # Where the sums stay below the largest float, 1.8e308, every seed is listed.
+    s = Spectrum(s.values, s.k_max_covered, s.method, 0.0)
+    for seed in range(20):
+        noisy = perturb_spectrum(s, NoiseModel(2e307, seed))
+        assert np.isfinite(noisy.array).all() and noisy.tol == 2e307
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -83,24 +83,22 @@ def test_spectrum_constructor_validation():
             Spectrum(values=(0.0, 1.0), k_max_covered=3.0, method="external", tol=bad)
         with pytest.raises(ValueError):
             Spectrum(values=(0.0, 1.0), k_max_covered=bad, method="external", tol=0.0)
-    # Each rejection keeps its type and message, from a caller's tuple or a lister's array.
+    # Each rejection of a caller's values keeps its type and message. A lister's array is not
+    # checked: test_every_lister_path_proves_the_array_checks holds its proofs.
     for values, error, message in REJECTED_VALUES:
-        listed = [lambda: Spectrum(values, 3.0, "external", 0.0)]
-        if all(type(v) is float for v in values):
-            listed.append(lambda: Spectrum._of(np.array(values), 3.0, "external", 0.0))
-        for make in listed:
-            with pytest.raises(error) as caught:
-                make()
-            assert type(caught.value) is error and str(caught.value) == message
-    # Values that are not floats but that math.isfinite reads are kept as given.
+        with pytest.raises(error) as caught:
+            Spectrum(values, 3.0, "external", 0.0)
+        assert type(caught.value) is error and str(caught.value) == message
+    # Values that are not floats but that math.isfinite reads come back as floats.
     for values in ((0, 1, 2), (0.0, Fraction(1, 3), Decimal("0.5")), (-0.0, True)):
         s = Spectrum(values, 3.0, "external", 0.0)
-        assert s.values == values
+        assert s.values == tuple(float(v) for v in values)
+        assert {type(v) for v in s.values} == {float}
         assert _bits(s.array) == _bits([float(v) for v in values])
 
 
-# np.fromiter reads "1.5" as 1.5, None as NaN and 2**60 + 1 as 2.0**60, which would pass the
-# array's checks or fail them with another error.
+# np.fromiter would read "1.5" as 1.5, None as NaN and 2**60 + 1 as 2.0**60, which would pass
+# the array's checks or fail them with another error.
 REJECTED_VALUES = [
     ((0.0, math.nan), ValueError, "eigenfrequency nan is not a finite nonnegative real"),
     ((0.0, 1.0, math.nan, 2.0), ValueError, "eigenfrequency nan is not a finite nonnegative real"),
@@ -125,19 +123,31 @@ def _bits(values) -> list[int]:
 ARRAY_VALUES = (-0.0, 5e-324, 0.1, 1.0 / 3.0, 1.0 / 3.0, math.pi, 2.0**60 + 2.0**8)
 
 
+def counted_conversions(monkeypatch) -> list:
+    """The values each later Spectrum construction converts, in order: the constructor alone
+    converts, through array("d")."""
+    conversions, array = [], spectrum_module.array
+    monkeypatch.setattr(spectrum_module, "array",
+                        lambda code, values: conversions.append(values) or array(code, values))
+    return conversions
+
+
 def test_spectrum_array_is_the_values_read_only_built_once(monkeypatch):
-    conversions, fromiter = [], np.fromiter
-    monkeypatch.setattr(np, "fromiter", lambda *args: conversions.append(args[0]) or fromiter(*args))
+    conversions = counted_conversions(monkeypatch)
     s = Spectrum(ARRAY_VALUES, 4.0, "external", 1e-10)
     a = vars(s)["array"]  # built at construction, from one conversion of the values
-    assert len(conversions) == 1 and conversions[0] is s.values
+    assert len(conversions) == 1 and conversions[0] is ARRAY_VALUES
+    assert "values" not in vars(s)  # the array is the one representation
     assert s.array is a
     assert a.dtype == np.float64
-    assert _bits(a) == _bits(s.values)
+    assert _bits(a) == _bits(ARRAY_VALUES)
     assert not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         a[1] = 1.0
-    assert s.values == ARRAY_VALUES
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = ()
+    assert s.values == ARRAY_VALUES and _bits(s.values) == _bits(ARRAY_VALUES)
+    assert s.values is not s.values  # a tuple built on each read
     assert len(conversions) == 1
 
 
@@ -173,12 +183,51 @@ def test_every_constructor_gives_its_values_as_a_read_only_array(tmp_path, path)
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_listing_and_its_certificate_convert_no_tuple_to_an_array(monkeypatch, name):
-    conversions, fromiter = [], np.fromiter
-    monkeypatch.setattr(np, "fromiter", lambda *args: conversions.append(args[0]) or fromiter(*args))
+    conversions = counted_conversions(monkeypatch)
     g = preset(name)
     s = spectrum_with_count(g, 500)
     assert validate_spectrum(s, g).ok and compare_spectra(s, s) == 0.0
-    assert len(s.values) == 500 and conversions == []
+    assert s.array.size == 500 and conversions == []
+
+
+def _weird_lasso():
+    """The lasso with its 5.0 edge at 5.000000001: no usable common divisor, so it is listed by
+    the secular search."""
+    return build_graph("weird", ["a", "b"], [("a", "a", 1.0), ("a", "b", 5.000000001)])
+
+
+def _noisy_at_delta_max(g):
+    """g's listing at its plan's J, perturbed at the plan's delta_max."""
+    info = summarize(g)
+    plan = optimal_plan(0.25, info.M, info.total_length, info.l_min)
+    return perturb_spectrum(spectrum_with_count(g, plan.J), NoiseModel(plan.delta_max, 3))
+
+
+LISTER_PATHS = {
+    **{f"von-below-{name}": (lambda name=name: spectrum_with_count(preset(name), 500), "von-below")
+       for name in PRESET_NAMES},
+    "von-below-direct": (lambda: von_below_spectrum(preset("k33"), 60.0), "von-below"),
+    "thirds": (lambda: spectrum_with_count(thirds_graph(), 40), "von-below"),
+    "secular": (lambda: spectrum_with_count(_weird_lasso(), 60), "secular"),
+    "secular-direct": (lambda: secular_spectrum(_weird_lasso(), 30.0), "secular"),
+    "cut": (lambda: spectrum_with_count(_tiny_lasso(), 20), "secular"),
+    "perturb-delta-max": (lambda: _noisy_at_delta_max(complete_graph(6)), "external"),
+    "perturb-1e307": (lambda: perturb_spectrum(spectrum_with_count(preset("lasso"), 48),
+                                               NoiseModel(1e307, 5)), "external"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(LISTER_PATHS))
+def test_every_lister_path_proves_the_array_checks(path):
+    # Spectrum._of leaves the array unchecked, on its callers' proofs; these hold them.
+    make, method = LISTER_PATHS[path]
+    s = make()
+    a = s.array
+    assert s.method == method
+    assert a.dtype == np.float64 and a.ndim == 1 and not a.flags.writeable
+    assert a[0] == 0.0 and np.isfinite(a).all() and (a >= 0.0).all() and (a[1:] >= a[:-1]).all()
+    assert math.isfinite(s.tol) and math.isfinite(s.k_max_covered)
+    assert Spectrum(a, s.k_max_covered, s.method, s.tol) == s  # the constructor's checks pass
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-10, 0.3])
