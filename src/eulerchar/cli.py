@@ -310,10 +310,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     tf = cosine_power(plan.d)
     s = spectrum_with_count(g, listed)
 
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "plan.txt").write_text(plan_block(plan), encoding="utf-8")
-    write_spectrum_csv(out / "spectrum.csv", s, {"graph": g.name})
-
+    # Every estimate, sweep and bound comes first, so that a refusal writes nothing.
     # Noisy recovery sweep; the seed=-1 row is the exact spectrum.
     plan_echo = "".join(f"# {line}\n" for line in plan_block(plan).strip().split("\n"))
     exact = certify(s, tf, plan.t, plan.J, plan.M_bar, plan.L_bar)
@@ -325,15 +322,33 @@ def run_experiment(config: ExperimentConfig) -> int:
     uncertified = sum(not est.certified for est in noisy)
     # Only a certified estimate that misses chi fails; an uncertified one promises nothing.
     failures = sum(est.certified and est.chi_hat != chi for est in noisy)
-    (out / "recovery.csv").write_text(plan_echo + "\n".join(rows) + "\n", encoding="utf-8")
 
     # Sweep of S_J over the time scaling, exact and three noisy overlays, as one (4, len(t), J - 1)
     # grid; its noisy rows are perturb_spectrum's for the first three noise models.
     ts = np.round(np.linspace(0.1 * plan.t, 1.4 * plan.t, 53), 12)
-    rows = np.vstack((s.array, _perturbed(s.array, noise[:3])))
-    sweeps = _truncated_sums(rows, tf, ts, plan.J)
+    sweeps = _truncated_sums(np.vstack((s.array, _perturbed(s, noise[:3]))), tf, ts, plan.J)
     exact_sweep = sweeps[0]
     names = [f"S_noisy_seed{m.seed}" for m in noise[:3]]
+
+    def sweep_bound(J: int, t: float) -> float:
+        """The certified bound at (J, t), NaN outside the tail bound's domain."""
+        try:
+            return certified_bound(tf, J, summary.M, summary.total_length, t, s.tol)
+        except PlanError:
+            return math.nan
+
+    # The J sweep at the plan's t. Like the t sweep's four rows, the J array goes to
+    # _truncated_sums, not truncated_sum: bench/tracing.py counts J - 1 terms per truncated_sum
+    # call, which needs a single J.
+    js = range(2, s.array.size + 1)
+    errors_J = np.abs(_truncated_sums(s.array, tf, plan.t, js) - chi)
+    bounds_t, bounds_J = [sweep_bound(plan.J, float(t)) for t in ts], [sweep_bound(J, plan.t) for J in js]
+    triangular_sweep = truncated_sum(s, triangular(), ts, plan.J)
+
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "plan.txt").write_text(plan_block(plan), encoding="utf-8")
+    write_spectrum_csv(out / "spectrum.csv", s, {"graph": g.name})
+    (out / "recovery.csv").write_text(plan_echo + "\n".join(rows) + "\n", encoding="utf-8")
     _figure(out / "sweep_t", f"{g.name}: S_J(t), J={plan.J}, d={plan.d}, delta={delta:.2e}",
             ("t", ts), "S_J(t)",
             [("S_exact", "exact", exact_sweep)]
@@ -344,31 +359,16 @@ def run_experiment(config: ExperimentConfig) -> int:
     _figure(out / "testfn_compare", f"{g.name}: test function comparison, J={plan.J}",
             ("t", ts), "S_J(t)",
             [("S_cosine_power", f"cosine power d={plan.d}", exact_sweep),
-             ("S_triangular", "triangular", truncated_sum(s, triangular(), ts, plan.J))],
+             ("S_triangular", "triangular", triangular_sweep)],
             hlines=(float(chi),))
 
-    def sweep_bound(J: int, t: float) -> float:
-        """The certified bound at (J, t), NaN outside the tail bound's domain."""
-        try:
-            return certified_bound(tf, J, summary.M, summary.total_length, t, s.tol)
-        except PlanError:
-            return math.nan
-
-    # Error against certified bound, sweeping t at fixed J.
+    # Error against certified bound, sweeping t at fixed J, then J at the plan's t.
     _figure(out / "error_vs_t", f"{g.name}: |S_J(t) - chi| vs bound, J={plan.J}",
             ("t", ts), "absolute error",
-            [("abs_err", "error", np.abs(exact_sweep - chi)),
-             ("bound", "bound", [sweep_bound(plan.J, float(t)) for t in ts])],
+            [("abs_err", "error", np.abs(exact_sweep - chi)), ("bound", "bound", bounds_t)],
             log_y=True)
-
-    # Error against certified bound, sweeping J at the plan's t. Like the t sweep's four rows, the
-    # J array goes to _truncated_sums, not truncated_sum: bench/tracing.py counts J - 1 terms per
-    # truncated_sum call, which needs a single J.
-    js = range(2, s.array.size + 1)
     _figure(out / "error_vs_J", f"{g.name}: |S_J(t*) - chi| vs bound, t*={plan.t:.4g}",
-            ("J", js), "absolute error",
-            [("abs_err", "error", np.abs(_truncated_sums(s.array, tf, plan.t, js) - chi)),
-             ("bound", "bound", [sweep_bound(J, plan.t) for J in js])],
+            ("J", js), "absolute error", [("abs_err", "error", errors_J), ("bound", "bound", bounds_J)],
             log_y=True)
 
     print(f"graph {g.name}: chi={chi}, plan d={plan.d}, J={plan.J}, "

@@ -23,6 +23,8 @@ identical seeds give byte-identical spectra on every platform; numpy's
 generators make no such cross-version promise. The recurrence runs in exact
 np.uint64 arithmetic over all (seed, index) pairs in one pass, from shared index
 steps; the tests hold it bit for bit equal to the same steps on Python integers.
+Noise enters a listing only through ``_perturbed``, which first refuses a delta
+that overflows the largest value or tol.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ __all__ = [
 # SplitMix64 in np.uint64, whose arithmetic wraps mod 2^64. Every operand is a 0-d np.uint64
 # array: numpy 1.22 turns uint64 mixed with a Python int into float64, a numpy scalar is slower.
 _MASK64 = (1 << 64) - 1
-_ONE, _GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (np.array(n, np.uint64) for n in (
-    1, 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
+_GOLDEN, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (np.array(n, np.uint64) for n in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
 # (j + 1) golden mod 2^64 at j = 1, 2, ...: read-only, grown to the longest listing and sliced.
 _steps = np.empty(0, np.uint64)
 
@@ -68,17 +70,6 @@ class NoiseModel:
         if not 0.0 <= self.delta < math.inf:
             raise ValueError("delta must be finite and nonnegative")
 
-    def sample(self, j: int | np.ndarray) -> float | np.ndarray:
-        """The perturbation of the j-th eigenfrequency (1-based), in [-delta, delta].
-
-        j may be an array of indices, which gives an array in one pass; a
-        scalar j gives a float. Each sample mixes seed and index independently,
-        so perturbing a spectrum is order-independent.
-        """
-        z = np.atleast_1d(np.asarray(j, dtype=np.uint64))
-        x = _noise(self.delta, np.uint64(self.seed & _MASK64), (z + _ONE) * _GOLDEN)
-        return float(x[0]) if np.ndim(j) == 0 else x
-
 
 def _noise(delta, seed, steps) -> np.ndarray:
     """SplitMix64 of seed (np.uint64) at (j + 1) golden, mapped to [-delta, delta], broadcast."""
@@ -92,9 +83,14 @@ def _noise(delta, seed, steps) -> np.ndarray:
     return delta * ((z >> _S11) * 2.0**-52 - 1.0)
 
 
-def _perturbed(k: np.ndarray, models: list[NoiseModel]) -> np.ndarray:
-    """One row of values per model: noise j on each positive k_j, clamped at 0, sorted in place."""
+def _perturbed(s: Spectrum, models: list[NoiseModel]) -> np.ndarray:
+    """One row of s's values per model: noise j on each positive k_j, clamped at 0, sorted in place,
+    after refusing the first delta whose sum with s's largest value or tol overflows a float."""
     global _steps
+    k, k_last, tol = s.array, float(s.array[-1]), s.tol
+    bad = [m.delta for m in models if not (k_last + m.delta < math.inf and tol + m.delta < math.inf)]
+    if bad:
+        raise ValueError(f"delta = {bad[0]:.6g} overflows the largest value {k_last:.6g} or tol")
     steps = _steps  # one read, so a concurrent call that grows it cannot shorten this one's
     if steps.size < k.size:
         steps = _steps = np.arange(2, k.size + 2, dtype=np.uint64) * _GOLDEN
@@ -160,8 +156,9 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     if values.shape[-1] < J_max:
         raise ValueError(f"spectrum has {values.shape[-1]} values, need J = {J_max}")
     # Rows are sorted, so k_J / t peaks at column J and the smallest t (as inf, no warning).
-    k_J = max(values[..., J_max - 1].ravel().tolist(), default=0.0)
-    if not math.isfinite(k_J / min(tl, default=math.inf)):
+    k_Js, t_min = values[..., J_max - 1].ravel().tolist(), min(tl, default=math.inf)
+    if not math.isfinite(max(k_Js, default=0.0) / t_min):
+        k_J = next(k for k in k_Js if not math.isfinite(k / t_min))  # the first row's, as row by row
         raise ValueError(f"k_J / t overflows a float: t is too small for k_J = {k_J:.6g}")
     terms = re_fourier(tf, values[..., 1:J_max] / t_col)
     if not shape:
@@ -173,15 +170,14 @@ def _truncated_sums(values: np.ndarray, tf: TestFunction, t, J) -> float | np.nd
     return sums.reshape(shape)
 
 
-def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float,
-                    tol: float | np.ndarray) -> float | np.ndarray:
+def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float, tol: float) -> float:
     """Certified bound on |S_J(t) - chi| from the priors M (vertices) and L (length).
 
     The tail envelope beyond J, which raises PlanError where it does not apply
     (J - M <= 2 L t d, or J <= M for the tent), plus 2 tol J / t, the most a
-    per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t.
-    Elementwise in tol: an array of tol gives an array of bounds. Where the tail
-    does not apply to a t or J that the sum refuses, the sum's ValueError names it.
+    per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t;
+    on Python floats, so a huge tol gives an infinite bound and no warning. Where
+    the tail does not apply to a t or J that the sum refuses, the sum's ValueError names it.
     """
     if not 0.0 <= M < math.inf:
         raise PlanError(f"M must be finite and nonnegative, got {M!r}")
@@ -218,18 +214,16 @@ def certify(s: Spectrum, tf: TestFunction, t: float, J: int,
 
 def certify_perturbed(s: Spectrum, tf: TestFunction, t: float, J: int, M: float | None,
                       L: float | None, models: list[NoiseModel]) -> list[Estimate]:
-    """[certify(perturb_spectrum(s, m), tf, t, J, M, L) for m in models], bit for bit.
-
-    The noise of every model comes from one (models, index) grid and the sums
-    from one (models, J - 1) evaluation of the transform; the bounds come from
-    one certified_bound call over the models' tol, so the tail is evaluated once.
+    """[certify(perturb_spectrum(s, m), tf, t, J, M, L) for m in models], bit for bit, and so
+    are its errors where the models share one delta. The rows are drawn and checked first, in
+    one (models, index) grid; then each distinct delta takes one certified_bound call, as certify
+    bounds before it sums; then one (models, J - 1) evaluation of the transform sums the rows.
     """
-    if M is None or L is None or not models:
-        bounds = [math.nan] * len(models)
-    else:
-        bounds = certified_bound(tf, J, M, L, t, s.tol + np.array([m.delta for m in models])).tolist()
-    sums = _truncated_sums(_perturbed(s.array, models), tf, t, J).tolist()
-    return [Estimate(S, nint(S), bound) for S, bound in zip(sums, bounds)]
+    rows = _perturbed(s, models)
+    deltas = () if M is None or L is None else {m.delta for m in models}
+    bounds = {delta: certified_bound(tf, J, M, L, t, s.tol + delta) for delta in deltas}
+    sums = _truncated_sums(rows, tf, t, J).tolist()
+    return [Estimate(S, nint(S), bounds.get(m.delta, math.nan)) for S, m in zip(sums, models)]
 
 
 def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
@@ -238,14 +232,11 @@ def perturb_spectrum(s: Spectrum, noise: NoiseModel) -> Spectrum:
     The zero mode is structurally exact and never perturbed. Results are
     clamped at 0 and re-sorted; the provenance becomes `external` and tol
     grows by delta, which is the guarantee |k_noisy - k| <= delta callers
-    should rely on. certify_perturbed draws the same noise for many models.
-    A delta that overflows the largest value or tol is refused before any noise.
+    should rely on. The noise is _perturbed's row, as in certify_perturbed, so
+    a delta that overflows the largest value or tol is refused before any noise.
     """
-    k_last, delta = float(s.array[-1]), noise.delta
-    if not (k_last + delta < math.inf and s.tol + delta < math.inf):
-        raise ValueError(f"delta = {delta:.6g} overflows the largest value {k_last:.6g} or tol")
-    # Checked s, noise clamped at 0, k <= 0 copied, sorted; no value passes k_last + delta < inf.
-    return Spectrum._of(_perturbed(s.array, [noise])[0], s.k_max_covered, "external", s.tol + delta)
+    # Checked s, noise clamped at 0, k <= 0 copied, sorted; _perturbed keeps k_last + delta finite.
+    return Spectrum._of(_perturbed(s, [noise])[0], s.k_max_covered, "external", s.tol + noise.delta)
 
 
 def recover_chi(s: Spectrum, plan: RecoveryPlan) -> int:

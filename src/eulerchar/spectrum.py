@@ -538,14 +538,15 @@ def _grid_counts(bonds: _Bonds, grid: np.ndarray, name: str) -> np.ndarray:
     the mean level spacing, then on the inner points of each of those cells whose ends
     differ; every other point takes the count of the counted point before it. So every
     pair of adjacent points between which N steps has both ends counted, and the counts
-    equal a count at every point. Computed counts that decrease in k raise
-    SpectrumCountError."""
+    equal a count at every point. Points below pi / L, where no certificate holds as every
+    sine is tiny, take N = 0 uncounted: k_2 >= pi / L (Nicaise), as validate_spectrum uses.
+    Computed counts that decrease in k raise SpectrumCountError."""
     counts, known = np.zeros(grid.size, int), np.zeros(grid.size, bool)
     known[::4] = known[-1] = True
-    coarse = np.flatnonzero(known)
-    counts[coarse[1:]] = bonds.count(grid[coarse[1:]])
+    coarse, low = np.flatnonzero(known), np.searchsorted(grid, math.pi / bonds.total_length)
+    counts[coarse[coarse >= low]] = bonds.count(grid[coarse[coarse >= low]])
     inner = (coarse[:-1][np.diff(counts[coarse]) != 0, None] + np.arange(1, 4)).ravel()
-    inner = inner[inner < grid.size - 1]
+    inner = inner[(inner >= low) & (inner < grid.size - 1)]
     counts[inner], known[inner] = bonds.count(grid[inner]), True
     if np.any(np.diff(counts[known]) < 0):
         raise SpectrumCountError(f"eigenvalue count of {name!r} decreases; eigensolver failed")

@@ -437,6 +437,26 @@ def test_spectrum_with_an_edge_below_pi_over_the_largest_float_is_silent(tmp_pat
     assert validate_spectrum(s, parse_graph(doc.read_text())).ok
 
 
+@pytest.mark.parametrize("kmax", ["1e-300", "1e-20"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_spectrum_kmax_below_pi_over_L_lists_the_zero_mode_alone(name, kmax, capsys):
+    # N is 0 below pi / L, where k_2 lies at the earliest; there every sine is tiny, no count
+    # certifies, and counting the grid used to exit 1 with a false "eigensolver failed".
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["spectrum", name, "--kmax", kmax]) == 0
+    captured = capsys.readouterr()
+    assert not caught and captured.err == ""
+    assert captured.out.endswith("j,k\n1,0.0000000000000000e+00\n")
+
+
+def test_verify_trace_with_a_tiny_kmax_refuses_the_one_value_tail(capsys):
+    assert main(["verify-trace", "--graph", "lasso", "--t", "0.3", "--kmax", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tail bound needs x > 2*Lt*d = 3.6, got x = -1\n"
+
+
 def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):
     assert main(["spectrum", "lasso", "--kmax", "1e12"]) == 2
     captured = capsys.readouterr()
@@ -763,6 +783,30 @@ def test_experiment_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, argv,
     assert main(["experiment", *argv, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["5e307", "1e308"])
+def test_experiment_whose_noisy_sweep_overflows_exits_2_silently_and_writes_nothing(
+        tmp_path, capsys, delta):
+    # The noisy rows reach about delta / 2 at J, and the t sweep divides them by t / 10.
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["experiment", "lasso", "--seeds", "3", "--delta", delta, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not caught and captured.out == ""
+    assert captured.err.startswith("error: k_J / t overflows a float: t is too small for k_J = ")
+    assert not out.exists()
+
+
+def test_experiment_with_a_huge_delta_runs_silently(tmp_path, capsys):
+    # 2 tol J / t overflows to an infinite bound: no noisy estimate is certified, nothing warns.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["experiment", "lasso", "--seeds", "3", "--delta", "1e307", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert not caught and captured.err == ""
+    assert "note=3/3 noisy bounds do not certify a unique integer" in captured.out
 
 
 def test_experiment_seeds_over_the_budget_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch):

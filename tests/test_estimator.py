@@ -403,25 +403,33 @@ def test_divergence_for_large_t(lasso_spectrum):
     assert S > summarize(preset("lasso")).chi + 1
 
 
-def test_noise_model_validation():
+def noise_at(noise: NoiseModel, j) -> list[float]:
+    """estimator._noise of one model at the 1-based indices j, as _perturbed draws it for k_j."""
+    steps = np.array([((i + 1) * 0x9E3779B97F4A7C15) % 2**64 for i in j], dtype=np.uint64)
+    return estimator._noise(noise.delta, np.array(noise.seed % 2**64, np.uint64), steps).tolist()
+
+
+def test_noise_model_validation(lasso_spectrum):
     for delta in (-0.1, math.inf, math.nan):
         with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
             NoiseModel(delta=delta)
     m = NoiseModel(delta=0.0)
-    assert m.sample(2) == 0.0
+    assert noise_at(m, range(1, 200)) == [0.0] * 199
+    row = estimator._perturbed(lasso_spectrum, [m])[0]
+    assert bits(row) == bits(lasso_spectrum.array)
 
 
 def test_noise_model_deterministic_and_bounded():
     m = NoiseModel(delta=2e-3, seed=7)
-    xs = [m.sample(j) for j in range(2, 200)]
-    ys = [m.sample(j) for j in range(2, 200)]
+    xs = noise_at(m, range(2, 200))
+    ys = noise_at(m, range(2, 200))
     assert xs == ys
     assert all(abs(x) <= 2e-3 for x in xs)
     # Different indices decorrelate: not all equal, both signs appear.
     assert len(set(xs)) > 150
     assert min(xs) < 0 < max(xs)
     other = NoiseModel(delta=2e-3, seed=8)
-    assert [other.sample(j) for j in range(2, 200)] != xs
+    assert noise_at(other, range(2, 200)) != xs
 
 
 def test_perturb_spectrum_properties(lasso_spectrum):
@@ -442,7 +450,7 @@ def test_perturb_spectrum_properties(lasso_spectrum):
 
 
 def reference_sample(noise: NoiseModel, j: int) -> float:
-    """The SplitMix64 steps of NoiseModel.sample on Python integers, one index at a time."""
+    """The SplitMix64 steps of estimator._noise on Python integers, one index at a time."""
     mask = (1 << 64) - 1
     z = (noise.seed + (j + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -458,11 +466,10 @@ def bits(values) -> list[int]:
 @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 + 5])
 def test_noise_sample_is_bit_identical_to_the_python_int_recurrence(seed):
     noise = NoiseModel(delta=2e-3, seed=seed)
-    j = np.arange(1, 5001)
-    expected = [reference_sample(noise, int(i)) for i in j]
-    assert bits(noise.sample(j)) == bits(expected)
-    assert type(noise.sample(5)) is float
-    assert bits([noise.sample(5)]) == bits(expected[4:5])
+    j = range(1, 5001)
+    expected = [reference_sample(noise, i) for i in j]
+    assert bits(noise_at(noise, j)) == bits(expected)
+    assert bits(noise_at(noise, [5])) == bits(expected[4:5])
 
 
 def test_perturb_spectrum_is_bit_identical_to_the_per_value_loop():
@@ -479,7 +486,7 @@ def test_perturbed_rows_are_the_python_int_recurrence(n, count):
     # Runs on the numpy 1.22 floor too, where a uint64 mixed with a Python int becomes a float64.
     k = np.linspace(0.0, 2.0 * n, n)
     models = [NoiseModel(delta=1e-3 * (1 + i % 3), seed=7919 * i - 50) for i in range(count)]
-    rows = estimator._perturbed(k, models)
+    rows = estimator._perturbed(Spectrum(k.tolist(), 2.0 * n, "external", 0.0), models)
     assert rows.shape == (count, n)
     for row, noise in zip(rows, models):
         expected = [k[0]] + [max(0.0, kj + reference_sample(noise, j)) for j, kj in enumerate(k[1:], 2)]
@@ -491,9 +498,10 @@ def test_golden_steps_are_one_shared_read_only_array(monkeypatch):
     models = [NoiseModel(delta=1e-3, seed=7)]
     arrays = []
     for n in (68, 500, 68):
-        row = estimator._perturbed(np.linspace(0.0, 50.0, n), models)[0]
+        s = Spectrum(np.linspace(0.0, 50.0, n).tolist(), 50.0, "external", 0.0)
+        row = estimator._perturbed(s, models)[0]
         arrays.append(estimator._steps)
-        assert bits(row) == bits(estimator._perturbed(np.linspace(0.0, 50.0, n), models * 2)[1])
+        assert bits(row) == bits(estimator._perturbed(s, models * 2)[1])
     assert arrays[0] is not arrays[1] is arrays[2]  # grown once, to the longest length asked for
     steps = estimator._steps
     assert steps.size == 500 and not steps.flags.writeable
@@ -577,6 +585,65 @@ def test_perturb_refuses_a_delta_that_overflows_before_any_noise(tol, delta):
     for seed in range(20):
         noisy = perturb_spectrum(s, NoiseModel(2e307, seed))
         assert np.isfinite(noisy.array).all() and noisy.tol == 2e307
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tol, delta", [(0.0, 1e308), (1.7e308, 1e308), (0.0, 2.0**1023)])
+def test_certify_perturbed_refuses_an_overflowing_delta_as_perturb_spectrum_does(tol, delta):
+    s = Spectrum((0.0, 1.0, 1.5e308), 1.6e308, "external", tol)
+    message = f"delta = {delta:.6g} overflows the largest value 1.5e+308 or tol"
+    # The first model that overflows is named, here after one that does not.
+    for models in [NoiseModel(delta, seed) for seed in range(20)], [NoiseModel(0.0), NoiseModel(delta, 1)]:
+        for M, L in ((2.0, 6.0), (None, None)):
+            with pytest.raises(ValueError) as caught:
+                certify_perturbed(s, cosine_power(1), 1.0, 3, M, L, models)
+            assert str(caught.value) == message
+
+
+def outcomes(run):
+    """run()'s estimates as (chi_hat, bits of S, bits of bound), or its error's type and message."""
+    try:
+        return [(e.chi_hat, *bits([e.S, e.bound])) for e in run()]
+    except (ValueError, PlanError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [0.0, 1e307, 1e308, "overflow"])
+@pytest.mark.parametrize("name, plan", [("lasso", LASSO_PLAN), ("k5", K5_PLAN)])
+def test_certify_perturbed_is_one_certify_per_model_errors_included(name, plan, delta):
+    s = spectrum_with_count(preset(name), plan.J + 20)
+    if delta == "overflow":  # a listing that ends at 1.5e308, which 1e308 overflows
+        s, delta = Spectrum(s.values[:-1] + (1.5e308,), 1.6e308, "external", s.tol), 1e308
+    models = [NoiseModel(delta, seed) for seed in BATCH_SEEDS]
+    tf = cosine_power(plan.d)
+    # The plan's delta and 0.3 are checked above. At half k5's t, k_J / t overflows on some rows
+    # at delta 1e308, and the first is named.
+    for t, M, L in ((plan.t, plan.M_bar, plan.L_bar), (plan.t, None, None),
+                    (plan.t / 2, plan.M_bar, plan.L_bar)):
+        expected = outcomes(lambda: [certify(perturb_spectrum(s, m), tf, t, plan.J, M, L) for m in models])
+        assert outcomes(lambda: certify_perturbed(s, tf, t, plan.J, M, L, models)) == expected
+    if delta == 1e307:  # 2 tol J / t overflows to an infinite bound, on Python floats
+        assert all(e.bound == math.inf for e in certify_perturbed(s, tf, plan.t, plan.J, plan.M_bar,
+                                                                   plan.L_bar, models))
+
+
+def test_certify_perturbed_bounds_each_distinct_delta_once(lasso_spectrum, monkeypatch):
+    p, tf, calls = LASSO_PLAN, cosine_power(1), []
+    monkeypatch.setattr(estimator, "certified_bound",
+                        lambda *args: calls.append(args[-1]) or certified_bound(*args))
+    models = [NoiseModel(p.delta_max, seed) for seed in range(100)]
+    certify_perturbed(lasso_spectrum, tf, p.t, p.J, p.M_bar, p.L_bar, models)
+    assert calls == [lasso_spectrum.tol + p.delta_max]
+    calls.clear()
+    mixed = [NoiseModel((0.0, 1e-3, 2e-3)[i % 3], i) for i in range(30)]
+    got = certify_perturbed(lasso_spectrum, tf, p.t, p.J, p.M_bar, p.L_bar, mixed)
+    assert sorted(calls) == [lasso_spectrum.tol + d for d in (0.0, 1e-3, 2e-3)]
+    tols = [lasso_spectrum.tol + m.delta for m in mixed]
+    assert [e.bound for e in got] == [certified_bound(tf, p.J, p.M_bar, p.L_bar, p.t, tol) for tol in tols]
+    calls.clear()
+    certify_perturbed(lasso_spectrum, tf, p.t, p.J, None, None, models)
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(8))

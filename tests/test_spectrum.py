@@ -1145,9 +1145,12 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
     monkeypatch.setattr(_Bonds, "_phase_count",
                         lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
-    # The grid is counted on every 4th point and the last, and on some of the others.
+    # The grid is counted on every 4th point and the last, and on some of the others, at or above
+    # pi / L: below it N is 0 uncounted (K8's grid[4] lies just below it).
     k, sure = (np.concatenate(a) for a in zip(*grid_events))
-    assert np.all(np.isin(k, grid[1:])) and np.all(np.isin(np.append(grid[4::4], grid[-1]), k))
+    above = grid[grid >= math.pi / k8.total_length()]
+    coarse = np.intersect1d(np.append(grid[4::4], grid[-1]), above)
+    assert grid[4] not in above and np.all(np.isin(k, above)) and np.all(np.isin(coarse, k))
     assert np.sum(~sure) <= 0.05 * k.size
     secular_spectrum(random_graph(2, 10, 20), 15.0)
     assert {kind for kind, _k, _sure in events} == {"vertex", "cut", "phases"}
