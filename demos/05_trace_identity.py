@@ -8,12 +8,12 @@ least 1/t drops out, so below the shortest orbit the sum collapses to chi.
 """
 
 from eulerchar import (
-    certified_bound,
     cosine_power,
     orbit_side,
     preset,
     spectrum_with_count,
     summarize,
+    trace_check,
     truncated_sum,
 )
 
@@ -28,12 +28,9 @@ def main():
     spectrum = spectrum_with_count(lasso, 80)
     f = cosine_power(2)
     print("t       orbit side       spectral side    gap        bound")
-    n = len(spectrum.values)
     for t in (0.005, 0.01, 0.3, 0.5, 0.8, 1.25):
-        lhs = orbit_side(lasso, f, t)
-        rhs = truncated_sum(spectrum, f, t, n)
-        bound = certified_bound(f, n, info.M, info.total_length, t, spectrum.tol)
-        print(f"{t:5.3f}   {lhs:+.10f}    {rhs:+.10f}    {abs(lhs - rhs):.2e}   {bound:.2e}")
+        lhs, rhs, gap, bound = trace_check(lasso, f, t, spectrum)
+        print(f"{t:5.3f}   {lhs:+.10f}    {rhs:+.10f}    {gap:.2e}   {bound:.2e}")
     print("(gap <= bound: the identity holds to the certified truncation and tol error)")
 
     print()

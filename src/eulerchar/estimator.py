@@ -8,8 +8,13 @@ and S_J(t) converges to chi as J grows; rounding to the nearest integer then
 recovers chi exactly once the certified bound drops below 1/2.
 
 ``certified_bound`` (tail bound from the priors M and L plus 2 tol J / t) is
-the one place that writes that bound and decides where it applies; ``certify``
-pairs it with the sum in an ``Estimate``, certified iff the bound is below 1/2.
+the one place that writes that bound and decides where it applies; it refuses a
+tol that is not finite and nonnegative before any arithmetic. ``certify`` is the
+one pairing of a sum with that bound, in an ``Estimate``, certified iff the
+bound is below 1/2: recoveries, ``estimate`` and the trace check
+(``orbits.trace_check``) all certify through it, and ``certify_perturbed`` is
+its bit-for-bit batch over noise models. ``_check_t_and_J`` holds the rule for
+t and J that the sum, the bound and the orbit side share.
 
 Each sweep takes one array evaluation of the transform over all its terms: over
 all time scalings t, truncations J or noise models at once; each sum adds its
@@ -124,8 +129,8 @@ def truncated_sum(
     (len(t), J - 1) grid when t is an array; each J then adds its prefix of the
     terms with math.fsum, so the result is independent of the order or chunking
     of the evaluation. The result is a float for scalar t and J, else an array
-    of shape t.shape + J.shape. Each t must be positive and finite, each J in
-    1..s.array.size, and k_J / t finite.
+    of shape t.shape + J.shape. It refuses a t that is not positive and finite, a
+    J outside 1..s.array.size and an infinite k_J / t.
     """
     return _truncated_sums(s.array, tf, t, J)
 
@@ -176,9 +181,13 @@ def certified_bound(tf: TestFunction, J: int, M: float, L: float, t: float, tol:
     The tail envelope beyond J, which raises PlanError where it does not apply
     (J - M <= 2 L t d, or J <= M for the tent), plus 2 tol J / t, the most a
     per-value error of tol moves the J terms, as |d/dk Re f_hat(k / t)| <= 1 / t;
-    on Python floats, so a huge tol gives an infinite bound and no warning. Where
-    the tail does not apply to a t or J that the sum refuses, the sum's ValueError names it.
+    on Python floats, so a huge tol gives an infinite bound and no warning. A tol
+    that is not finite and nonnegative is refused first, with Spectrum's message.
+    Where the tail does not apply to a t or J that the sum refuses, the sum's
+    ValueError names it.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if not 0.0 <= M < math.inf:
         raise PlanError(f"M must be finite and nonnegative, got {M!r}")
     if not 0.0 < L < math.inf:

@@ -18,8 +18,9 @@ the bond scattering matrix S whose first bonds add up to prim_length and whose
 S products are s_v, so ``orbit_side`` sums closed walks of S instead of listing
 orbits. The identity needs only the walks' total per length, so they are kept
 by exact length alone, one matrix product per distinct length below 1/t.
-``trace_check`` compares that sum with the spectral sum, within the estimator's
-``certified_bound``.
+``trace_check`` compares that sum with the spectral sum over the whole listing
+and its bound, both from the estimator's ``certify``, the one pairing of sum and
+bound; ``orbit_side`` checks t by the sum's rule.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import certified_bound, truncated_sum
+from .estimator import _check_t_and_J, certify
 from .graph import MetricGraph
+from .planner import PlanError
 from .spectrum import Spectrum, _bonds_of
 from .testfn import TestFunction, eval_time
 
@@ -191,10 +193,9 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     with sum(l[:, None] * S * P) and extended by P @ S.T onto each unit while
     t L < 1. Every walk extends a shorter one, so a popped length is complete. S,
     l[:, None] * S, the units and their masks come from g's table, built once per
-    graph object, so only the walks depend on t.
+    graph object, so only the walks depend on t. t is checked as the sum checks it.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
+    _check_t_and_J([t], [])
     S, weight, D, masks = _bonds_of(g).walk(g)
     walks = {u: np.diag(m) for u, m in masks if t * (u / D) < 1.0}
     pending = sorted(walks)  # the lengths in walks, a heap
@@ -222,14 +223,18 @@ def trace_check(
     """Compare both sides of the trace identity on a finite spectrum.
 
     Returns (lhs, rhs, gap, certified_bound): lhs is the geometric orbit sum,
-    rhs the spectral sum over every supplied eigenfrequency, gap their
-    absolute difference, and certified_bound the estimator's certified_bound
-    for the n supplied values; the identity holds iff gap <= certified_bound.
-    Raises PlanError when the spectrum is too short for the tail bound.
+    rhs and certified_bound the S and bound of the estimator's certify over every
+    supplied eigenfrequency, with g's vertex count and total length as the priors
+    M and L, and gap |lhs - rhs|; the identity holds iff gap <= certified_bound.
+    certify runs first, so a t it refuses is refused before the orbit side walks.
+    Raises PlanError, prefixed with the listing's size and k_max_covered, when the
+    spectrum is too short for the tail bound.
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError("t must be positive and finite")
-    certified = certified_bound(tf, s.array.size, len(g.vertices), g.total_length(), t, s.tol)
+    n = s.array.size
+    try:
+        est = certify(s, tf, t, n, len(g.vertices), g.total_length())
+    except PlanError as exc:
+        K = s.k_max_covered
+        raise PlanError(f"a {n}-value listing up to k_max_covered = {K:.6g}: {exc}") from None
     lhs = orbit_side(g, tf, t)
-    rhs = truncated_sum(s, tf, t, s.array.size)
-    return lhs, rhs, abs(lhs - rhs), certified
+    return lhs, est.S, abs(lhs - est.S), est.bound

@@ -100,7 +100,7 @@ def tail_bound(d: int, x: float, Lt: float) -> float:
     if Lt <= 0.0:
         raise PlanError("Lt must be positive")
     if x <= 2.0 * Lt * d:
-        raise PlanError(f"tail bound needs x > 2*Lt*d = {2.0 * Lt * d:.6g}, got x = {x:.6g}")
+        raise PlanError(f"tail bound needs J - M > 2 L t d = {2.0 * Lt * d:.6g}, got J - M = {x:.6g}")
     try:
         fact2 = float(math.factorial(d)) ** 2
         return fact2 * (2.0 * Lt) ** (2 * d + 1) / (2.0 * math.pi * d * (x - 2.0 * Lt * d) ** (2 * d))
@@ -118,7 +118,7 @@ def triangular_tail(x: float, Lt: float) -> float:
     if Lt <= 0.0:
         raise PlanError("Lt must be positive")
     if x <= 0.0:
-        raise PlanError("triangular tail needs x > 0")
+        raise PlanError(f"triangular tail needs J - M > 0, got J - M = {x:.6g}")
     return 32.0 * Lt * Lt / (math.pi * math.pi * x)
 
 

@@ -381,11 +381,12 @@ def test_estimate_with_graph_rejects_a_misplaced_value(tmp_path, capsys):
 @pytest.mark.parametrize("priors, message", [
     (["--J", "48", "--M", "nan", "--L", "6"], "error: M must be finite and nonnegative, got nan"),
     (["--J", "48", "--M", "2", "--L", "inf"], "error: L must be positive and finite, got inf"),
-    (["--J", "14", "--M", "2", "--L", "6"], "error: tail bound needs x > 2*Lt*d = 12"),
+    (["--J", "14", "--M", "2", "--L", "6"], "error: tail bound needs J - M > 2 L t d = 12"),
     (["--J", str(10**300), "--M", "2", "--L", "6"], "error: tail bound overflows a float"),
-    # The sum's own checks name a bad J before the tail does ("tail bound needs x > 12, got x = -2").
+    # The sum's own checks name a bad J before the tail does ("needs J - M > 12, got J - M = -2").
     (["--J", "0", "--graph", "lasso"], "error: J must be at least 1\n"),
     (["--J", "-5", "--M", "2", "--L", "6"], "error: J must be at least 1\n"),
+    (["--J", "3", "--M", "2", "--L", "6"], "error: tail bound needs J - M > 2 L t d = 12, got J - M = 1\n"),
 ])
 def test_estimate_explicit_priors_outside_the_bound_exit_2(tmp_path, capsys, priors, message):
     csv = tmp_path / "lasso.csv"
@@ -454,7 +455,24 @@ def test_verify_trace_with_a_tiny_kmax_refuses_the_one_value_tail(capsys):
     assert main(["verify-trace", "--graph", "lasso", "--t", "0.3", "--kmax", "1e-300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: tail bound needs x > 2*Lt*d = 3.6, got x = -1\n"
+    assert captured.err == ("error: a 1-value listing up to k_max_covered = 1e-300: "
+                            "tail bound needs J - M > 2 L t d = 3.6, got J - M = -1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t", "1e300"], "error: a 202-value listing up to k_max_covered = 105.767: "
+                       "tail bound needs J - M > 2 L t d = 1.2e+301, got J - M = 200\n"),
+    (["--t", "0.3", "--psi", "--kmax", "1e-300"],
+     "error: a 1-value listing up to k_max_covered = 1e-300: "
+     "triangular tail needs J - M > 0, got J - M = -1\n"),
+    # k_J / t overflows below about 6e-307: the sum refuses it before the walk budget can.
+    (["--t", "1e-307"], "error: k_J / t overflows a float: t is too small for k_J = 105.733\n"),
+])
+def test_verify_trace_refusals_name_the_listing_and_the_sum(argv, message, capsys):
+    assert main(["verify-trace", "--graph", "lasso", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_spectrum_kmax_over_the_grid_budget_exits_2(capsys):

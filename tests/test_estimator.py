@@ -312,9 +312,9 @@ def test_certified_bound_rejects_bad_priors(M, L):
 
 def test_certified_bound_outside_the_tail_domain():
     # J - M must exceed 2 L t d for the cosine power, and M for the tent.
-    with pytest.raises(PlanError, match="tail bound needs x > 2"):
+    with pytest.raises(PlanError, match="^tail bound needs J - M > 2 L t d = 12, got J - M = 12$"):
         certified_bound(cosine_power(1), 14, 2.0, 6.0, 1.0, 0.0)
-    with pytest.raises(PlanError, match="triangular tail needs x > 0"):
+    with pytest.raises(PlanError, match="^triangular tail needs J - M > 0, got J - M = 0$"):
         certified_bound(triangular(), 2, 2.0, 6.0, 1.0, 0.0)
     assert certified_bound(triangular(), 3, 2.0, 6.0, 1.0, 0.0) > 0.0
     # A t or J outside the tail's domain because the sum refuses it: the sum's ValueError.
@@ -323,6 +323,18 @@ def test_certified_bound_outside_the_tail_domain():
         with pytest.raises(ValueError, match=message) as info:
             certified_bound(cosine_power(1), J, 2.0, 6.0, t, 0.0)
         assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("tol", [-1.0, -5e-324, math.nan, math.inf])
+def test_certified_bound_refuses_a_bad_tol(tol):
+    # A negative tol gave a negative "certified" bound (-95.76 at -1.0), a NaN tol a NaN one.
+    with pytest.raises(ValueError, match=f"^tol must be finite and nonnegative, got {tol!r}$"):
+        certified_bound(cosine_power(1), 48, 2.0, 6.0, 1.0, tol)
+    with pytest.raises(ValueError, match=f"^tol must be finite and nonnegative, got {tol!r}$"):
+        Spectrum([0.0], 0.0, "external", tol)
+    # Before any other check: the priors and the tail's domain are bad too.
+    with pytest.raises(ValueError, match="^tol must be"):
+        certified_bound(cosine_power(1), 0, math.nan, 6.0, -1.0, tol)
 
 
 def test_estimate_certified_iff_bound_below_half(lasso_spectrum):

@@ -29,11 +29,13 @@ from eulerchar import (
     trace_check,
     to_document,
     triangular,
+    truncated_sum,
     validate_spectrum,
     von_below_spectrum,
 )
 from eulerchar import orbits
 from eulerchar import spectrum as spectrum_module
+from eulerchar.estimator import certify
 from eulerchar.graph import PRESET_NAMES
 from eulerchar.orbits import enumerate_orbits, scattering_amplitude
 from eulerchar.spectrum import _Bonds, secular_spectrum
@@ -303,6 +305,36 @@ def test_orbit_side_and_trace_check_reject_bad_t(t):
         orbit_side(g, cosine_power(1), t)
     with pytest.raises(ValueError, match="t must be positive and finite"):
         trace_check(g, cosine_power(1), t, spectrum_with_count(g, 30))
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_sum_certify_orbit_side_and_trace_check_refuse_bad_t_alike(t):
+    g, tf = preset("lasso"), cosine_power(1)
+    s = spectrum_with_count(g, 30)
+    info = summarize(g)
+    calls = (lambda: truncated_sum(s, tf, t, 30),
+             lambda: certify(s, tf, t, 30, info.M, info.total_length),
+             lambda: orbit_side(g, tf, t),
+             lambda: trace_check(g, tf, t, s))
+    for call in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "t must be positive and finite"
+
+
+@pytest.mark.parametrize("name, t", [("lasso", 0.1), ("lasso", 0.07), ("lasso", 0.06),
+                                     ("k5", 0.2), ("k33", 0.2), ("k5-pendant", 0.2)])
+def test_trace_check_is_certify_and_orbit_side(name, t):
+    # The trace workload's cases: one pairing of sum and bound, bit for bit.
+    g, tf = preset(name), cosine_power(2)
+    info = summarize(g)
+    s = secular_spectrum(g, (info.M + 200) * math.pi / info.total_length)
+    est = certify(s, tf, t, len(s.values), len(g.vertices), g.total_length())
+    lhs = orbit_side(g, tf, t)
+    got = trace_check(g, tf, t, s)
+    assert np.array(got).tobytes() == np.array([lhs, est.S, abs(lhs - est.S), est.bound]).tobytes()
+    assert not hasattr(orbits, "certified_bound") and not hasattr(orbits, "truncated_sum")
 
 
 @pytest.fixture(scope="module")
