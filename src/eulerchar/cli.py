@@ -21,7 +21,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .planner import PlanError, RecoveryPlan, beta_continuous, epsilon, optimal_
 from .orbits import OrbitBudgetError, trace_check
 from .spectrum import (
     _GRID_ENTRIES,
+    Spectrum,
     SpectrumCountError,
     read_spectrum_csv,
     secular_spectrum,
@@ -82,21 +83,15 @@ def _resolve_graph(name_or_path: str) -> MetricGraph:
 
 
 def plan_block(plan: RecoveryPlan) -> str:
-    """The flat key=value serialization of a plan, one pair per line."""
-    lines = [
-        f"eps_bar={plan.eps_bar:.16g}",
-        f"M_bar={plan.M_bar:.16g}",
-        f"L_bar={plan.L_bar:.16g}",
-        f"lmin_lower={plan.lmin_lower:.16g}",
-        f"t={plan.t:.16g}",
-        f"rho={plan.rho:.16g}",
-        f"alpha_star={plan.alpha_star:.16g}",
-        f"d={plan.d}",
-        f"J={plan.J}",
-        f"beta={plan.beta:.16g}",
-        f"delta_max={plan.delta_max:.16g}",
-        f"eps_value={plan.eps_value:.16g}",
-    ]
+    """The flat key=value serialization of a plan, one pair per line: its fields, then eps_prev.
+
+    An int prints whole (J may pass 1e16, where 16 significant digits would round it), a float
+    with 16 significant digits.
+    """
+    lines = []
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        lines.append(f"{f.name}={value}" if isinstance(value, int) else f"{f.name}={value:.16g}")
     try:
         eps_prev = epsilon(plan.M_bar, plan.rho, plan.d, plan.J - 1)
         lines.append(f"eps_prev={eps_prev:.16g}")
@@ -122,6 +117,15 @@ def _order_boundary_note(plan: RecoveryPlan) -> str | None:
     return None
 
 
+def _write_spectrum(s: Spectrum, metadata: dict, out: str | None, what: str) -> None:
+    """Write s as CSV to the file out and print `wrote <what> to <out>`, or to stdout without out."""
+    if out:
+        write_spectrum_csv(out, s, metadata)
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(spectrum_csv_text(s, metadata))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -132,12 +136,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         s = secular_spectrum(g, args.kmax)
     else:
         s = spectrum_with_count(g, 60 if args.count is None else args.count)
-    text = spectrum_csv_text(s, {"graph": g.name})
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {s.array.size} eigenfrequencies to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_spectrum(s, {"graph": g.name}, args.out, f"{s.array.size} eigenfrequencies")
     return EXIT_OK
 
 
@@ -206,12 +205,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     s, _meta = read_spectrum_csv(args.spectrum)
     noisy = perturb_spectrum(s, NoiseModel(args.delta, args.seed))
     metadata = {"delta": f"{args.delta:.16g}", "seed": str(args.seed), "source": s.method}
-    text = spectrum_csv_text(noisy, metadata)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote perturbed spectrum to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_spectrum(noisy, metadata, args.out, "perturbed spectrum")
     return EXIT_OK
 
 

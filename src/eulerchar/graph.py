@@ -126,9 +126,12 @@ def build_graph(name: str, vertices: list[str], edges: list[tuple[str, str, floa
             raise GraphError(f"edge {i} references unknown vertex {u!r}")
         if v not in seen:
             raise GraphError(f"edge {i} references unknown vertex {v!r}")
-        length = float(length)
+        try:
+            length = float(length)
+        except OverflowError:  # an int beyond the largest float, as JSON may write one
+            length = math.inf
         if not math.isfinite(length) or length <= 0.0:
-            raise GraphError(f"edge {i} has nonpositive length {length!r}")
+            raise GraphError(f"edge {i} has length {length!r}: lengths must be positive and finite")
         built.append(Edge(u, v, length))
     g = MetricGraph(str(name), tuple(sorted(seen)), tuple(built))
     reached = two_colouring(g)
@@ -175,12 +178,21 @@ def parse_graph(text: str) -> MetricGraph:
     for key in ("name", "vertices", "edges"):
         if key not in doc:
             raise GraphError(f"graph document missing {key!r}")
+    if not isinstance(doc["vertices"], list):
+        raise GraphError("graph document 'vertices' must be an array of strings")
+    if not isinstance(doc["edges"], list):
+        raise GraphError("graph document 'edges' must be an array of objects")
     edges = []
     for i, e in enumerate(doc["edges"]):
         if not isinstance(e, dict) or not {"u", "v", "length"} <= set(e):
             raise GraphError(f"edge {i} must be an object with u, v, length")
+        for key in ("u", "v"):
+            if not isinstance(e[key], str):
+                raise GraphError(f"edge {i} field {key!r} must be a string, got {e[key]!r}")
+        if isinstance(e["length"], bool) or not isinstance(e["length"], (int, float)):
+            raise GraphError(f"edge {i} field 'length' must be a number, got {e['length']!r}")
         edges.append((e["u"], e["v"], e["length"]))
-    return build_graph(doc["name"], list(doc["vertices"]), edges)
+    return build_graph(doc["name"], doc["vertices"], edges)
 
 
 def to_document(g: MetricGraph) -> str:

@@ -58,20 +58,21 @@ class RecoveryPlan:
     number of eigenfrequencies counting the zero mode, delta_max the noise
     half-width under which nearest-integer rounding still recovers chi.
     alpha_star, beta, and eps_value record the continuous optimum and the
-    certifying bound value at (d, J).
+    certifying bound value at (d, J). The fields are declared in the order
+    `eulerchar plan` prints them.
     """
 
-    t: float
-    d: int
-    J: int
     eps_bar: float
-    delta_max: float
-    rho: float
     M_bar: float
     L_bar: float
     lmin_lower: float
+    t: float
+    rho: float
     alpha_star: float
+    d: int
+    J: int
     beta: float
+    delta_max: float
     eps_value: float
 
 
@@ -218,17 +219,17 @@ def optimal_plan(eps_bar: float, M_bar: float, L_bar: float, lmin_lower: float) 
     if eps_value > eps_bar:
         raise PlanError("internal certification failure: epsilon at the plan exceeds eps_bar")
     return RecoveryPlan(
-        t=t,
-        d=d_star,
-        J=j_star,
         eps_bar=eps_bar,
-        delta_max=t / (8.0 * j_star),
-        rho=rho,
         M_bar=M_bar,
         L_bar=L_bar,
         lmin_lower=lmin_lower,
+        t=t,
+        rho=rho,
         alpha_star=a_star,
+        d=d_star,
+        J=j_star,
         beta=beta,
+        delta_max=t / (8.0 * j_star),
         eps_value=eps_value,
     )
 

@@ -6,7 +6,8 @@ tick ladders, dashed horizontal reference lines, and a legend. Each point is
 filtered, transformed and scaled once. Output is plain text with fixed number
 formatting, so a rerun with identical data produces an identical file; every
 plot ships next to a CSV with the same numbers, the SVG is never the only
-record.
+record. Each element's markup is written once: every line element comes
+from _line and every text element from _text.
 """
 
 from __future__ import annotations
@@ -122,43 +123,24 @@ def line_plot(
         y_labels = [_fmt(v) for v in y_ticks]
     x_ticks = _linear_ticks(x_lo, x_hi)
 
-    out: list[str] = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
-        f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">'
-    )
-    out.append('<rect width="100%" height="100%" fill="white"/>')
-    out.append(
-        f'<text x="{_WIDTH / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{_escape(title)}</text>'
-    )
+        f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        _text(f"{_WIDTH / 2:.1f}", "20", 14, title, anchor="middle"),
+    ]
 
-    for v, label in zip(y_ticks, y_labels):
-        y = sy(v)
-        out.append(
-            f'<line x1="{_MARGIN_L:.1f}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R:.1f}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_L - 6:.1f}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{label}</text>'
-        )
+    left, right = f"{_MARGIN_L:.1f}", f"{_WIDTH - _MARGIN_R:.1f}"
+    for y, label in zip(map(sy, y_ticks), y_labels):
+        out.append(_line(left, f"{y:.2f}", right, f"{y:.2f}", "#dddddd", 1))
+        out.append(_text(f"{_MARGIN_L - 6:.1f}", f"{y + 4:.2f}", 11, label, anchor="end"))
     for v in x_ticks:
-        x = sx(v)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{_MARGIN_T:.1f}" x2="{x:.2f}" '
-            f'y2="{_HEIGHT - _MARGIN_B:.1f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN_B + 16:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{_fmt(v)}</text>'
-        )
+        x = f"{sx(v):.2f}"
+        out.append(_line(x, f"{_MARGIN_T:.1f}", x, f"{_HEIGHT - _MARGIN_B:.1f}", "#dddddd", 1))
+        out.append(_text(x, f"{_HEIGHT - _MARGIN_B + 16:.1f}", 11, _fmt(v), anchor="middle"))
 
-    for y in [sy(hv) for hv in marks if y_lo <= hv <= y_hi]:
-        out.append(
-            f'<line x1="{_MARGIN_L:.1f}" y1="{y:.2f}" x2="{_WIDTH - _MARGIN_R:.1f}" '
-            f'y2="{y:.2f}" stroke="#888888" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+    for y in [f"{sy(hv):.2f}" for hv in marks if y_lo <= hv <= y_hi]:
+        out.append(_line(left, y, right, y, "#888888", 1, extra='stroke-dasharray="6 4"'))
 
     out.append(
         f'<rect x="{_MARGIN_L:.1f}" y="{_MARGIN_T:.1f}" width="{plot_w:.1f}" '
@@ -166,8 +148,8 @@ def line_plot(
     )
 
     px = [f"{sx(x):.2f}" for x in xs]
-    for idx, col_runs in enumerate(runs):
-        color = _PALETTE[idx % len(_PALETTE)]
+    colors = [_PALETTE[idx % len(_PALETTE)] for idx in range(len(columns))]
+    for color, col_runs in zip(colors, runs):
         for run in col_runs:
             if len(run) == 1:
                 (i, y), = run
@@ -179,33 +161,31 @@ def line_plot(
                 )
 
     legend_x = _MARGIN_L + plot_w - 150.0
-    legend_y = _MARGIN_T + 10.0
-    for idx, (label, _) in enumerate(columns):
-        color = _PALETTE[idx % len(_PALETTE)]
-        y = legend_y + 16.0 * idx
-        out.append(
-            f'<line x1="{legend_x:.1f}" y1="{y:.1f}" x2="{legend_x + 22:.1f}" '
-            f'y2="{y:.1f}" stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{legend_x + 28:.1f}" y="{y + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11">{_escape(label)}</text>'
-        )
+    for idx, ((label, _), color) in enumerate(zip(columns, colors)):
+        y = _MARGIN_T + 10.0 + 16.0 * idx
+        out.append(_line(f"{legend_x:.1f}", f"{y:.1f}", f"{legend_x + 22:.1f}", f"{y:.1f}", color, 2))
+        out.append(_text(f"{legend_x + 28:.1f}", f"{y + 4:.1f}", 11, label))
 
-    out.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8:.1f}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{_escape(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_escape(ylabel)}</text>'
-    )
+    out.append(_text(f"{_MARGIN_L + plot_w / 2:.1f}", f"{_HEIGHT - 8:.1f}", 12, xlabel, anchor="middle"))
+    mid = f"{_MARGIN_T + plot_h / 2:.1f}"
+    out.append(_text("16", mid, 12, ylabel, anchor="middle", extra=f'transform="rotate(-90 16 {mid})"'))
     out.append("</svg>")
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 
 
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: int, extra: str = "") -> str:
+    """A line element from formatted coordinates; extra holds any further attributes."""
+    extra_attr = f" {extra}" if extra else ""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+            f'stroke-width="{width}"{extra_attr}/>')
+
+
+def _text(x: str, y: str, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    """A text element from formatted coordinates and an escaped body; extra holds any further attributes."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    extra_attr = f" {extra}" if extra else ""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{anchor_attr}{extra_attr}>'
+            f"{body}</text>")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via main(argv)."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -30,6 +31,8 @@ from eulerchar import (
 from eulerchar.cli import main
 from eulerchar.estimator import Estimate
 from eulerchar.graph import PRESET_NAMES
+from eulerchar.planner import RecoveryPlan, optimal_plan
+from test_graph import MALFORMED_DOCUMENTS
 
 PLAN_BLOCK_LASSO = """\
 eps_bar=0.25
@@ -53,6 +56,30 @@ def test_plan_golden_block(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith(PLAN_BLOCK_LASSO)
+
+
+def test_plan_block_prints_the_plan_fields_in_declared_order_then_eps_prev():
+    block = cli.plan_block(optimal_plan(0.25, 2, 6, 1))
+    keys = [line.partition("=")[0] for line in block.splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(RecoveryPlan)] + ["eps_prev"]
+
+
+def test_plan_block_prints_a_large_J_whole(capsys):
+    # Past 1e16 a float's 16 significant digits would round J; an int prints every digit.
+    assert main(["plan", "--M", "1e17", "--L", "6", "--lmin", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "M_bar=1e+17\n" in out and "J=100000000000000048\n" in out
+
+
+@pytest.mark.parametrize("doc, reason", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS.keys())
+def test_a_graph_document_with_a_wrong_json_type_exits_2(tmp_path, capsys, doc, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["plan", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_plan_from_graph_priors(capsys):

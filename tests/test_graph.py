@@ -59,7 +59,7 @@ def test_build_graph_rejects_unknown_endpoint():
 
 @pytest.mark.parametrize("length", [0.0, -1.0, float("inf"), float("nan")])
 def test_build_graph_rejects_bad_length(length):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="lengths must be positive and finite"):
         build_graph("g", ["a", "b"], [("a", "b", length)])
 
 
@@ -87,6 +87,34 @@ def test_parse_graph_rejects_malformed():
         parse_graph('{"name": "g", "vertices": ["a"]}')
     with pytest.raises(GraphError):
         parse_graph('{"name": "g", "vertices": ["a", "b"], "edges": [{"u": "a"}]}')
+    for doc, reason in MALFORMED_DOCUMENTS.values():
+        with pytest.raises(GraphError, match=reason):
+            parse_graph(doc)
+
+
+def _loop_document(**fields):
+    edge = {"u": '"a"', "v": '"a"', "length": "1.0", **fields}
+    body = ", ".join(f'"{key}": {value}' for key, value in edge.items())
+    return f'{{"name": "g", "vertices": ["a"], "edges": [{{{body}}}]}}'
+
+
+# Graph documents whose fields have the wrong JSON type, each with the reason parse_graph gives.
+MALFORMED_DOCUMENTS = {
+    "edges-int": ('{"name": "g", "vertices": ["a"], "edges": 5}', "'edges' must be an array of objects"),
+    "vertices-int": ('{"name": "g", "vertices": 5, "edges": []}', "'vertices' must be an array of strings"),
+    "vertices-str": ('{"name": "g", "vertices": "ab", "edges": []}', "'vertices' must be an array of strings"),
+    "vertex-int": ('{"name": "g", "vertices": ["a", 3], "edges": [{"u": "a", "v": "a", "length": 1.0}]}',
+                   "vertex id must be a nonempty string, got 3"),
+    "u-list": (_loop_document(u='["a"]'), "edge 0 field 'u' must be a string"),
+    "v-int": (_loop_document(v="7"), "edge 0 field 'v' must be a string"),
+    "length-null": (_loop_document(length="null"), "edge 0 field 'length' must be a number"),
+    "length-list": (_loop_document(length="[1]"), "edge 0 field 'length' must be a number"),
+    "length-bool": (_loop_document(length="true"), "edge 0 field 'length' must be a number"),
+    "length-str": (_loop_document(length='"2.5"'), "edge 0 field 'length' must be a number"),
+    "length-1e400": (_loop_document(length="1e400"), "edge 0 has length inf: lengths must be positive and finite"),
+    "length-int-1e400": (_loop_document(length="1" + "0" * 400),
+                         "edge 0 has length inf: lengths must be positive and finite"),
+}
 
 
 def test_lasso_summary():
