@@ -105,10 +105,13 @@ class GraphSummary:
 def build_graph(name: str, vertices: list[str], edges: list[tuple[str, str, float]]) -> MetricGraph:
     """Validate and construct a MetricGraph.
 
-    Raises GraphError on duplicate or empty vertex ids, unknown endpoints,
-    nonpositive or nonfinite lengths, empty vertex/edge sets, or a
+    Raises GraphError on a name holding a line break, duplicate or empty vertex ids,
+    unknown endpoints, nonpositive or nonfinite lengths, empty vertex/edge sets, or a
     disconnected graph.
     """
+    name = str(name)
+    if "\n" in name or "\r" in name:  # the name is written as one line of a CSV header
+        raise GraphError(f"graph 'name' must not hold a line break, got {name!r}")
     if not vertices:
         raise GraphError("graph has no vertices")
     if not edges:
@@ -133,7 +136,7 @@ def build_graph(name: str, vertices: list[str], edges: list[tuple[str, str, floa
         if not math.isfinite(length) or length <= 0.0:
             raise GraphError(f"edge {i} has length {length!r}: lengths must be positive and finite")
         built.append(Edge(u, v, length))
-    g = MetricGraph(str(name), tuple(sorted(seen)), tuple(built))
+    g = MetricGraph(name, tuple(sorted(seen)), tuple(built))
     reached = two_colouring(g)
     if len(reached) != len(g.vertices):
         missing = sorted(seen - set(reached))
@@ -173,11 +176,15 @@ def parse_graph(text: str) -> MetricGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphError("graph document is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
     for key in ("name", "vertices", "edges"):
         if key not in doc:
             raise GraphError(f"graph document missing {key!r}")
+    if not isinstance(doc["name"], str):
+        raise GraphError(f"graph document 'name' must be a string, got {doc['name']!r}")
     if not isinstance(doc["vertices"], list):
         raise GraphError("graph document 'vertices' must be an array of strings")
     if not isinstance(doc["edges"], list):

@@ -196,7 +196,7 @@ def orbit_side(g: MetricGraph, tf: TestFunction, t: float) -> float:
     graph object, so only the walks depend on t. t is checked as the sum checks it.
     """
     _check_t_and_J([t], [])
-    S, weight, D, masks = _bonds_of(g).walk(g)
+    S, weight, D, masks = _bonds_of(g).walk
     walks = {u: np.diag(m) for u, m in masks if t * (u / D) < 1.0}
     pending = sorted(walks)  # the lengths in walks, a heap
     closed_length, closed_weight = [], []

@@ -145,14 +145,16 @@ class ValidationReport:
     weyl_lower_ok: k_j >= (j - M) pi / L for every j (a proved estimate).
     zero_mode_ok: the graph being connected, k_2 > tol, so the zero mode k_1 = 0,
     which Spectrum requires, is simple.
-    count_ok: the values in (0, k_max_covered], grouped into clusters whose gaps are at
-    most 2 d, d = tol + ROOT_TOL, leave below lo - d and hi + d of each cluster [lo, hi],
+    count_ok: every positive value, the values grouped into clusters whose gaps are at
+    most 2 d, d = tol + ROOT_TOL, leaves below lo - d and hi + d of each cluster [lo, hi],
     and below k_max_covered - d, exactly as many values as the exact count N(k) of the
-    graph there (the last point only where it lies above every cluster's). A correct
-    listing, each value within tol of its eigenvalue, passes: no eigenvalue lies within
-    d of a point. Conversely the counts put the j-th value of a cluster and the j-th
-    eigenvalue both in [lo - d, hi + d], so a value alone in its cluster lies within d of
-    its eigenvalue, and a missed, extra or misplaced value fails.
+    graph there (the last point only where it lies above every cluster's). Only at the top
+    of a last cluster that lies wholly above k_max_covered, which may list a prefix of its
+    eigenvalues, need N(k) merely reach the number listed. A correct listing, each value
+    within tol of its eigenvalue and complete up to k_max_covered, passes: no eigenvalue
+    lies within d of a point. Conversely the counts put the j-th value of a cluster and the
+    j-th eigenvalue both in [lo - d, hi + d], so a value alone in its cluster lies within d
+    of its eigenvalue, and a missed, extra or misplaced value fails.
     """
 
     weyl_lower_ok: bool
@@ -238,12 +240,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Bonds:
-    """The standard vertex conditions of g as the vertex matrix A(k) of g or of its
-    quarter-wave cut, which count N(k) (see count), as the bond scattering matrix S, built on
-    first use, for counts neither A certifies and for orbit_side, and the lift's tables: the
-    subdivision with its length margin eta, and its eigenvalues mu, which count N(k) once built.
-    It depends on g alone: _bonds_of builds it once per graph object and keeps it on g, so it
-    goes with g. Its arrays are read-only, so a stray write raises.
+    """The standard vertex conditions of its graph g as the vertex matrix A(k) of g or of its
+    quarter-wave cut, which count N(k) (see count), as the bond scattering matrix S, for counts
+    neither A certifies and for orbit_side, and the lift's tables: the subdivision with its
+    length margin eta, and the lift, which adds its eigenvalues mu and counts N(k) once built.
+    It keeps g and depends on g alone; each table is a cached property, built on first use.
+    _bonds_of builds it once per graph object and keeps it on g, so it goes with g. Its arrays
+    are read-only, so a stray write raises.
 
     Bond 2e runs along edge e from u to v, bond 2e + 1 back. S[c, b] scatters
     bond b into bond c at the vertex v where b ends: 2/d_v, minus 1 when c is
@@ -254,6 +257,7 @@ class _Bonds:
     """
 
     def __init__(self, g: MetricGraph) -> None:
+        self.graph = g
         index = {v: i for i, v in enumerate(g.vertices)}
         self.ends = _read_only(np.array([(index[e.u], index[e.v]) for e in g.edges]))
         self.lengths = _read_only(np.repeat([e.length for e in g.edges], 2))
@@ -261,8 +265,6 @@ class _Bonds:
         self.offset = 0.5 * (len(g.edges) + len(g.vertices) - 2)
         self.n_vertices = len(g.vertices)
         self.loops = _read_only(np.array([float(e.u == e.v) for e in g.edges]))
-        self._pieces: dict[bool, tuple] = {}
-        self._walk = self._lift = self._mu = None  # see walk, subdivision and interior
 
     @functools.cached_property
     def S(self) -> np.ndarray:
@@ -272,11 +274,14 @@ class _Bonds:
         S[b ^ 1, b] -= 1.0
         return _read_only(S)
 
-    def pieces(self, cut: bool):
-        """m, the order of A on the pieces (g's edges, or with cut its quarter-wave cut's,
-        e cut at a new vertex M + e), the entries of A they touch, the constant scatter of
-        the pieces' terms to them, the ends at each vertex, their count and each length's ulp."""
-        if cut not in self._pieces:
+    @functools.cached_property
+    def pieces(self) -> tuple:
+        """Indexed by cut: m, the order of A on the pieces (g's edges, or with cut its
+        quarter-wave cut's, e cut at a new vertex M + e), the entries of A they touch, the
+        constant scatter of the pieces' terms to them, the ends at each vertex, their count and
+        each length's ulp."""
+        tables = []
+        for cut in (False, True):
             n, m, ends = len(self.ends), self.n_vertices, self.ends
             if cut:
                 mid, m = m + np.arange(n), m + n
@@ -288,54 +293,53 @@ class _Bonds:
             np.add.at(scatter, (np.arange(4 * p) % (2 * p), column), 1.0)  # both ends of a loop
             # Every vertex has an edge, so its diagonal entry a (m + 1) is touched.
             ends = scatter[:p, touched % (m + 1) == 0]
-            self._pieces[cut] = (m, *map(_read_only, (touched, scatter, ends, ends.sum(axis=0),
-                                                      np.spacing(self.lengths[::2]))))
-        return self._pieces[cut]
+            tables.append((m, *map(_read_only, (touched, scatter, ends, ends.sum(axis=0),
+                                                np.spacing(self.lengths[::2])))))
+        return tuple(tables)
 
-    def walk(self, g: MetricGraph):
-        """orbit_side's tables of g, these bonds' graph: S, the weights l_b S[c, b], D of
-        graph.length_units and, per distinct bond length u / D, u and the mask of its bonds."""
-        if self._walk is None:
-            edge_units, D = length_units(g)
-            units = [u for u in edge_units for _ in (0, 1)]
-            masks = tuple((u, _read_only(np.array([v == u for v in units], dtype=float)))
-                          for u in dict.fromkeys(units))
-            self._walk = (self.S, _read_only(self.lengths[:, None] * self.S), D, masks)
-        return self._walk
+    @functools.cached_property
+    def walk(self) -> tuple:
+        """orbit_side's tables: S, the weights l_b S[c, b], D of graph.length_units and, per
+        distinct bond length u / D, u and the mask of its bonds."""
+        edge_units, D = length_units(self.graph)
+        units = [u for u in edge_units for _ in (0, 1)]
+        masks = tuple((u, _read_only(np.array([v == u for v in units], dtype=float)))
+                      for u in dict.fromkeys(units))
+        return self.S, _read_only(self.lengths[:, None] * self.S), D, masks
 
-    def subdivision(self, g: MetricGraph):
-        """equilateral_subdivision(g) of g, these bonds' graph, its piece length a, the relative
-        length margin eta = max_e |l_e - n_e a| / (n_e a) of _lift_count, exact in Fraction and
-        rounded up, and whether it is bipartite, kept once built; GraphError where
-        equilateral_subdivision raises it. Each edge e is, in place, a path of n_e pieces from
-        e.u; where the subdivision is g, n_e is 1 and eta 0."""
-        if self._lift is None:
-            sub, a = equilateral_subdivision(g)
-            start = [i for i, e in enumerate(sub.edges) if e.u in g.vertices] + [len(sub.edges)]
-            eta = 0 if sub is g else max(abs(Fraction(e.length) / ((j - i) * Fraction(a)) - 1)
-                                         for e, i, j in zip(g.edges, start, start[1:]))
-            eta = math.nextafter(float(eta), math.inf) if float(eta) < eta else float(eta)
-            colour = two_colouring(sub)
-            self._lift = sub, a, eta, all(colour[e.u] != colour[e.v] for e in sub.edges)
-        return self._lift
+    @functools.cached_property
+    def subdivision(self) -> tuple:
+        """equilateral_subdivision(g), its piece length a, the relative length margin
+        eta = max_e |l_e - n_e a| / (n_e a) of _lift_count, exact in Fraction and rounded up, and
+        whether it is bipartite; GraphError where equilateral_subdivision raises it. Each edge e
+        is, in place, a path of n_e pieces from e.u; where the subdivision is g, n_e is 1 and
+        eta 0."""
+        g = self.graph
+        sub, a = equilateral_subdivision(g)
+        start = [i for i, e in enumerate(sub.edges) if e.u in g.vertices] + [len(sub.edges)]
+        eta = 0 if sub is g else max(abs(Fraction(e.length) / ((j - i) * Fraction(a)) - 1)
+                                     for e, i, j in zip(g.edges, start, start[1:]))
+        eta = math.nextafter(float(eta), math.inf) if float(eta) < eta else float(eta)
+        colour = two_colouring(sub)
+        return sub, a, eta, all(colour[e.u] != colour[e.v] for e in sub.edges)
 
-    def interior(self, g: MetricGraph) -> np.ndarray:
-        """The sorted eigenvalues mu of B = Deg^-1/2 Adj Deg^-1/2 of subdivision(g) but its ends, 1
-        and, where it is bipartite, -1: the lift's, computed once. count reads them from then on."""
-        if self._mu is None:
-            sub, _a, _eta, bipartite = self.subdivision(g)
-            index = {v: i for i, v in enumerate(sub.vertices)}
-            ends = np.array([(index[e.u], index[e.v]) for e in sub.edges]).T
-            adjacency = np.zeros((len(index), len(index)))
-            np.add.at(adjacency, (ends, ends[::-1]), 1.0)  # both ways, parallel edges counted
-            scale = 1.0 / np.sqrt(adjacency.sum(axis=1))
-            mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
-            self._mu = _read_only(mu[int(bipartite) : -1])
-        return self._mu
+    @functools.cached_property
+    def lift(self) -> tuple:
+        """subdivision's (sub, a, eta, bipartite) and the sorted eigenvalues mu of
+        B = Deg^-1/2 Adj Deg^-1/2 of sub but its ends, 1 and, where it is bipartite, -1. count
+        reads them once this is built."""
+        sub, _a, _eta, bipartite = self.subdivision
+        index = {v: i for i, v in enumerate(sub.vertices)}
+        ends = np.array([(index[e.u], index[e.v]) for e in sub.edges]).T
+        adjacency = np.zeros((len(index), len(index)))
+        np.add.at(adjacency, (ends, ends[::-1]), 1.0)  # both ways, parallel edges counted
+        scale = 1.0 / np.sqrt(adjacency.sum(axis=1))
+        mu = np.linalg.eigvalsh(scale[:, None] * adjacency * scale[None, :])
+        return (*self.subdivision, _read_only(mu[int(bipartite) : -1]))
 
     def vertex_matrix(self, k: np.ndarray, derivative: bool = False, cut: bool = False):
         """x_p = k l_p, s_p = sin x_p, where (1) of _index_count holds, and the vertex
-        matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0, of pieces(cut).
+        matrix A(k) and, if asked, A'(k), zero where (1) fails, per k > 0, of pieces[cut].
 
         A_uu = -sum cot x_p over the non-loop pieces at u plus 2 tan(x_p / 2) per loop
         at u; A_uv = sum csc x_p over the pieces from u to v. A'(k) =
@@ -344,7 +348,7 @@ class _Bonds:
         between poles. The cut's first piece of e has l_1 = min(pi / (2 k), l_e / 2) rounded
         down to a multiple of ulp(l_e), so l_e - l_1 is exact; at a Dirichlet point of e
         both its sines are +-1. Call under np.errstate."""
-        m, touched, scatter, _, _, ulp = self.pieces(cut)
+        m, touched, scatter, _, _, ulp = self.pieces[cut]
         l, loops = self.lengths[::2], 0.0 if cut else self.loops
         if cut:
             first = np.floor(np.minimum(0.5 * math.pi / k[:, None], 0.5 * l) / ulp) * ulp
@@ -394,7 +398,7 @@ class _Bonds:
         The targets take the slope w' = v^T A'(k) v of each eigenvalue, v its
         unit eigenvector (Hellmann-Feynman); they are 0 / 0 = NaN where (1) fails.
         """
-        m, _, _, ends, degree, _ = self.pieces(cut)
+        m, _, _, ends, degree, _ = self.pieces[cut]
         n, u = (1 + cut) * len(self.ends), 2.0**-53
         count, sure, target = np.empty(len(k), int), np.empty(len(k), bool), np.empty((len(k), m))
         batch = max(1, _BATCH_ENTRIES // max(m * m, 2 * n))
@@ -435,9 +439,9 @@ class _Bonds:
         return count.astype(int)
 
     def _lift_count(self, k: np.ndarray):
-        """N(k) per k > 0 from interior's mu, and whether that count is certified: the index
+        """N(k) per k > 0 from the lift's mu, and whether that count is certified: the index
         formula of _index_count on g-hat, g with each edge set to exactly its n_e pieces of
-        length a of subdivision(g), with the length margin eta to cover g.
+        length a of subdivision, with the length margin eta to cover g.
 
         On g-hat, of P pieces of length a and no loops, A(k) = csc(ka) (Adj - cos(ka) Deg),
         congruent through Deg^1/2 to csc(ka) (B - cos(ka) I), so by Sylvester's law of inertia
@@ -470,7 +474,7 @@ class _Bonds:
         ends are exact: 1, simple as g is connected, and -1, present and simple exactly when the
         subdivision is bipartite; (1') keeps every cos y off both. Where eta >= 1/2, r >= x >=
         fl(sin x), so (1') certifies nothing: wherever it holds, (1 - eta) k > 0."""
-        (sub, a, eta, bipartite), mu, u = self._lift, self._mu, 2.0**-53
+        (sub, a, eta, bipartite, mu), u = self.lift, 2.0**-53
         x = k * a
         s, c, r = np.sin(x), np.cos(x), 2.0 * eta * x
         window = 2.0 * (16.0 * (len(sub.vertices) + 1) * u + 8.0 * u * (1.0 + x) + r)
@@ -481,13 +485,16 @@ class _Bonds:
         return (len(sub.edges) * cells + crossed - 1).astype(int), sure
 
     def count(self, k, newton: bool = False):
-        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k > 0, and with
-        newton A(k)'s Newton targets: without newton, once g is lifted (interior), from the lift's
-        mu where _lift_count certifies it; else from A(k) where its certificate holds, else from
-        A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
+        """Exact number N(k) of eigenfrequencies in (0, k], with multiplicity, per k >= 0, and
+        with newton A(k)'s Newton targets: 0 below pi / L, the lowest possible k_2 (Nicaise), where
+        no certificate holds as every sine is tiny; without newton, once the lift is built, from
+        its mu where _lift_count certifies it; else from A(k) where its certificate holds, else
+        from A of the quarter-wave cut (degree-2 vertices change nothing), else _phase_count."""
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        lifted = self._mu is not None and not newton
+        lifted = "lift" in vars(self) and not newton
         count, sure, *target = self._lift_count(k) if lifted else self._index_count(k, False, newton)
+        low = k < math.pi / self.total_length
+        count[low], sure[low] = 0, True
         if lifted and not sure.all():
             count[~sure], sure[~sure] = self._index_count(k[~sure], False)
         if not sure.all():
@@ -538,15 +545,14 @@ def _grid_counts(bonds: _Bonds, grid: np.ndarray, name: str) -> np.ndarray:
     the mean level spacing, then on the inner points of each of those cells whose ends
     differ; every other point takes the count of the counted point before it. So every
     pair of adjacent points between which N steps has both ends counted, and the counts
-    equal a count at every point. Points below pi / L, where no certificate holds as every
-    sine is tiny, take N = 0 uncounted: k_2 >= pi / L (Nicaise), as validate_spectrum uses.
-    Computed counts that decrease in k raise SpectrumCountError."""
+    equal a count at every point. Computed counts that decrease in k raise
+    SpectrumCountError."""
     counts, known = np.zeros(grid.size, int), np.zeros(grid.size, bool)
     known[::4] = known[-1] = True
-    coarse, low = np.flatnonzero(known), np.searchsorted(grid, math.pi / bonds.total_length)
-    counts[coarse[coarse >= low]] = bonds.count(grid[coarse[coarse >= low]])
+    coarse = np.flatnonzero(known)
+    counts[coarse] = bonds.count(grid[coarse])
     inner = (coarse[:-1][np.diff(counts[coarse]) != 0, None] + np.arange(1, 4)).ravel()
-    inner = inner[(inner >= low) & (inner < grid.size - 1)]
+    inner = inner[inner < grid.size - 1]
     counts[inner], known[inner] = bonds.count(grid[inner]), True
     if np.any(np.diff(counts[known]) < 0):
         raise SpectrumCountError(f"eigenvalue count of {name!r} decreases; eigensolver failed")
@@ -664,7 +670,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
     if not 0.0 < k_max < math.inf:
         raise ValueError("k_max must be positive and finite")
     bonds = _bonds_of(g)
-    sub, a, _eta, bipartite = bonds.subdivision(g)
+    sub, a, _eta, bipartite = bonds.subdivision
 
     # Branch and lattice indices run past the last k <= k_max; the filter drops the rest. The
     # sizes are counted in floats, where a k_max a that overflows gives inf or NaN, not an error.
@@ -678,7 +684,7 @@ def von_below_spectrum(g: MetricGraph, k_max: float) -> Spectrum:
         raise _over_budget(f"k_max = {k_max:.6g}", lifted, "lifted values")
     branches, lattice_points = int(branches), int(lattice_points)
 
-    phi = np.array([math.acos(float(m)) for m in bonds.interior(g)])[:, None]
+    phi = np.array([math.acos(float(m)) for m in bonds.lift[-1]])[:, None]
     n = np.arange(branches)
     lattice = np.arange(1, lattice_points + 1)
     multiplicity = np.where(bipartite | (lattice % 2 == 0), n_minus_m + 2, n_minus_m)
@@ -751,7 +757,7 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
     if count < 1:
         raise ValueError("count must be at least 1")
     try:
-        lift = len(_bonds_of(g).subdivision(g)[0].vertices) <= count
+        lift = len(_bonds_of(g).subdivision[0].vertices) <= count
     except GraphError:
         lift = False
     lister = von_below_spectrum if lift else secular_spectrum
@@ -787,7 +793,8 @@ def spectrum_with_count(g: MetricGraph, count: int) -> Spectrum:
 
 def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     """Check a spectrum against a proved estimate and the exact count of g (see
-    ValidationReport), counting N at every point in one call (once g is lifted, from its mu)."""
+    ValidationReport), counting N at every point in one call (once g's lift is built, from its
+    mu)."""
     bonds = _bonds_of(g)
     M, L = len(g.vertices), bonds.total_length
     values = s.array
@@ -805,20 +812,20 @@ def validate_spectrum(s: Spectrum, g: MetricGraph) -> ValidationReport:
     if not zero_mode_ok:
         messages.append(f"k_2 = {values[1]:.12g} is within tol of 0, so k_1 = 0 is not simple")
 
-    # The clusters of k_2, k_3, ... up to K, as runs of positions [first, last), and the
-    # points lo - d and hi + d of each, then K - d where it lies above them all. N is 0
-    # below pi / L, the lowest possible k_2.
+    # The clusters of k_2, k_3, ..., as runs of positions [first, last), and the points lo - d
+    # and hi + d of each, then K - d where it lies above them all. A last cluster wholly above
+    # K may be a prefix of its eigenvalues: at its top N need only reach the number listed.
     K, d = s.k_max_covered, s.tol + ROOT_TOL
-    v = values[1 : np.searchsorted(values, K, "right")]  # values is sorted, values[0] = 0 <= K
+    v = values[1:]
     first = _cluster_starts(v, s.tol)
     last = np.append(first[1:], v.size)[: first.size]
     points = np.column_stack((v[first] - d, v[last - 1] + d)).ravel()
     listed = np.column_stack((first, last)).ravel()
     if K - d > (points[-1] if points.size else 0.0):
         points, listed = np.append(points, K - d), np.append(listed, v.size)
-    n, counted = np.zeros(points.size, int), points >= math.pi / L
-    if counted.any():
-        n[counted] = bonds.count(points[counted])
+    n = bonds.count(points)
+    if v.size and v[first[-1]] > K:
+        n[-1] = min(n[-1], listed[-1])
     wrong = np.flatnonzero(n != listed)
     count_ok = wrong.size == 0
     if not count_ok:

@@ -387,6 +387,37 @@ def test_estimate_with_graph_rejects_missing_values(tmp_path, capsys, dropped):
     assert "the exact count gives" in captured.err
 
 
+@pytest.mark.parametrize("covered", ["0.0", None], ids=["k-max-covered-0", "own"])
+def test_estimate_with_graph_checks_every_listed_value(tmp_path, capsys, covered):
+    # Lasso's first 60 values without k_11. With k_max_covered set to 0, the check skipped every
+    # value, and estimate printed chi_hat=1 and exited 0; chi is 0. Metadata cannot switch the
+    # check off: the count below the cluster at 2 pi finds the missing value either way.
+    csv = tmp_path / "miss.csv"
+    assert main(["spectrum", "lasso", "--count", "60", "-o", str(csv)]) == 0
+    lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("11,")]
+    if covered is not None:
+        lines = [f"# k_max_covered={covered}" if ln.startswith("# k_max_covered=") else ln
+                 for ln in lines]
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["estimate", "--spectrum", str(csv), "--graph", "lasso"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 9 eigenfrequencies listed in (0, 6.28318530707], the exact "
+                            "count gives 10, below the cluster k_11 to k_12 at 6.28318530718\n")
+
+
+def test_a_graph_name_with_a_line_break_writes_no_spectrum(tmp_path, capsys):
+    # The name went unchecked into the CSV's `# graph=` line, where its second line was a data
+    # row: spectrum succeeded, and estimate then failed on the file.
+    doc, csv = tmp_path / "nl.json", tmp_path / "nl.csv"
+    doc.write_text(MALFORMED_DOCUMENTS["name-newline"][0], encoding="utf-8")
+    assert main(["spectrum", str(doc), "--count", "3", "-o", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv.exists()
+    assert captured.err == "error: graph 'name' must not hold a line break, got 'x\\n9,1.5'\n"
+
+
 def test_estimate_with_graph_rejects_a_misplaced_value(tmp_path, capsys):
     # k_5 = pi / 2 of k33 moved to 3 pi / 4, halfway to k_6 = pi, keeps the number of values
     # below k_max_covered, so one count next to it passed the listing, and estimate printed
@@ -780,6 +811,14 @@ def test_verify_trace_triangular(capsys):
 def test_verify_trace_rejects_nonfinite_t(t, capsys):
     assert main(["verify-trace", "--graph", "lasso", "--t", t]) == 2
     assert "error: t must be positive and finite" in capsys.readouterr().err
+
+
+def test_verify_trace_gap_beyond_the_bound_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "trace_check", lambda g, tf, t, s: (1.0, 0.5, 0.5, 0.25))
+    assert main(["verify-trace", "--graph", "lasso", "--t", "0.4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "lhs=1\nrhs=0.5\ngap=5.000e-01\ncertified_bound=2.500e-01\n"
+    assert captured.err == "trace identity violated beyond the certified bound\n"
 
 
 def test_verify_trace_walk_budget_exits_2(monkeypatch, capsys):

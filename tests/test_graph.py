@@ -98,7 +98,8 @@ def _loop_document(**fields):
     return f'{{"name": "g", "vertices": ["a"], "edges": [{{{body}}}]}}'
 
 
-# Graph documents whose fields have the wrong JSON type, each with the reason parse_graph gives.
+# Graph documents with a field of the wrong JSON type, a name that is not one line or nesting
+# too deep to parse, each with the reason parse_graph gives.
 MALFORMED_DOCUMENTS = {
     "edges-int": ('{"name": "g", "vertices": ["a"], "edges": 5}', "'edges' must be an array of objects"),
     "vertices-int": ('{"name": "g", "vertices": 5, "edges": []}', "'vertices' must be an array of strings"),
@@ -114,6 +115,9 @@ MALFORMED_DOCUMENTS = {
     "length-1e400": (_loop_document(length="1e400"), "edge 0 has length inf: lengths must be positive and finite"),
     "length-int-1e400": (_loop_document(length="1" + "0" * 400),
                          "edge 0 has length inf: lengths must be positive and finite"),
+    "nested-100000": ("[" * 100000 + "]" * 100000, "graph document is nested too deeply to parse"),
+    "name-newline": (_loop_document().replace('"g"', '"x\\n9,1.5"'), "graph 'name' must not hold a line break"),
+    "name-object": (_loop_document().replace('"g"', '{"x": 1}'), "graph document 'name' must be a string"),
 }
 
 

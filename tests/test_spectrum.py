@@ -778,11 +778,11 @@ def test_a_cluster_at_k_max_is_listed_whole_or_not_at_all(name):
 
 
 def cluster_points(s):
-    """lo - d and hi + d of every cluster of the values of s in (0, K], d = tol + ROOT_TOL,
+    """lo - d and hi + d of every cluster of the positive values of s, d = tol + ROOT_TOL,
     and K - d where it lies above them all, each with the number of values listed below it,
     by a loop over the values."""
     d, K = s.tol + ROOT_TOL, s.k_max_covered
-    v = [k for k in s.values[1:] if k <= K]
+    v = s.values[1:]
     points = []
     for i, k in enumerate(v):
         if i == 0 or k - v[i - 1] > 2.0 * d:
@@ -794,39 +794,95 @@ def cluster_points(s):
     return points
 
 
+def prefix_top(s):
+    """Whether the last point of cluster_points(s) is the top of a last cluster wholly above
+    K, where N need only reach the number listed."""
+    v, d = s.values[1:], s.tol + ROOT_TOL
+    starts = [k for i, k in enumerate(v) if i == 0 or k - v[i - 1] > 2.0 * d]
+    return bool(starts) and starts[-1] > s.k_max_covered
+
+
 @pytest.mark.parametrize("name", ["lasso", "k5", "k5-pendant", "k33"])
 def test_validate_spectrum_counts_both_ends_in_one_call(monkeypatch, name):
     # The reports are those of counting below and above every cluster, and below K where that
-    # lies above them all, one point at a time, N being 0 below pi / L, on listings that
-    # pass, miss a value, repeat one, and end below pi / L or straddle it.
+    # lies above them all, one point at a time, on listings that pass, miss a value, repeat
+    # one, list a k_2 of 1e-11, where no certificate holds, and end below pi / L or straddle
+    # it. count gives N = 0 below pi / L, the lowest possible k_2, and sends no point there to
+    # the cut or the eigenphases.
     g = preset(name)
     s = spectrum_with_count(g, planned_j(g))
     bonds, L = _Bonds(g), g.total_length()
     cases = [s, Spectrum(s.values[:5] + s.values[6:], s.k_max_covered, s.method, s.tol),
              Spectrum(s.values[:6] + s.values[5:], s.k_max_covered, s.method, s.tol),
+             Spectrum((0.0, 1e-11), 1e-6, "external", 1e-10),
              Spectrum((0.0,), 0.5 * math.pi / L, "external", 1e-10),
              Spectrum((0.0,), math.pi / L, "external", 1e-10)]
-    real = _Bonds.count
-    covered = np.array([k for k in s.values[1:] if k <= s.k_max_covered])
-    clusters = 1 + np.sum(np.diff(covered) > 2.0 * (s.tol + ROOT_TOL))
-    above = s.k_max_covered > covered[-1] + 2.0 * (s.tol + ROOT_TOL)
+    real, real_index = _Bonds.count, _Bonds._index_count
+    clusters = 1 + np.sum(np.diff(s.values[1:]) > 2.0 * (s.tol + ROOT_TOL))
+    above = s.k_max_covered > s.values[-1] + 2.0 * (s.tol + ROOT_TOL)
     assert len(cluster_points(s)) == 2 * clusters + above
-    for case, ok in zip(cases, [True, False, False, True, True]):
-        calls = []
+    for case, ok in zip(cases, [True, False, False, False, True, True]):
+        calls, cut = [], []
         monkeypatch.setattr(_Bonds, "count",
                             lambda self, k, newton=False: calls.append(k.size) or real(self, k, newton))
+        monkeypatch.setattr(_Bonds, "_index_count", lambda self, k, c, newton=False: (
+            (c and cut.append(k)) or real_index(self, k, c, newton)))
         report = validate_spectrum(case, g)
         monkeypatch.undo()
         points = cluster_points(case)
-        counted = sum(p >= math.pi / L for p, _listed in points)
-        assert calls == ([counted] if counted else [])
-        exact = [int(real(bonds, p)[0]) if p >= math.pi / L else 0 for p, _listed in points]
-        wrong = [(p, listed, n) for (p, listed), n in zip(points, exact) if n != listed]
+        assert calls == [len(points)] and all(np.all(k >= math.pi / L) for k in cut)
+        exact = [int(real(bonds, p)[0]) for p, _listed in points]
+        assert all(n == 0 for (p, _listed), n in zip(points, exact) if p < math.pi / L)
+        wrong = [(p, listed, n) for (p, listed), n in zip(points, exact)
+                 if n < listed or n > listed and not (prefix_top(case) and p == points[-1][0])]
         assert report.count_ok == (not wrong) == ok
         if wrong:
             p, listed, n = wrong[0]
             assert report.messages[-1].startswith(
                 f"{listed} eigenfrequencies listed in (0, {p:.12g}], the exact count gives {n}, ")
+
+
+def test_validate_spectrum_checks_the_values_above_k_max_covered():
+    # Lasso's listing at J = 48 lists one value above k_max_covered and K8's at J = 134 fourteen
+    # of the twenty at 5 pi: each a last cluster wholly above it, which may be a prefix of its
+    # eigenvalues. Every value is checked: one moved off its eigenvalue, one missing from a
+    # cluster above k_max_covered but not the last, or one more in the last cluster than its
+    # eigenvalues fails; one fewer in the last cluster is a shorter prefix, which passes.
+    def report(g, s, values, covered=None):
+        covered = s.k_max_covered if covered is None else covered
+        return validate_spectrum(Spectrum(values, covered, s.method, s.tol), g)
+
+    lasso = preset("lasso")
+    s = spectrum_with_count(lasso, 48)
+    v = s.values
+    assert v[-2] < s.k_max_covered < v[-1] and report(lasso, s, v).ok
+    assert report(lasso, s, v[:-1] + (v[-1] + 1e-6,)).messages == (
+        "46 eigenfrequencies listed in (0, 25.1327422286], the exact count gives 48, "
+        "below the cluster k_48 at 25.1327422287",)
+    assert report(lasso, s, v[:-1] + (v[-1] - 1e-6,)).messages == (
+        "47 eigenfrequencies listed in (0, 25.1327402288], the exact count gives 46, "
+        "above the cluster k_48 at 25.1327402287",)
+    assert report(lasso, s, v[:44] + v[45:], 0.5 * (v[39] + v[40])).messages == (
+        "43 eigenfrequencies listed in (0, 24.0513745851], the exact count gives 44, "
+        "below the cluster k_45 at 24.0513745852",)
+    k8 = complete_graph(8)
+    s = spectrum_with_count(k8, 134)
+    w = s.values
+    assert w.count(5.0 * math.pi) == 14 and w[-15] < s.k_max_covered < w[-14] == 5.0 * math.pi
+    assert report(k8, s, w[:-1]).ok and report(k8, s, w + (w[-1],) * 6).ok
+    assert report(k8, s, w + (w[-1],) * 7).messages == (
+        "140 eigenfrequencies listed in (0, 15.7079632681], the exact count gives 139, "
+        "above the cluster k_121 to k_141 at 15.7079632679",)
+
+
+def test_validate_spectrum_refuses_a_k_max_covered_past_a_missing_value():
+    # Lasso's first 40 values, claimed complete up to halfway between k_41 and k_42.
+    g = preset("lasso")
+    s = spectrum_with_count(g, 48)
+    claim = Spectrum(s.values[:40], 0.5 * (s.values[40] + s.values[41]), s.method, s.tol)
+    assert validate_spectrum(claim, g).messages == (
+        "39 eigenfrequencies listed in (0, 21.3939136134], the exact count gives 40, "
+        "tol + ROOT_TOL below k_max_covered",)
 
 
 def test_validate_spectrum_flags_dropped_value():
@@ -1085,24 +1141,34 @@ def test_a_probe_count_out_of_order_raises(monkeypatch):
 @pytest.mark.parametrize("grid_pass", [0, 1])
 def test_a_grid_count_out_of_order_raises(monkeypatch, grid_pass):
     # A certified count one too high where N is flat, on every 4th point or inside a
-    # cell, is above the next computed count, so the grid's check refuses it.
+    # cell, is above the next computed count, so the grid's check refuses it. Below pi / L
+    # count gives N = 0 whatever A(k) gives, so the bump is at or above it, and no point
+    # below it reaches the cut.
     real = _Bonds._index_count
-    calls, bumped = [], []
+    calls, bumped, cut_points = [], [], []
+    low = math.pi / preset("k5").total_length()
 
     def one_too_high(self, k, cut, newton=False):
         count, sure, *rest = real(self, k, cut, newton)
-        if not (cut or newton):
+        if cut:
+            cut_points.append(k)
+        elif not newton:
             calls.append(k.size)
             if len(calls) == grid_pass + 1:
-                bumped.append(np.flatnonzero(sure[:-1] & sure[1:] & (count[:-1] == count[1:]))[0])
+                flat = sure[:-1] & sure[1:] & (count[:-1] == count[1:]) & (k[:-1] >= low)
+                bumped.append(np.flatnonzero(flat)[0])
                 count[bumped[0]] += 1
         return (count, sure, *rest)
 
     monkeypatch.setattr(_Bonds, "_index_count", one_too_high)
     bonds = _Bonds(preset("k5"))
+    grid = _grid(bonds, 8.0)
     with pytest.raises(SpectrumCountError, match="eigenvalue count of 'k5' decreases"):
-        _grid_counts(bonds, _grid(bonds, 8.0), "k5")
+        _grid_counts(bonds, grid, "k5")
     assert bumped and len(calls) == 2
+    assert all(np.all(k >= low) for k in cut_points)
+    monkeypatch.undo()
+    assert grid[4] < low and not _grid_counts(bonds, grid, "k5")[grid < low].any()
 
 
 @pytest.mark.parametrize("name, share", [("k5", 0.45), ("K10", 0.35)])
@@ -1126,8 +1192,8 @@ def test_grid_counts_skip_the_cells_where_n_is_flat(monkeypatch, name, share):
 
 def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
     # On the grid and at the refinement probes alike, a k reaches the quarter-wave
-    # cut only where A(k) has just failed there, and the eigenphases only where the
-    # cut has just failed there too.
+    # cut only where A(k) has just failed there at or above pi / L, and the eigenphases
+    # only where the cut has just failed there too.
     k8 = complete_graph(8)
     k_max = scan_k_max(monkeypatch, k8, planned_j(k8))
     grid = _grid(_Bonds(k8), k_max)
@@ -1136,7 +1202,7 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
 
     def index_count(self, k, cut, newton=False):
         out = real_count(self, k, cut, newton)
-        events.append(("cut" if cut else "vertex", k, out[1]))
+        events.append(("cut" if cut else "vertex", k, out[1] | (k < math.pi / self.total_length)))
         if not (cut or newton):  # the grid's
             grid_events.append((k, out[1]))
         return out
@@ -1145,13 +1211,14 @@ def test_grid_sends_only_fallback_points_to_the_eigenphases(monkeypatch):
     monkeypatch.setattr(_Bonds, "_phase_count",
                         lambda self, k: events.append(("phases", k, None)) or real_phases(self, k))
     secular_spectrum(k8, k_max)
-    # The grid is counted on every 4th point and the last, and on some of the others, at or above
-    # pi / L: below it N is 0 uncounted (K8's grid[4] lies just below it).
+    # The grid is counted on every 4th point and the last, and on some of the others. Below
+    # pi / L (K8's grid[4] lies just below it) count gives N = 0 whatever A(k) gives, and sends
+    # no point on, so only the points at or above it that A(k) fails reach the cut.
     k, sure = (np.concatenate(a) for a in zip(*grid_events))
-    above = grid[grid >= math.pi / k8.total_length()]
-    coarse = np.intersect1d(np.append(grid[4::4], grid[-1]), above)
-    assert grid[4] not in above and np.all(np.isin(k, above)) and np.all(np.isin(coarse, k))
-    assert np.sum(~sure) <= 0.05 * k.size
+    low = math.pi / k8.total_length()
+    assert grid[4] < low and np.all(np.isin(np.append(grid[::4], grid[-1]), k))
+    assert not _Bonds(k8).count(grid[grid < low]).any()
+    assert np.sum(~sure[k >= low]) <= 0.05 * k.size
     secular_spectrum(random_graph(2, 10, 20), 15.0)
     assert {kind for kind, _k, _sure in events} == {"vertex", "cut", "phases"}
     for (kind, k, _sure), (prev, prev_k, prev_sure) in zip(events[1:], events):
@@ -1479,9 +1546,9 @@ def test_shared_tables_are_read_only(name):
     # in-place write to any of its arrays raises instead of changing their results.
     g = preset(name)
     bonds = spectrum_module._bonds_of(g)
-    _S, weight, _D, masks = bonds.walk(g)
+    _S, weight, _D, masks = bonds.walk
     arrays = [bonds.S, bonds.lengths, bonds.ends, bonds.loops, weight, *(m for _u, m in masks),
-              *bonds.pieces(False)[1:], *bonds.pieces(True)[1:], bonds.interior(g)]
+              *bonds.pieces[False][1:], *bonds.pieces[True][1:], bonds.lift[-1]]
     assert len(arrays) == 16 + len(masks)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -1602,7 +1669,7 @@ def lifted_points(g, count):
     counted and the lattice points n pi / a -+ (tol + ROOT_TOL) below its k_max_covered."""
     s = spectrum_with_count(g, count)
     assert s.method == "von-below"
-    a, d = spectrum_module._bonds_of(g).subdivision(g)[1], s.tol + ROOT_TOL
+    a, d = spectrum_module._bonds_of(g).subdivision[1], s.tol + ROOT_TOL
     lattice = np.arange(1, s.k_max_covered * a / math.pi + 1) * math.pi / a
     points = [p for p, _listed in cluster_points(s) if p >= math.pi / g.total_length()]
     return np.concatenate((points, lattice - d, lattice + d))
@@ -1629,7 +1696,7 @@ def test_the_lift_count_certifies_the_selected_listings_alone(monkeypatch, g):
             calls.append(k.size) or real(self, k, cut, newton)))
         spectrum_with_count(copy, count)
         monkeypatch.undo()
-        assert calls == [] and spectrum_module._bonds_of(copy).subdivision(copy)[2] == 0.0
+        assert calls == [] and spectrum_module._bonds_of(copy).subdivision[2] == 0.0
         assert assert_lift_count_is_the_count(copy, count).all()
 
 
@@ -1645,7 +1712,7 @@ def test_the_lift_count_is_the_count_on_random_commensurate_graphs(monkeypatch):
         lifted_points(g, 60)
     monkeypatch.undo()
     assert calls == []
-    eta = [spectrum_module._bonds_of(g).subdivision(g)[2] for g in graphs]
+    eta = [spectrum_module._bonds_of(g).subdivision[2] for g in graphs]
     assert sum(e > 0.0 for e in eta) == 86 and max(eta) <= 2.0**-52
     for g in graphs:
         assert assert_lift_count_is_the_count(g, 60).all()
@@ -1665,7 +1732,7 @@ def test_a_graph_whose_edges_are_not_whole_pieces_counts_from_its_lift(monkeypat
         "counted by the vertex matrix"))
     k = lifted_points(g, 40)
     bonds = spectrum_module._bonds_of(g)
-    assert 0.0 < bonds.subdivision(g)[2] <= 2.0**-52
+    assert 0.0 < bonds.subdivision[2] <= 2.0**-52
     assert bonds._lift_count(k)[1].all()
     n = bonds.count(k)
     monkeypatch.undo()
@@ -1678,9 +1745,9 @@ def test_a_wider_length_margin_leaves_its_points_to_the_vertex_count(monkeypatch
     g = thirds_graph()
     k = lifted_points(g, 40)
     bonds = spectrum_module._bonds_of(g)
-    sub, a, _eta, bipartite = bonds.subdivision(g)
+    sub, a, _eta, bipartite, mu = bonds.lift
     assert bonds._lift_count(k)[1].all()
-    monkeypatch.setattr(bonds, "_lift", (sub, a, 1e-12, bipartite))
+    monkeypatch.setattr(bonds, "lift", (sub, a, 1e-12, bipartite, mu))
     sure = bonds._lift_count(k)[1]
     lattice = np.abs(np.sin(k * a)) < 1e-9
     assert sure.any() and not sure[lattice].all() and not sure[~lattice].all()
@@ -1718,8 +1785,8 @@ def test_a_point_the_lift_count_cannot_certify_falls_back(monkeypatch, name):
     g = preset(name)
     values = np.array(spectrum_with_count(g, 40).values)
     bonds = spectrum_module._bonds_of(g)
-    a = bonds.subdivision(g)[1]
-    k = np.append([(math.acos(m) + 2.0 * math.pi) / a for m in bonds.interior(g)], math.pi / a)
+    a = bonds.subdivision[1]
+    k = np.append([(math.acos(m) + 2.0 * math.pi) / a for m in bonds.lift[-1]], math.pi / a)
     assert not bonds._lift_count(k)[1].any()
     flags = record_vertex_counts(monkeypatch)
     n = bonds.count(k)
